@@ -6,6 +6,8 @@ drift (exact and Monte Carlo), the hitting measure on the boundary, and
 finite partition lattices.  All entropies are in nats.
 """
 
+__version__ = "0.1.0"  # the one version string; pyproject.toml and reports read it
+
 from .boundary import (
     HittingMeasure,
     boundary_entropy,
@@ -67,8 +69,6 @@ from .quotients import (
     pushforward,
 )
 from .words import FreeGroup, Word, ball_size, parse_word, sphere, sphere_size
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AbelianRep",

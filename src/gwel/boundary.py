@@ -228,6 +228,8 @@ def proximality_sim(
         raise ParameterError("prefix depth must be >= 1")
     if trials < 1:
         raise ParameterError("trials must be >= 1")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     letters = alphabet(d)
     children = np.random.SeedSequence(seed).spawn(trials)
     rows = []

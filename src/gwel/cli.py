@@ -226,24 +226,22 @@ def _cmd_cogrowth(args) -> Report:
         "quotient": args.quotient,
         "method": args.method,
     }
-    if isinstance(rep, quotients.AbelianRep):
-        counts = growth.abelian_zero_sphere_counts(d, args.steps, work_budget=5 * 10**7)
-        if len(counts) < args.steps + 1:
+    # the rep counts and states delta itself, for every quotient family
+    counts = None
+    if args.method != "brute":
+        counts = tuple(rep.kernel_sphere_counts(args.steps, growth.KERNEL_WORK_BUDGET))
+        if len(counts) <= args.steps:
             raise ResourceGuardError(
-                f"abelian kernel sphere DP exceeds work budget beyond radius "
+                f"kernel sphere counts exceed the work budget beyond radius "
                 f"{len(counts) - 1}; lower --steps"
             )
-        series = growth.GrowthSeries(d, "kernel", tuple(counts))
-        if args.method in ("brute", "both"):
-            brute = growth.kernel_sphere_counts(d, rep, args.steps, method="brute")
-            if brute.counts != series.counts:
-                raise GwelError("abelian transfer and brute kernel counts disagree")
-        delta = growth.grigorchuk_delta(1.0, d)
-        delta_method = "amenable-endpoint prediction at spectral radius 1"
-    else:
-        series = growth.kernel_sphere_counts(d, rep, args.steps, method=args.method)
-        delta = growth.critical_exponent(d, rep)
-        delta_method = "transfer-matrix power iteration"
+    if args.method != "transfer":
+        brute = growth.kernel_sphere_counts(d, rep, args.steps, method="brute").counts
+        if counts not in (None, brute):
+            raise GwelError("transfer and brute kernel counts disagree")
+        counts = brute
+    series = growth.GrowthSeries(d, "kernel", counts)
+    delta, delta_method = rep.critical_exponent()
     rows = [[n, c, r] for n, c, r in series.rows()]
     bound = growth.half_growth_bound(d)
     return Report(

@@ -2,33 +2,27 @@
 
 Free-group entropies H(mu^k) are computed exactly in O(n^2) from the
 radial birth-death chain, using the fact that mu^k restricted to a
-sphere is uniform.  Quotient entropies are exact dynamic programs over
-the quotient (dense vector for finite quotients, lattice grid for Z^2).
-Drift is Monte Carlo with per-trial counter-based streams.  The gap
-checker assembles, per step count, the entropy difference, the exact
-coset-decomposition bound, and kernel ball counts at radius k and 2k.
+sphere is uniform.  Quotient entropies, entropy rates and critical
+exponents come from the quotient rep's own exact algorithms (see
+`gwel.quotients`).  Drift is Monte Carlo with per-trial counter-based
+streams.  The gap checker assembles, per step count, the entropy
+difference, the exact coset-decomposition bound, and kernel ball counts
+at radius k and 2k.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParameterError, ResourceGuardError
-from .growth import (
-    abelian_zero_sphere_counts,
-    critical_exponent,
-    grigorchuk_delta,
-)
+from .errors import ParameterError
 from .measures import convolve_power, srw
-from .quotients import AbelianRep, PermRep, TrivialRep
 from .words import ball_size
 
-QUOTIENT_SIZE_LIMIT = 5 * 10**6
-LATTICE_CELL_LIMIT = 4 * 10**7
 JENSEN_SUPPORT_LIMIT = 60000
 BALL_WORK_BUDGET = 2 * 10**7
 
@@ -113,72 +107,10 @@ def radial_entropy_exact(d: int, n: int) -> EntropySeries:
     return EntropySeries(f"free:{d}", tuple(values))
 
 
-def _perm_entropy_dp(rep, n: int) -> tuple[float, ...]:
-    size = rep.size
-    if size > QUOTIENT_SIZE_LIMIT:
-        raise ResourceGuardError(f"quotient size {size} exceeds {QUOTIENT_SIZE_LIMIT}")
-    d = rep.rank
-    nc = 2 * d
-    # gather index per letter: src[l][x] = x * l^{-1}
-    gathers = []
-    for i in range(1, d + 1):
-        for l in (i, -i):
-            gathers.append(
-                np.fromiter(
-                    (rep.apply_letter(x, -l) for x in range(size)),
-                    dtype=np.int64,
-                    count=size,
-                )
-            )
-    vec = np.zeros(size, dtype=np.float64)
-    vec[0] = 1.0
-    values = []
-    for _ in range(n):
-        new = np.zeros(size, dtype=np.float64)
-        for g in gathers:
-            new += vec[g]
-        new /= nc
-        vec = new
-        nz = vec[vec > 0.0]
-        values.append(float(-(nz * np.log(nz)).sum()))
-    return tuple(values)
-
-
-def _lattice_entropy_dp(n: int) -> tuple[float, ...]:
-    side = 2 * n + 1
-    if side * side > LATTICE_CELL_LIMIT:
-        raise ResourceGuardError(f"lattice grid {side}^2 exceeds {LATTICE_CELL_LIMIT}")
-    grid = np.zeros((side, side), dtype=np.float64)
-    grid[n, n] = 1.0
-    values = []
-    for _ in range(n):
-        new = np.zeros_like(grid)
-        new[1:, :] += grid[:-1, :]
-        new[:-1, :] += grid[1:, :]
-        new[:, 1:] += grid[:, :-1]
-        new[:, :-1] += grid[:, 1:]
-        new /= 4.0
-        grid = new
-        nz = grid[grid > 0.0]
-        values.append(float(-(nz * np.log(nz)).sum()))
-    return tuple(values)
-
-
 def quotient_entropy_dp(rep, n: int) -> EntropySeries:
     """Exact H(mu'^k), k <= n, for the pushforward of the simple random
-    walk to the quotient.  Finite quotients use a dense probability
-    vector over elements; the rank-2 abelianization uses a lattice grid."""
-    if n < 0:
-        raise ParameterError("steps must be >= 0")
-    if isinstance(rep, (PermRep, TrivialRep)):
-        values = _perm_entropy_dp(rep, n)
-    elif isinstance(rep, AbelianRep):
-        if rep.rank != 2:
-            raise ParameterError("lattice DP is implemented for rank 2 only")
-        values = _lattice_entropy_dp(n)
-    else:
-        raise ParameterError(f"no exact DP for rep {rep!r}")
-    return EntropySeries(rep.describe(), values)
+    walk to the quotient, by the rep's own algorithm."""
+    return EntropySeries(rep.describe(), rep.entropy_values(n))
 
 
 @dataclass(frozen=True)
@@ -212,6 +144,8 @@ def drift_mc(d: int, n: int, trials: int, seed: int) -> DriftEstimate:
         raise ParameterError("steps must be >= 1")
     if trials < 2:
         raise ParameterError("trials must be >= 2")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     children = np.random.SeedSequence(seed).spawn(trials)
     down = 1.0 / (2 * d)
     steps = np.empty((trials, n), dtype=np.int8)
@@ -299,27 +233,11 @@ class GapReport:
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _kernel_ball_logs(d: int, rep, radius: int) -> list[float | None]:
+def _kernel_ball_logs(rep, radius: int) -> list[float | None]:
     """log|N cap B(r)| for r = 0..radius where affordable, else None."""
-    if isinstance(rep, AbelianRep):
-        spheres = abelian_zero_sphere_counts(d, radius, work_budget=BALL_WORK_BUDGET)
-    else:
-        # transfer work is radius * size * (2d)^2
-        size = rep.size
-        per_step = size * (2 * d) ** 2
-        affordable = radius if per_step == 0 else min(radius, BALL_WORK_BUDGET // max(per_step, 1))
-        from .growth import _transfer_counts
-
-        spheres = _transfer_counts(d, rep, max(affordable, 0))
-    out: list[float | None] = []
-    total = 0
-    for r in range(radius + 1):
-        if r < len(spheres):
-            total += spheres[r]
-            out.append(math.log(total))
-        else:
-            out.append(None)
-    return out
+    spheres = rep.kernel_sphere_counts(radius, BALL_WORK_BUDGET)
+    logs = [math.log(total) for total in itertools.accumulate(spheres)]
+    return logs + [None] * (radius + 1 - len(logs))
 
 
 def entropy_gap_check(d: int, rep, n: int) -> GapReport:
@@ -342,7 +260,7 @@ def entropy_gap_check(d: int, rep, n: int) -> GapReport:
         raise ParameterError(f"rep rank {rep.rank} differs from {d}")
     free = radial_entropy_exact(d, n)
     quot = quotient_entropy_dp(rep, n)
-    ball_logs = _kernel_ball_logs(d, rep, 2 * n)
+    ball_logs = _kernel_ball_logs(rep, 2 * n)
 
     mu = srw(d)
     rows = []
@@ -384,16 +302,8 @@ def entropy_gap_check(d: int, rep, n: int) -> GapReport:
         )
 
     h_rw = exact_free_entropy(d)
-    if isinstance(rep, AbelianRep):
-        h_limit = 0.0
-        reason = "abelian quotient: H(mu'^k) grows logarithmically, so H/k -> 0"
-        delta = grigorchuk_delta(1.0, d)
-        delta_source = "amenable-endpoint prediction at spectral radius 1"
-    else:
-        h_limit = 0.0
-        reason = f"finite quotient: H(mu'^k) <= log {rep.size}, so H/k -> 0"
-        delta = critical_exponent(d, rep)
-        delta_source = "transfer-matrix dominant eigenvalue"
+    h_limit, reason = rep.entropy_rate()
+    delta, delta_source = rep.critical_exponent()
     gap_limit = h_rw - h_limit
     return GapReport(
         rank=d,

@@ -1,30 +1,24 @@
 """Growth of F_d and of kernels of quotient maps.
 
 Sphere and ball counts are closed-form exact integers.  Kernel sphere
-counts |N cap S(n)| come from a non-backtracking transfer matrix over
-states (element of Q, last letter), with an optional brute-force
-enumeration cross-check; both are exact.  The critical exponent of the
-kernel is the log of the dominant eigenvalue of that matrix restricted
-to states reachable from and co-reachable to identity-ending states.
+counts |N cap S(n)| and the kernel's critical exponent come from the
+quotient rep's own exact algorithms (see `gwel.quotients`); brute-force
+enumeration of reduced words is an optional exact cross-check of the
+counts.  Every quotient gwel builds has critical exponent log(2d-1),
+and each rep states why.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
-from .errors import (
-    ConvergenceError,
-    GwelError,
-    ParameterError,
-    ResourceGuardError,
-)
-from .quotients import col_letter
+from .errors import GwelError, ParameterError, ResourceGuardError
+from .quotients import AbelianRep
 from .words import alphabet, ball_size, sphere_size
 
 BRUTE_NODE_LIMIT = 10**8
-TRANSFER_STATE_LIMIT = 5 * 10**6
+KERNEL_WORK_BUDGET = 5 * 10**7
 
 
 @dataclass(frozen=True)
@@ -76,41 +70,6 @@ def sphere_counts(d: int, n: int) -> GrowthSeries:
     return GrowthSeries(d, "sphere", tuple(sphere_size(d, k) for k in range(n + 1)))
 
 
-def _finite_size(rep) -> int | None:
-    return getattr(rep, "size", None)
-
-
-def _transfer_counts(d: int, rep, n: int) -> list[int]:
-    size = rep.size
-    nc = 2 * d
-    if size * nc > TRANSFER_STATE_LIMIT:
-        raise ResourceGuardError(
-            f"transfer state space {size * nc} exceeds {TRANSFER_STATE_LIMIT}"
-        )
-    counts = [1]
-    if n == 0:
-        return counts
-    vec = [0] * (size * nc)
-    for col in range(nc):
-        vec[rep.apply_col(0, col) * nc + col] += 1
-    counts.append(sum(vec[0:nc]))
-    for _ in range(2, n + 1):
-        new = [0] * (size * nc)
-        for q in range(size):
-            base = q * nc
-            tot = sum(vec[base : base + nc])
-            if tot == 0:
-                continue
-            for col in range(nc):
-                # extend by the letter of `col`; forbid backtracking
-                val = tot - vec[base + (col ^ 1)]
-                if val:
-                    new[rep.apply_col(q, col) * nc + col] += val
-        vec = new
-        counts.append(sum(vec[0:nc]))
-    return counts
-
-
 def _brute_counts(d: int, rep, n: int) -> list[int]:
     if (2 * d - 1) ** n > BRUTE_NODE_LIMIT:
         raise ResourceGuardError(
@@ -141,9 +100,10 @@ def _brute_counts(d: int, rep, n: int) -> list[int]:
 def kernel_sphere_counts(d: int, rep, n: int, method: str = "transfer") -> GrowthSeries:
     """Exact counts of reduced words of length k <= n in the kernel.
 
-    `method` is "transfer", "brute", or "both" (computes both and
-    requires exact agreement).  Brute enumeration is guarded by node
-    count; the transfer evaluator needs a finite-state rep.
+    `method` is "transfer" (the rep's own exact evaluator, bounded by
+    KERNEL_WORK_BUDGET state updates), "brute", or "both" (computes both
+    and requires exact agreement).  Brute enumeration is guarded by
+    node count.
     """
     if d < 2:
         raise ParameterError(f"rank must be >= 2, got {d}")
@@ -155,9 +115,12 @@ def kernel_sphere_counts(d: int, rep, n: int, method: str = "transfer") -> Growt
         raise ParameterError(f"unknown method {method!r}")
     counts = None
     if method in ("transfer", "both"):
-        if _finite_size(rep) is None:
-            raise ParameterError("transfer method needs a finite-state rep")
-        counts = _transfer_counts(d, rep, n)
+        counts = rep.kernel_sphere_counts(n, KERNEL_WORK_BUDGET)
+        if len(counts) <= n:
+            raise ResourceGuardError(
+                f"kernel sphere counts exceed the work budget beyond radius "
+                f"{len(counts) - 1}; lower the radius"
+            )
     if method in ("brute", "both"):
         brute = _brute_counts(d, rep, n)
         if counts is None:
@@ -175,143 +138,21 @@ def abelian_zero_sphere_counts(
 ) -> list[int]:
     """Exact counts of reduced words of length k with zero exponent vector,
     for k = 0 up to the largest radius the work budget affords (at most
-    `radius`).  This is the kernel sphere series of the abelianization.
-
-    Dynamic programming over (exponent vector, last letter) with exact
-    integer masses; a word of length k cannot leave the radius-k box, so
-    truncation never loses mass.
-    """
+    `radius`).  This is the kernel sphere series of the abelianization,
+    `AbelianRep(d).kernel_sphere_counts`."""
     if d < 2:
         raise ParameterError(f"rank must be >= 2, got {d}")
-    if radius < 0:
-        raise ParameterError("radius must be >= 0")
-    counts = [1]
-    if radius == 0:
-        return counts
-    nc = 2 * d
-    zero = (0,) * d
-    state: dict[tuple[tuple[int, ...], int], int] = {}
-    for col in range(nc):
-        t = col_letter(col)
-        i = abs(t) - 1
-        vec = zero[:i] + ((1 if t > 0 else -1),) + zero[i + 1 :]
-        state[(vec, col)] = state.get((vec, col), 0) + 1
-    counts.append(sum(c for (v, _), c in state.items() if v == zero))
-    work = len(state) * (nc - 1)
-    for _ in range(2, radius + 1):
-        work += len(state) * (nc - 1)
-        if work > work_budget:
-            break
-        new: dict[tuple[tuple[int, ...], int], int] = {}
-        for (vec, col), cnt in state.items():
-            for col2 in range(nc):
-                if col2 == col ^ 1:
-                    continue
-                t = col_letter(col2)
-                i = abs(t) - 1
-                vec2 = vec[:i] + (vec[i] + (1 if t > 0 else -1),) + vec[i + 1 :]
-                key = (vec2, col2)
-                new[key] = new.get(key, 0) + cnt
-        state = new
-        counts.append(sum(c for (v, _), c in state.items() if v == zero))
-    return counts
+    return AbelianRep(d).kernel_sphere_counts(radius, work_budget)
 
 
-def critical_exponent(d: int, rep, tol: float = 1e-10, max_iter: int = 200000) -> float:
-    """Critical exponent of the kernel of a finite-state quotient map.
-
-    Log of the dominant eigenvalue of the non-backtracking transfer
-    matrix restricted to states both reachable from and co-reachable to
-    the identity-ending states.  Power iteration runs on the matrix plus
-    the identity, which removes eigenvalue periodicity (relators of even
-    length make the path graph bipartite) and shifts the dominant
-    eigenvalue by exactly one; all-ones start vector, l1 normalization,
-    and the estimate must be stable to relative tol for 10 consecutive
-    iterations.
-    """
+def critical_exponent(d: int, rep) -> float:
+    """Critical exponent limsup log|N cap S(n)| / n of the kernel N of
+    F_d -> Q, in closed form; `rep.critical_exponent()` also says why."""
     if d < 2:
         raise ParameterError(f"rank must be >= 2, got {d}")
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
-    if _finite_size(rep) is None:
-        raise ParameterError("critical_exponent needs a finite-state rep")
     if rep.rank != d:
         raise ParameterError(f"rep rank {rep.rank} differs from {d}")
-    size = rep.size
-    nc = 2 * d
-    nstates = size * nc
-    if nstates > TRANSFER_STATE_LIMIT:
-        raise ResourceGuardError(
-            f"transfer state space {nstates} exceeds {TRANSFER_STATE_LIMIT}"
-        )
-    succ: list[list[int]] = [[] for _ in range(nstates)]
-    for q in range(size):
-        for c in range(nc):
-            s = q * nc + c
-            for c2 in range(nc):
-                if c2 == c ^ 1:
-                    continue
-                succ[s].append(rep.apply_col(q, c2) * nc + c2)
-
-    anchors = list(range(nc))  # states (identity element, any last letter)
-
-    def bfs(starts, adj):
-        seen = [False] * nstates
-        queue = deque()
-        for s in starts:
-            seen[s] = True
-            queue.append(s)
-        while queue:
-            s = queue.popleft()
-            for t in adj[s]:
-                if not seen[t]:
-                    seen[t] = True
-                    queue.append(t)
-        return seen
-
-    fwd = bfs(anchors, succ)
-    pred: list[list[int]] = [[] for _ in range(nstates)]
-    for s in range(nstates):
-        for t in succ[s]:
-            pred[t].append(s)
-    bwd = bfs(anchors, pred)
-    live = [s for s in range(nstates) if fwd[s] and bwd[s]]
-    if not live:
-        raise ParameterError("no identity-recurrent transfer states")
-    pos = {s: i for i, s in enumerate(live)}
-    radj: list[list[int]] = [[] for _ in live]
-    for i, s in enumerate(live):
-        for t in succ[s]:
-            j = pos.get(t)
-            if j is not None:
-                radj[i].append(j)
-
-    m = len(live)
-    x = [1.0 / m] * m
-    prev = None
-    stable = 0
-    for _ in range(max_iter):
-        y = x[:]  # identity shift
-        for i, row in enumerate(radj):
-            xi = x[i]
-            for j in row:
-                y[j] += xi
-        rho = math.fsum(y)
-        inv = 1.0 / rho
-        x = [v * inv for v in y]
-        if prev is not None and abs(rho - prev) <= tol * abs(rho):
-            stable += 1
-            if stable >= 10:
-                lam = rho - 1.0
-                if lam <= 0:
-                    raise ConvergenceError("degenerate dominant eigenvalue")
-                return math.log(lam)
-        else:
-            stable = 0
-        prev = rho
-    raise ConvergenceError(
-        f"power iteration not stable within {max_iter} iterations"
-    )
+    return rep.critical_exponent()[0]
 
 
 def grigorchuk_delta(rho: float, d: int) -> float:
@@ -349,6 +190,7 @@ def half_growth_bound(d: int) -> float:
 
 __all__ = [
     "GrowthSeries",
+    "KERNEL_WORK_BUDGET",
     "abelian_zero_sphere_counts",
     "ball_counts",
     "critical_exponent",

@@ -472,29 +472,18 @@ def monotone_chain_limit(
     )
 
 
-def solve_stationary(
-    action: FiniteAction, tol: float = 1e-13, max_rounds: int = 100000
-) -> tuple[float, ...]:
-    """Weights lam with sum_g mu(g) lam(g.x) = lam(x) for all x, by lazy
-    averaging from the uniform start.  Permutation steps are doubly
-    stochastic, so the uniform vector is already stationary; the
-    iteration verifies the residual and returns the barycentric
-    solution."""
+def solve_stationary(action: FiniteAction) -> tuple[float, ...]:
+    """Weights lam with sum_g mu(g) lam(g.x) = lam(x) for all x.
+    Permutation steps are doubly stochastic, so the uniform vector is
+    stationary; it is returned after one residual check."""
     m = action.m
     lam = np.full(m, 1.0 / m)
-    perm_arrays = [
-        (np.array(action.perms[l - 1] if l > 0 else action.inv_perms[-l - 1]), w)
-        for l, w in action.step
-    ]
-    for _ in range(max_rounds):
-        new = np.zeros(m)
-        for idx, w in perm_arrays:
-            new += w * lam[idx]
-        new = 0.5 * lam + 0.5 * new
-        if float(np.max(np.abs(new - lam))) <= tol:
-            return tuple(float(v) for v in new)
-        lam = new
-    raise ConvergenceError("stationary iteration did not converge")
+    avg = np.zeros(m)
+    for l, w in action.step:
+        avg += w * lam[list(action.perms[l - 1] if l > 0 else action.inv_perms[-l - 1])]
+    if float(np.max(np.abs(avg - lam))) > 1e-13:
+        raise ConvergenceError("uniform weights are not stationary for the step law")
+    return tuple(float(v) for v in lam)
 
 
 def random_weights(m: int, seed: int) -> tuple[float, ...]:

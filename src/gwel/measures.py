@@ -156,36 +156,11 @@ def rn_bound(mu: Distribution, g, n_max: int = 16) -> float:
     )
 
 
-def distribution_rows(mu: Distribution) -> list[dict]:
-    """JSON-friendly [{word, p}] sorted by word literal (free contexts) or
-    by element label (quotients)."""
-    label = getattr(mu.context, "element_label", None)
-    if label is None:
-        label = str
-    rows = [{"word": label(g), "p": p} for g, p in mu.items()]
-    rows.sort(key=lambda r: r["word"])
-    return rows
-
-
-def distribution_from_word_probs(d: int, probs: dict) -> Distribution:
-    """Build a free-group distribution from {word literal or Word: mass}."""
-    from .words import parse_word
-
-    ctx = FreeGroup(d)
-    out = {}
-    for key, p in probs.items():
-        w = key if isinstance(key, Word) else parse_word(key, d)
-        out[w] = out.get(w, 0.0) + p
-    return Distribution(ctx, out)
-
-
 __all__ = [
     "Distribution",
     "MASS_TOL",
     "convolve",
     "convolve_power",
-    "distribution_from_word_probs",
-    "distribution_rows",
     "point_mass",
     "rn_bound",
     "shannon_entropy",

@@ -30,9 +30,7 @@ from .quotients import (
     coset_enumerate,
     from_point_permutations,
 )
-from .words import Word, cyclically_reduce, parse_word
-
-_ALPHA = "abcdefghijklmnopqrstuvwxyz"
+from .words import LETTERS, Word, cyclically_reduce, parse_word
 
 
 @dataclass(frozen=True)
@@ -87,9 +85,9 @@ def _parse_cycle_assignments(
         while i < len(chunk) and chunk[i].isspace():
             i += 1
         ch = chunk[i]
-        if ch not in _ALPHA:
+        if ch not in LETTERS:
             raise ParseError(f"unknown letter {ch!r}", position=base + i + 1)
-        gen = _ALPHA.index(ch) + 1
+        gen = LETTERS.index(ch) + 1
         if gen > max_letters:
             raise ParseError(
                 f"letter {ch!r} exceeds rank {max_letters}", position=base + i + 1
@@ -321,7 +319,7 @@ def parse_lattice_config(text: str) -> LatticeConfig:
 
     action = None
     if action_value is not None:
-        cycles = _parse_cycle_assignments(action_value, action_offset, len(_ALPHA))
+        cycles = _parse_cycle_assignments(action_value, action_offset, len(LETTERS))
         gens = sorted(cycles)
         if gens != list(range(1, len(gens) + 1)):
             raise ParseError(

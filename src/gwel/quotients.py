@@ -1,42 +1,73 @@
 """Homomorphisms from F_d onto computable quotients.
 
-Three representation variants, all exposing the same group-context
-protocol (identity / multiply / invert / apply_letter / project):
+Each quotient family is a rep class that owns its exact algorithms.
+Every rep speaks the group-context protocol (identity / multiply /
+invert / apply_letter / project / validate_element / element_label /
+describe), and answers four questions about the pushforward mu' of the
+simple random walk and the kernel N of F_d -> Q:
+
+  entropy_values(n)         exact H(mu'^k) for k = 1..n;
+  kernel_sphere_counts(n, work_budget)
+                            exact |N cap S(k)| for k = 0..r, where r <= n
+                            is the largest radius the budget affords;
+  entropy_rate()            (lim H(mu'^k)/k, reason);
+  critical_exponent()       (critical exponent of N, reason).
+
+The families:
 
   PermRep     a finite quotient Q given by the regular action of Q on its
               own elements; elements are integer indices, identity is 0.
               Produced by Todd-Coxeter coset enumeration over a relator
               list, or by closing a set of explicit point permutations
-              into the group they generate.
+              into the group they generate.  Entropy by a dense
+              probability vector, kernel counts by a non-backtracking
+              transfer over (element, last letter).
+  TrivialRep  the one-element PermRep.
   AbelianRep  the abelianization Z^d; elements are exponent-sum vectors.
-  TrivialRep  the one-element quotient.
+              Entropy (rank 2) from two independent +-1 walks, kernel
+              counts by a DP over (vector, last letter).
+
+Every quotient here has critical exponent log(2d-1), the growth rate of
+F_d: a finite quotient's kernel has finite index, and Z^d is amenable,
+so its kernel sits at the spectral-radius-1 end of the cogrowth formula
+(Grigorchuk 1980; Cohen, J. Funct. Anal. 48, 1982).  Work budgets count
+state updates: one per transfer state per step, 2d-1 per live DP state
+per step.
 
 The coset table is a flat 2d-column array: column 2(i-1) is generator i,
-column 2(i-1)+1 its inverse, so the column of an inverse letter is
-col ^ 1.
+column 2(i-1)+1 its inverse (`words.letter_key`), so the column of an
+inverse letter is col ^ 1.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CosetLimitError, ParameterError, RankMismatchError
+import numpy as np
+
+from .errors import (
+    CosetLimitError,
+    ParameterError,
+    RankMismatchError,
+    ResourceGuardError,
+)
 from .measures import Distribution
-from .words import FreeGroup, Word, alphabet, cyclically_reduce, reduce_letters
+from .words import (
+    FreeGroup,
+    Word,
+    alphabet,
+    cyclically_reduce,
+    letter_key,
+    reduce_letters,
+)
 
 DEFAULT_MAX_COSETS = 10**6
-
-
-def letter_col(letter: int) -> int:
-    return ((abs(letter) - 1) << 1) | (letter < 0)
-
-
-def col_letter(col: int) -> int:
-    idx = (col >> 1) + 1
-    return -idx if col & 1 else idx
+QUOTIENT_SIZE_LIMIT = 5 * 10**6
+TRANSFER_STATE_LIMIT = 5 * 10**6
 
 
 class PermRep:
@@ -69,7 +100,7 @@ class PermRep:
         return self._table[q * 2 * self.rank + col]
 
     def apply_letter(self, q: int, letter: int) -> int:
-        return self._table[q * 2 * self.rank + letter_col(letter)]
+        return self._table[q * 2 * self.rank + letter_key(letter)]
 
     def project(self, w: Word) -> int:
         if w.rank != self.rank:
@@ -120,7 +151,7 @@ class PermRep:
 
     def generator_permutation(self, gen: int) -> tuple[int, ...]:
         """Image of generator `gen` (1-based) as a permutation of elements."""
-        col = letter_col(gen)
+        col = letter_key(gen)
         return tuple(self.apply_col(q, col) for q in range(self.size))
 
     def cycle_types(self) -> tuple[tuple[int, ...], ...]:
@@ -148,8 +179,92 @@ class PermRep:
     def describe(self) -> str:
         return f"perm-quotient of size {self.size}"
 
+    def entropy_values(self, n: int) -> tuple[float, ...]:
+        """H(mu'^k) for k = 1..n, pushing a dense probability vector over
+        the elements one step at a time."""
+        if n < 0:
+            raise ParameterError("steps must be >= 0")
+        size = self.size
+        if size > QUOTIENT_SIZE_LIMIT:
+            raise ResourceGuardError(f"quotient size {size} exceeds {QUOTIENT_SIZE_LIMIT}")
+        nc = 2 * self.rank
+        table = np.frombuffer(self._table, dtype=np.int64).reshape(size, nc)
+        # mass at x comes from x * l^-1 for each letter l; l^-1 has column col ^ 1
+        gathers = [np.ascontiguousarray(table[:, col ^ 1]) for col in range(nc)]
+        vec = np.zeros(size, dtype=np.float64)
+        vec[0] = 1.0
+        values = []
+        for _ in range(n):
+            new = np.zeros(size, dtype=np.float64)
+            for g in gathers:
+                new += vec[g]
+            new /= nc
+            vec = new
+            nz = vec[vec > 0.0]
+            # 0.0 - s, not -s: a zero entropy must come out as 0.0, not -0.0
+            values.append(0.0 - float((nz * np.log(nz)).sum()))
+        return tuple(values)
+
+    def kernel_sphere_counts(self, n: int, work_budget: int) -> list[int]:
+        """|N cap S(k)| for k = 0..r: reduced words of length k that map to
+        the identity.  Counts walk a non-backtracking transfer over the
+        size*2d states (element, last letter), one update per state per
+        step; r <= n is the largest radius whose steps fit the budget."""
+        if n < 0:
+            raise ParameterError("radius must be >= 0")
+        nc = 2 * self.rank
+        nstates = self.size * nc
+        if nstates > TRANSFER_STATE_LIMIT:
+            raise ResourceGuardError(
+                f"transfer state space {nstates} exceeds {TRANSFER_STATE_LIMIT}"
+            )
+        radius = min(n, work_budget // nstates)
+        table = self._table  # row q starts at q * nc, like state (q, col)
+        counts = [1]
+        if radius == 0:
+            return counts
+        vec = [0] * nstates
+        for col in range(nc):
+            vec[table[col] * nc + col] += 1
+        counts.append(sum(vec[0:nc]))
+        for _ in range(2, radius + 1):
+            new = [0] * nstates
+            for base in range(0, nstates, nc):
+                tot = sum(vec[base : base + nc])
+                if tot == 0:
+                    continue
+                for col in range(nc):
+                    # extend by the letter of `col`; forbid backtracking
+                    val = tot - vec[base + (col ^ 1)]
+                    if val:
+                        new[table[base + col] * nc + col] += val
+            vec = new
+            counts.append(sum(vec[0:nc]))
+        return counts
+
+    def entropy_rate(self) -> tuple[float, str]:
+        return 0.0, f"finite quotient: H(mu'^k) <= log {self.size}, so H/k -> 0"
+
+    def critical_exponent(self) -> tuple[float, str]:
+        return (
+            math.log(2 * self.rank - 1),
+            "finite quotient: the kernel has finite index, so delta = log(2d-1)",
+        )
+
     def __repr__(self):
         return f"PermRep(rank={self.rank}, size={self.size})"
+
+
+class TrivialRep(PermRep):
+    """The one-element quotient; the kernel is all of F_d."""
+
+    __slots__ = ()
+
+    def __init__(self, rank: int):
+        super().__init__(rank, [[0] * (2 * rank)])
+
+    def describe(self) -> str:
+        return "trivial quotient"
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,47 +309,65 @@ class AbelianRep:
     def describe(self) -> str:
         return f"abelianization Z^{self.rank}"
 
+    def entropy_values(self, n: int) -> tuple[float, ...]:
+        """H(mu'^k) for k = 1..n on Z^2.  In the coordinates (x+y, x-y)
+        each step moves both by +-1 independently, so mu'^k is the product
+        of two copies of the k-step +-1 walk, a shifted Bin(k, 1/2), and
+        H(mu'^k) = 2 H(Bin(k, 1/2))."""
+        if n < 0:
+            raise ParameterError("steps must be >= 0")
+        if self.rank != 2:
+            raise ParameterError("abelian entropy is implemented for rank 2 only")
+        p = np.ones(1)
+        values = []
+        for _ in range(n):
+            p = 0.5 * (np.append(p, 0.0) + np.insert(p, 0, 0.0))
+            nz = p[p > 0.0]
+            values.append(-2.0 * float((nz * np.log(nz)).sum()))
+        return tuple(values)
 
-@dataclass(frozen=True, slots=True)
-class TrivialRep:
-    """The one-element quotient; the kernel is all of F_d."""
+    def kernel_sphere_counts(self, n: int, work_budget: int) -> list[int]:
+        """|N cap S(k)| for k = 0..r: reduced words of length k with zero
+        exponent vector.  Dynamic programming over (exponent vector, last
+        letter) with exact integer masses, 2d-1 updates per live state
+        per step; r <= n is the largest radius whose running total fits
+        the budget."""
+        if n < 0:
+            raise ParameterError("radius must be >= 0")
+        zero = self.identity
+        counts = [1]
+        if n == 0:
+            return counts
+        letters = alphabet(self.rank)  # letter t has column letter_key(t)
+        fan = len(letters) - 1
+        state = {(self.apply_letter(zero, t), col): 1 for col, t in enumerate(letters)}
+        counts.append(sum(c for (v, _), c in state.items() if v == zero))
+        work = len(state) * fan
+        for _ in range(2, n + 1):
+            work += len(state) * fan
+            if work > work_budget:
+                break
+            new: dict[tuple[tuple[int, ...], int], int] = {}
+            for (vec, col), cnt in state.items():
+                for col2, t in enumerate(letters):
+                    if col2 != col ^ 1:
+                        key = (self.apply_letter(vec, t), col2)
+                        new[key] = new.get(key, 0) + cnt
+            state = new
+            counts.append(sum(c for (v, _), c in state.items() if v == zero))
+        return counts
 
-    rank: int
-    size = 1
+    def entropy_rate(self) -> tuple[float, str]:
+        return 0.0, "abelian quotient: H(mu'^k) grows logarithmically, so H/k -> 0"
 
-    @property
-    def identity(self) -> int:
-        return 0
-
-    def validate_element(self, q) -> None:
-        if q != 0:
-            raise ParameterError("trivial quotient has a single element 0")
-
-    def apply_letter(self, q, letter: int) -> int:
-        return 0
-
-    def apply_col(self, q, col: int) -> int:
-        return 0
-
-    def project(self, w: Word) -> int:
-        if w.rank != self.rank:
-            raise RankMismatchError(f"rank mismatch: {w.rank} vs {self.rank}")
-        return 0
-
-    def multiply(self, a, b):
-        return 0
-
-    def invert(self, a):
-        return 0
-
-    def element_label(self, q) -> str:
-        return "0"
-
-    def describe(self) -> str:
-        return "trivial quotient"
+    def critical_exponent(self) -> tuple[float, str]:
+        return (
+            math.log(2 * self.rank - 1),
+            "amenable-endpoint prediction at spectral radius 1",
+        )
 
 
-QuotientRep = PermRep | AbelianRep | TrivialRep
+QuotientRep = PermRep | AbelianRep
 
 
 def _validate_relators(d: int, relators) -> list[list[int]]:
@@ -247,7 +380,7 @@ def _validate_relators(d: int, relators) -> list[list[int]]:
         c = cyclically_reduce(r)
         if len(c) == 0:
             raise ParameterError("empty relator")
-        rels.append([letter_col(l) for l in c.letters])
+        rels.append([letter_key(l) for l in c.letters])
     return rels
 
 
@@ -482,11 +615,9 @@ __all__ = [
     "PermRep",
     "QuotientRep",
     "TrivialRep",
-    "col_letter",
     "coset_enumerate",
     "from_point_permutations",
     "in_kernel",
-    "letter_col",
     "project",
     "pushforward",
 ]

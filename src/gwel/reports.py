@@ -14,9 +14,10 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import GwelError
+from . import __version__
+from .errors import GwelError, ParameterError
 
-TOOL_VERSION = "gwel 0.1.0"
+TOOL_VERSION = f"gwel {__version__}"
 
 
 @dataclass
@@ -104,7 +105,7 @@ def emit_report(report: Report, fmt: str = "json", out: str | None = None) -> by
             with open(out, "wb") as fh:
                 fh.write(data)
         except OSError as e:
-            raise GwelError(f"cannot write report to {out}: {e}") from None
+            raise ParameterError(f"cannot write --out {out}: {e}") from None
     return data
 
 

@@ -17,7 +17,7 @@ from typing import Iterator
 
 from .errors import ParseError, RankMismatchError
 
-_ALPHA = "abcdefghijklmnopqrstuvwxyz"
+LETTERS = "abcdefghijklmnopqrstuvwxyz"  # generator names; uppercase spells inverses
 
 
 def letter_key(letter: int) -> int:
@@ -69,9 +69,6 @@ class Word:
 
     def inverse(self) -> "Word":
         return Word(tuple(-l for l in reversed(self.letters)), self.rank)
-
-    def is_identity(self) -> bool:
-        return not self.letters
 
     def sort_key(self):
         """Length-then-lexicographic key in the canonical letter order."""
@@ -164,11 +161,11 @@ def parse_word(text: str, rank: int) -> Word:
     """
     letters = []
     for i, ch in enumerate(text):
-        if ch in _ALPHA:
-            idx = _ALPHA.index(ch) + 1
+        if ch in LETTERS:
+            idx = LETTERS.index(ch) + 1
             sign = 1
-        elif ch.lower() in _ALPHA:
-            idx = _ALPHA.index(ch.lower()) + 1
+        elif ch.lower() in LETTERS:
+            idx = LETTERS.index(ch.lower()) + 1
             sign = -1
         else:
             raise ParseError(f"unknown letter {ch!r}", position=i + 1)
@@ -181,7 +178,7 @@ def parse_word(text: str, rank: int) -> Word:
 def format_word(w: Word) -> str:
     out = []
     for l in w.letters:
-        ch = _ALPHA[abs(l) - 1]
+        ch = LETTERS[abs(l) - 1]
         out.append(ch if l > 0 else ch.upper())
     return "".join(out)
 

@@ -1,0 +1,111 @@
+"""Independent computations that the closed forms in gwel replace.
+
+The library states the critical exponent of a quotient's kernel as
+log(2d-1) and the Z^2 entropy as 2 H(Bin(k, 1/2)); the tests check both
+against these brute computations, so they never compare a formula with
+itself.
+"""
+
+import math
+from collections import deque
+
+import numpy as np
+
+
+def power_iteration_exponent(d, rep, tol=1e-10, max_iter=200000):
+    """Critical exponent of the kernel of a finite quotient map.
+
+    Log of the dominant eigenvalue of the non-backtracking transfer
+    matrix over states (element, last letter), restricted to states both
+    reachable from and co-reachable to the identity-ending states.  Power
+    iteration runs on the matrix plus the identity, which removes
+    eigenvalue periodicity (relators of even length make the path graph
+    bipartite) and shifts the dominant eigenvalue by exactly one;
+    all-ones start vector, l1 normalization, and the estimate must be
+    stable to relative tol for 10 consecutive iterations.
+    """
+    size = rep.size
+    nc = 2 * d
+    nstates = size * nc
+    succ = [[] for _ in range(nstates)]
+    for q in range(size):
+        for c in range(nc):
+            s = q * nc + c
+            for c2 in range(nc):
+                if c2 == c ^ 1:
+                    continue
+                succ[s].append(rep.apply_col(q, c2) * nc + c2)
+
+    anchors = list(range(nc))  # states (identity element, any last letter)
+
+    def bfs(starts, adj):
+        seen = [False] * nstates
+        queue = deque()
+        for s in starts:
+            seen[s] = True
+            queue.append(s)
+        while queue:
+            s = queue.popleft()
+            for t in adj[s]:
+                if not seen[t]:
+                    seen[t] = True
+                    queue.append(t)
+        return seen
+
+    fwd = bfs(anchors, succ)
+    pred = [[] for _ in range(nstates)]
+    for s in range(nstates):
+        for t in succ[s]:
+            pred[t].append(s)
+    bwd = bfs(anchors, pred)
+    live = [s for s in range(nstates) if fwd[s] and bwd[s]]
+    assert live, "no identity-recurrent transfer states"
+    pos = {s: i for i, s in enumerate(live)}
+    radj = [[] for _ in live]
+    for i, s in enumerate(live):
+        for t in succ[s]:
+            j = pos.get(t)
+            if j is not None:
+                radj[i].append(j)
+
+    m = len(live)
+    x = [1.0 / m] * m
+    prev = None
+    stable = 0
+    for _ in range(max_iter):
+        y = x[:]  # identity shift
+        for i, row in enumerate(radj):
+            xi = x[i]
+            for j in row:
+                y[j] += xi
+        rho = math.fsum(y)
+        inv = 1.0 / rho
+        x = [v * inv for v in y]
+        if prev is not None and abs(rho - prev) <= tol * abs(rho):
+            stable += 1
+            if stable >= 10:
+                return math.log(rho - 1.0)
+        else:
+            stable = 0
+        prev = rho
+    raise AssertionError(f"power iteration not stable within {max_iter} iterations")
+
+
+def grid_entropies(n):
+    """H(mu'^k), k = 1..n, for the simple random walk pushed to Z^2, by
+    a dense dynamic program on the (2n+1)^2 lattice grid."""
+    side = 2 * n + 1
+    grid = np.zeros((side, side), dtype=np.float64)
+    grid[n, n] = 1.0
+    values = []
+    for _ in range(n):
+        new = np.zeros_like(grid)
+        new[1:, :] += grid[:-1, :]
+        new[:-1, :] += grid[1:, :]
+        new[:, 1:] += grid[:, :-1]
+        new[:, :-1] += grid[:, 1:]
+        new /= 4.0
+        grid = new
+        nz = grid[grid > 0.0]
+        values.append(float(-(nz * np.log(nz)).sum()))
+    return values

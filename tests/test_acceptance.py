@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_LINES
+from oracles import grid_entropies, power_iteration_exponent
 from gwel.boundary import (
     boundary_entropy,
     cocycle_check,
@@ -53,7 +54,7 @@ from gwel.lattice import (
     random_weights,
 )
 from gwel.measures import convolve_power, rn_bound, shannon_entropy, srw
-from gwel.quotients import AbelianRep, TrivialRep, coset_enumerate
+from gwel.quotients import AbelianRep, TrivialRep, coset_enumerate, from_point_permutations
 from gwel.words import alphabet, ball_size, parse_word, reduce_letters, sphere
 
 SEED = 0xD0DD5
@@ -134,22 +135,26 @@ def test_criterion_04_drift():
 def test_criterion_05_growth_cogrowth():
     assert ball_counts(2, 3).counts == (1, 5, 17, 53)
     klein = klein_rep()
-    delta_klein = critical_exponent(2, klein)
-    assert abs(delta_klein - math.log(3)) <= 1e-9
     transfer = kernel_sphere_counts(2, klein, 12, method="transfer")
     brute = kernel_sphere_counts(2, klein, 12, method="brute")
     assert transfer.counts == brute.counts
     assert abs(grigorchuk_delta(1.0, 2) - math.log(3)) <= 1e-12
-    # every exponent this suite computes clears the half-growth floor
-    floor = 0.5 * math.log(3)
-    computed = [delta_klein, grigorchuk_delta(1.0, 2)]
+    # the closed form delta = log(2d-1) against power iteration on the
+    # non-backtracking transfer matrix, for every finite family
+    reps = [klein]
     for texts in (("aa", "bb", "ababab"), ("aaaa", "aaBB", "Baba")):
-        rep = coset_enumerate(2, [parse_word(t, 2) for t in texts])
-        computed.append(critical_exponent(2, rep))
-    computed.append(critical_exponent(2, TrivialRep(2)))
-    computed.append(grigorchuk_delta(math.sqrt(3) / 2, 2))  # amenable floor case
-    for delta in computed:
-        assert delta >= floor - 1e-9
+        reps.append(coset_enumerate(2, [parse_word(t, 2) for t in texts]))
+    reps.append(from_point_permutations(2, {1: (1, 2, 0), 2: (1, 0, 2)}))
+    reps += [TrivialRep(2), TrivialRep(3)]
+    for rep in reps:
+        d = rep.rank
+        oracle = power_iteration_exponent(d, rep)
+        assert abs(oracle - math.log(2 * d - 1)) <= 1e-9, rep
+        delta = critical_exponent(d, rep)
+        assert abs(delta - oracle) <= 1e-9, rep
+        # every exponent clears the half-growth floor
+        assert delta >= 0.5 * math.log(2 * d - 1) - 1e-9
+    assert grigorchuk_delta(math.sqrt(3) / 2, 2) >= 0.5 * math.log(3) - 1e-9
 
 
 @criterion(6, "entropy gap bounded by the cogrowth exponent", limit_s=120.0)
@@ -160,13 +165,24 @@ def test_criterion_06_gap_suite():
         "abelian": entropy_gap_check(2, AbelianRep(2), 6),
         "trivial": entropy_gap_check(2, TrivialRep(2), 6),
     }
+    # delta against independent computations: power iteration on the
+    # finite transfer matrices, Grigorchuk's formula at spectral radius 1
+    oracles = {
+        "klein": power_iteration_exponent(2, klein),
+        "abelian": grigorchuk_delta(1.0, 2),
+        "trivial": power_iteration_exponent(2, TrivialRep(2)),
+    }
     for name, report in reports.items():
         assert report.lemma_holds, name
+        assert abs(report.delta - oracles[name]) <= 1e-9, name
         for row in report.rows:  # per-step grouping inequality, n <= 6
             assert row.gap <= row.coset_bound + 1e-9, (name, row.k)
     # the abelian quotient's entropy per step is provably vanishing
     z2 = quotient_entropy_dp(AbelianRep(2), 200)
     assert z2.values[199] / 200 <= 0.06
+    # 2 H(Bin(k, 1/2)) against the dense Z^2 grid dynamic program
+    for got, want in zip(z2.values, grid_entropies(200), strict=True):
+        assert abs(got - want) <= 1e-12
     # finite-scale counterexample: at k=2 the gap beats log|N cap B(2)|,
     # flagged as a warning while the limit inequality still holds
     k2 = next(r for r in reports["klein"].rows if r.k == 2)

@@ -34,6 +34,11 @@ def test_walk_entropy_quotient(capsysbinary):
     assert obj["summary"]["walk_on"] == "perm-quotient of size 4"
     # the Klein walk maxes out at log 4 minus the lazy-free parity split
     assert obj["series"]["rows"][3][1] <= 1.3862943612
+    # the one-element quotient has zero entropy, printed as 0.0, never -0.0
+    assert main(["walk-entropy", "--steps", "3", "--quotient", "trivial"]) == 0
+    raw = capsysbinary.readouterr().out
+    assert json.loads(raw)["summary"]["last_H_over_n"] == 0.0
+    assert b"-0.0" not in raw
 
 
 def test_growth_csv(capsysbinary):
@@ -143,6 +148,17 @@ def test_parameter_errors_exit_2(capsys):
     assert main(["drift", "--steps", "notanint"]) == 2
     assert main(["no-such-verb"]) == 2
     assert main(["lattice-experiment", "--config", "/no/such/file.cfg"]) == 2
+    capsys.readouterr()
+    for argv, flag in (
+        (["drift", "--seed", "-1"], "seed"),
+        (["guivarch", "--seed", "-1"], "seed"),
+        (["proximality", "--seed", "-1"], "seed"),
+        (["theorem-a", "--out", "/no/such/dir/report.json"], "--out"),
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert flag in err, argv
 
 
 def test_resource_guard_exit_3(capsys):

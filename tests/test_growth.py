@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from oracles import power_iteration_exponent
 
 from gwel.errors import ParameterError, ResourceGuardError
 from gwel.growth import (
@@ -72,6 +73,7 @@ def test_abelian_zero_sphere_counts_against_scan():
     # inverses of abAB
     assert counts[1] == counts[2] == counts[3] == 0
     assert counts[4] == 8
+    assert kernel_sphere_counts(2, ab, 8, method="both").counts == tuple(counts)
 
 
 def test_abelian_budget_truncates():
@@ -81,13 +83,25 @@ def test_abelian_budget_truncates():
     assert tuple(counts) == tuple(full)
 
 
+def test_transfer_budget_truncates():
+    rep = enumerate_quotient(KLEIN)  # 4 elements x 4 last letters = 16 states
+    counts = rep.kernel_sphere_counts(10, work_budget=16 * 5)
+    assert tuple(counts) == kernel_sphere_counts(2, rep, 5).counts
+
+
 def test_critical_exponent_finite_quotients():
     # every finite-index kernel has full growth rate log(2d-1)
-    for texts in (KLEIN, S3):
-        rep = enumerate_quotient(texts)
-        assert critical_exponent(2, rep) == pytest.approx(math.log(3), abs=1e-9)
-    assert critical_exponent(2, TrivialRep(2)) == pytest.approx(math.log(3), abs=1e-9)
-    assert critical_exponent(3, TrivialRep(3)) == pytest.approx(math.log(5), abs=1e-9)
+    reps = [enumerate_quotient(texts) for texts in (KLEIN, S3)]
+    for rep in reps + [TrivialRep(2), TrivialRep(3)]:
+        d = rep.rank
+        delta = critical_exponent(d, rep)
+        assert delta == pytest.approx(power_iteration_exponent(d, rep), abs=1e-9)
+        assert delta == pytest.approx(math.log(2 * d - 1), abs=1e-9)
+    # Z^d is amenable: the spectral-radius-1 end of Grigorchuk's formula
+    for d in (2, 3):
+        assert critical_exponent(d, AbelianRep(d)) == pytest.approx(
+            grigorchuk_delta(1.0, d), abs=1e-12
+        )
 
 
 def test_critical_exponent_at_least_half_growth():
