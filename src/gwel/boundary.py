@@ -2,11 +2,11 @@
 
 The boundary of the tree carries the hitting measure nu with
 nu(C_w) = (1/(2d)) (2d-1)^-(|w|-1) on the cylinder of a reduced prefix
-w.  Translate densities are constant on cylinders deep enough to clear
-the translating element, with integer exponents of (2d-1); all
-integrals are finite cylinder sums, no boundary sampling.  The entropy
-integral uses the integrand -log(d g^{-1}nu / d nu); for the symmetric
-simple random walk the value is orientation-independent.
+w.  On each cylinder of depth |g| + 1 the translate density d(g nu)/d nu
+is (2d-1)^(2k - |g|), k the length of the prefix w shares with g, so an
+integral against g sums |g| + 1 cancellation-depth classes of exact mass
+instead of a sphere of words.  The entropy integrand is
+-log(d g^{-1}nu / d nu), orientation-independent for the symmetric walk.
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParameterError, RankMismatchError, ResourceGuardError
+from .errors import ParameterError, RankMismatchError
 from .measures import Distribution
-from .words import FreeGroup, Word, alphabet, multiply, sphere, sphere_size
-
-INTEGRAL_SPHERE_LIMIT = 10**6
+from .words import FreeGroup, Word, alphabet, multiply
 
 
 @dataclass(frozen=True)
@@ -96,10 +94,7 @@ def rn_derivative(d: int, g: Word, w: Word) -> float:
 
 
 def rn_derivative_exact(d: int, g: Word, w: Word) -> Fraction:
-    e = rn_exponent(d, g, w)
-    if e >= 0:
-        return Fraction((2 * d - 1) ** e)
-    return Fraction(1, (2 * d - 1) ** (-e))
+    return Fraction(2 * d - 1) ** rn_exponent(d, g, w)
 
 
 def cocycle_check(d: int, g: Word, h: Word, w: Word) -> bool:
@@ -114,56 +109,45 @@ def cocycle_check(d: int, g: Word, h: Word, w: Word) -> bool:
     return lhs == rhs
 
 
-def rn_integral(d: int, g: Word) -> Fraction:
-    """Integral of the translate density over the boundary; exactly 1."""
+def _prefix_classes(d: int, g: Word):
+    """(nu-mass, one word) of each class k = 0..|g| of S(|g|+1), the words
+    sharing a prefix of length exactly k with g.  The letter after that
+    prefix is neither g's next letter nor the inverse of the one before."""
     if g.rank != d:
         raise RankMismatchError(f"word rank {g.rank} differs from {d}")
-    m = len(g) + 1
-    if sphere_size(d, m) > INTEGRAL_SPHERE_LIMIT:
-        raise ResourceGuardError(f"cylinder decomposition at depth {m} too large")
-    q = 2 * d - 1
-    total = Fraction(0)
-    for w in sphere(d, m):
-        e = rn_exponent(d, g, w)
-        val = Fraction(q**e) if e >= 0 else Fraction(1, q ** (-e))
-        total += cylinder_mass_exact(d, w) * val
-    return total
+    n, q = len(g), 2 * d - 1
+    for k in range(n + 1):
+        banned = {-l for l in g.letters[max(k - 1, 0) : k]} | set(g.letters[k : k + 1])
+        x = next(l for l in alphabet(d) if l not in banned)
+        mass = Fraction((2 * d - len(banned)) * q ** (n - k), 2 * d * q**n)
+        yield mass, Word(g.letters[:k] + (x,) * (n - k + 1), d)
+
+
+def rn_integral(d: int, g: Word) -> Fraction:
+    """Integral of the translate density over the boundary; exactly 1."""
+    return sum(m * rn_derivative_exact(d, g, w) for m, w in _prefix_classes(d, g))
+
+
+def _kl(d: int, g: Word) -> Fraction:
+    # |g w| - |w| = -rn_exponent(g^-1, w) is constant on the classes of g^-1
+    ginv = g.inverse()
+    return sum(-m * rn_exponent(d, ginv, w) for m, w in _prefix_classes(d, ginv))
 
 
 def kl_coefficient(d: int, g: Word) -> Fraction:
-    """Exact rational c with int -log(d g^-1 nu / d nu) d nu = c * log(2d-1)."""
-    if g.rank != d:
-        raise RankMismatchError(f"word rank {g.rank} differs from {d}")
-    m = len(g) + 1
-    if sphere_size(d, m) > INTEGRAL_SPHERE_LIMIT:
-        raise ResourceGuardError(f"cylinder decomposition at depth {m} too large")
-    s = 0
-    for w in sphere(d, m):
-        s += len(multiply(g, w)) - m
-    return Fraction(s, 2 * d * (2 * d - 1) ** (m - 1))
+    """Exact rational c with int -log(d g^-1 nu / d nu) d nu = c * log(2d-1),
+    namely c = |g| - (1/d) sum_{j<|g|} (2d-1)^-j."""
+    return _kl(d, g)
 
 
 def boundary_entropy_coefficient(d: int, mu: Distribution) -> Fraction:
-    """Exact rational c with the entropy integral equal to c * log(2d-1).
-
-    sum_g mu(g) int -log(d g^-1 nu / d nu) d nu, all cylinders taken at
-    the common depth max|g| + 1.  Uses the exact rational masses of mu
-    when it carries them, else the exact binary values of its doubles.
-    """
+    """Exact rational c with sum_g mu(g) int -log(d g^-1 nu / d nu) d nu
+    = c * log(2d-1), from the exact rational masses of mu when it carries
+    them, else the exact binary values of its doubles."""
     ctx = mu.context
     if not isinstance(ctx, FreeGroup) or ctx.rank != d:
         raise RankMismatchError(f"distribution context {ctx!r} is not free of rank {d}")
-    m = max((len(g) for g in mu.support()), default=0) + 1
-    if sphere_size(d, m) > INTEGRAL_SPHERE_LIMIT:
-        raise ResourceGuardError(f"cylinder decomposition at depth {m} too large")
-    denom = 2 * d * (2 * d - 1) ** (m - 1)
-    total = Fraction(0)
-    for g, q in mu.exact_items():
-        s = 0
-        for w in sphere(d, m):
-            s += len(multiply(g, w)) - m
-        total += q * Fraction(s, denom)
-    return total
+    return sum(q * _kl(d, g) for g, q in mu.exact_items())
 
 
 def boundary_entropy(d: int, mu: Distribution) -> float:
@@ -232,6 +216,7 @@ def proximality_sim(
         raise ParameterError(f"seed must be >= 0, got {seed}")
     letters = alphabet(d)
     children = np.random.SeedSequence(seed).spawn(trials)
+    masses: dict[int, float] = {}  # keyed by length - k, all the mass depends on
     rows = []
     for t, child in enumerate(children):
         rng = np.random.Generator(np.random.Philox(child))
@@ -247,8 +232,10 @@ def proximality_sim(
             if length < k:
                 rows.append(ProximalityRow(t, j + 1, length, None, False))
             else:
-                mass = float(pushed_prefix_mass_exact(d, length, k))
-                rows.append(ProximalityRow(t, j + 1, length, mass, length == k))
+                gap = length - k
+                if gap not in masses:
+                    masses[gap] = float(pushed_prefix_mass_exact(d, length, k))
+                rows.append(ProximalityRow(t, j + 1, length, masses[gap], length == k))
     return ProximalityReport(d, n, k, seed, trials, tuple(rows))
 
 

@@ -2,11 +2,11 @@
 
 Verbs: walk-entropy, drift, growth, cogrowth, gap-check, guivarch,
 theorem-a, boundary-entropy, proximality, lattice-experiment.  Exit
-codes: 0 success, 2 parameter or parse error, 3 resource guard tripped,
-4 numerical non-convergence.  Reports are deterministic: identical
-inputs give byte-identical JSON for any --threads value, so the thread
-cap, the output path, and the format are not echoed into the report
-body.  GWEL_THREADS overrides --threads.
+codes: 0 success, 2 parameter or parse error, 3 resource guard or out of
+memory, 4 non-convergence or a non-finite report value.  Reports are
+deterministic: identical inputs give byte-identical JSON for any
+--threads value, so the thread cap, the output path, and the format are
+not echoed into the report body.  GWEL_THREADS overrides --threads.
 """
 
 from __future__ import annotations
@@ -464,6 +464,9 @@ def main(argv=None) -> int:
     except GwelError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -400,6 +400,8 @@ def coset_enumerate(d: int, relators, max_cosets: int = DEFAULT_MAX_COSETS) -> P
     if max_cosets < 1:
         raise ParameterError("max_cosets must be >= 1")
     rels = _validate_relators(d, relators)
+    if not rels:  # the quotient is F_d itself, which no cap can hold
+        raise CosetLimitError(f"coset limit exceeded (max_cosets={max_cosets})")
     ncols = 2 * d
 
     table: list[list[int | None]] = [[None] * ncols]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
-from .errors import GwelError, ParameterError
+from .errors import ConvergenceError, GwelError, ParameterError
 
 TOOL_VERSION = f"gwel {__version__}"
 
@@ -67,7 +67,11 @@ def report_to_object(report: Report) -> dict:
 
 def report_json_bytes(report: Report) -> bytes:
     obj = report_to_object(report)
-    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise ConvergenceError("report holds a non-finite number (NaN or inf)") from None
+    return (text + "\n").encode("utf-8")
 
 
 def _csv_cell(v) -> str:

@@ -68,15 +68,26 @@ class Word:
         return format_word(self)
 
     def inverse(self) -> "Word":
-        return Word(tuple(-l for l in reversed(self.letters)), self.rank)
+        return _word(tuple(-l for l in reversed(self.letters)), self.rank)
 
     def sort_key(self):
         """Length-then-lexicographic key in the canonical letter order."""
         return (len(self.letters), tuple(letter_key(l) for l in self.letters))
 
 
+_set_letters, _set_rank = Word.letters.__set__, Word.rank.__set__
+
+
+def _word(letters: tuple[int, ...], rank: int) -> Word:
+    """A Word built without __post_init__, for letters known valid and reduced."""
+    w = object.__new__(Word)
+    _set_letters(w, letters)
+    _set_rank(w, rank)
+    return w
+
+
 def identity(rank: int) -> Word:
-    return Word((), rank)
+    return reduce_letters((), rank)
 
 
 def reduce_letters(letters, rank: int) -> Word:
@@ -88,7 +99,7 @@ def reduce_letters(letters, rank: int) -> Word:
             stack.pop()
         else:
             stack.append(l)
-    return Word(tuple(stack), rank)
+    return _word(tuple(stack), rank)
 
 
 def multiply(w1: Word, w2: Word) -> Word:
@@ -100,11 +111,7 @@ def multiply(w1: Word, w2: Word) -> Word:
     m = min(len(a), len(b))
     while k < m and a[len(a) - 1 - k] == -b[k]:
         k += 1
-    return Word(a[: len(a) - k] + b[k:], w1.rank)
-
-
-def invert(w: Word) -> Word:
-    return w.inverse()
+    return _word(a[: len(a) - k] + b[k:], w1.rank)
 
 
 def cyclically_reduce(w: Word) -> Word:
@@ -112,7 +119,7 @@ def cyclically_reduce(w: Word) -> Word:
     letters = w.letters
     while len(letters) >= 2 and letters[0] == -letters[-1]:
         letters = letters[1:-1]
-    return Word(letters, w.rank)
+    return _word(letters, w.rank)
 
 
 def sphere_size(d: int, n: int) -> int:
@@ -134,15 +141,12 @@ def sphere(d: int, n: int) -> Iterator[Word]:
         raise RankMismatchError(f"rank must be >= 2, got {d}")
     if n < 0:
         raise ValueError("radius must be >= 0")
-    if n == 0:
-        yield Word((), d)
-        return
     letters = alphabet(d)
     prefix: list[int] = []
 
     def rec() -> Iterator[Word]:
         if len(prefix) == n:
-            yield Word(tuple(prefix), d)
+            yield _word(tuple(prefix), d)
             return
         last = prefix[-1] if prefix else 0
         for t in letters:

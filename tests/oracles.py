@@ -1,15 +1,19 @@
 """Independent computations that the closed forms in gwel replace.
 
 The library states the critical exponent of a quotient's kernel as
-log(2d-1) and the Z^2 entropy as 2 H(Bin(k, 1/2)); the tests check both
+log(2d-1), the Z^2 entropy as 2 H(Bin(k, 1/2)), and sums its boundary
+integrals over |g| + 1 prefix classes; the tests check all three
 against these brute computations, so they never compare a formula with
 itself.
 """
 
 import math
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
+
+from gwel.words import multiply, sphere
 
 
 def power_iteration_exponent(d, rep, tol=1e-10, max_iter=200000):
@@ -109,3 +113,33 @@ def grid_entropies(n):
         nz = grid[grid > 0.0]
         values.append(float(-(nz * np.log(nz)).sum()))
     return values
+
+
+def sphere_rn_integral(d, g):
+    """Integral of d(g nu)/d nu, summed word by word over S(|g|+1): the
+    density on C_w is (2d-1)^e with e = |w| - |g^-1 w|, and every
+    cylinder of depth n + 1 has mass 1 / (2d (2d-1)^n)."""
+    n = len(g)
+    q = 2 * d - 1
+    ginv = g.inverse()
+    # sum over w of q^e / (2d q^n), kept integral as q^(e + n) / (2d q^2n)
+    s = sum(q ** (2 * n + 1 - len(multiply(ginv, w))) for w in sphere(d, n + 1))
+    return Fraction(s, 2 * d * q ** (2 * n))
+
+
+def sphere_kl_coefficient(d, g, m=None):
+    """Coefficient of log(2d-1) in int -log(d g^-1 nu / d nu) d nu, summed
+    word by word over S(m), m = |g| + 1 unless a deeper level is given."""
+    m = len(g) + 1 if m is None else m
+    s = sum(len(multiply(g, w)) - m for w in sphere(d, m))
+    return Fraction(s, 2 * d * (2 * d - 1) ** (m - 1))
+
+
+def sphere_boundary_entropy_coefficient(d, mu):
+    """sum_g mu(g) kl(g), every cylinder taken at the common depth
+    max|g| + 1."""
+    m = max((len(g) for g in mu.support()), default=0) + 1
+    return sum(
+        (q * sphere_kl_coefficient(d, g, m) for g, q in mu.exact_items()),
+        Fraction(0),
+    )

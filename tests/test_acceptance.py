@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_LINES
-from oracles import grid_entropies, power_iteration_exponent
+from oracles import grid_entropies, power_iteration_exponent, sphere_rn_integral
 from gwel.boundary import (
     boundary_entropy,
     cocycle_check,
@@ -231,6 +231,7 @@ def test_criterion_08_boundary_suite():
     for n in range(0, 6):
         for g in sphere(d, n):
             assert rn_integral(d, g) == 1
+            assert sphere_rn_integral(d, g) == 1
 
     # density sup bound: exhaustively for |g| <= 3, then via the
     # no-cancellation prefix rule e(g, w) = 2*|common prefix| - |g|

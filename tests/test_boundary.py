@@ -20,8 +20,13 @@ from gwel.boundary import (
 )
 from gwel.entropy import exact_free_entropy
 from gwel.errors import ParameterError
-from gwel.measures import rn_bound, srw
-from gwel.words import alphabet, parse_word, reduce_letters, sphere
+from gwel.measures import Distribution, rn_bound, srw
+from gwel.words import FreeGroup, alphabet, parse_word, reduce_letters, sphere
+from oracles import (
+    sphere_boundary_entropy_coefficient,
+    sphere_kl_coefficient,
+    sphere_rn_integral,
+)
 
 
 def random_word(rng, rank, length):
@@ -128,6 +133,32 @@ def test_kl_coefficient_per_generator():
     for d in (2, 3):
         for g in sphere(d, 1):
             assert kl_coefficient(d, g) == Fraction(2 * d - 2, 2 * d)
+
+
+def test_class_sums_match_sphere_oracles():
+    for d, top in ((2, 5), (3, 3)):
+        for n in range(top + 1):
+            closed = n - Fraction(1, d) * sum(
+                Fraction(1, (2 * d - 1) ** j) for j in range(n)
+            )
+            for g in sphere(d, n):
+                assert rn_integral(d, g) == sphere_rn_integral(d, g) == 1
+                assert kl_coefficient(d, g) == sphere_kl_coefficient(d, g) == closed
+
+
+def test_boundary_coefficient_matches_sphere_oracle():
+    for d in (2, 3, 4, 5):
+        mu = srw(d)
+        coeff = boundary_entropy_coefficient(d, mu)
+        assert coeff == sphere_boundary_entropy_coefficient(d, mu)
+    # non-uniform, with support of lengths 0 to 3
+    masses = {"": Fraction(1, 8), "a": Fraction(1, 4), "B": Fraction(1, 8),
+              "ab": Fraction(1, 6), "bA": Fraction(1, 12), "aBA": Fraction(1, 4)}
+    exact = {parse_word(t, 2): q for t, q in masses.items()}
+    mu = Distribution(FreeGroup(2), {g: float(q) for g, q in exact.items()}, exact=exact)
+    coeff = boundary_entropy_coefficient(2, mu)
+    assert coeff == sphere_boundary_entropy_coefficient(2, mu)
+    assert coeff == sum(q * kl_coefficient(2, g) for g, q in exact.items())
 
 
 def test_hitting_measure_wrapper():

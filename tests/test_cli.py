@@ -180,6 +180,32 @@ def test_convergence_maps_to_exit_4(capsys, monkeypatch):
     assert "stalled" in capsys.readouterr().err
 
 
+def test_nan_report_maps_to_exit_4(capsys, monkeypatch):
+    import gwel.cli as cli
+    from gwel.reports import Report
+
+    def nan_report(args):
+        return Report("growth", {}, None, {"columns": [], "rows": []}, {"x": float("nan")})
+
+    monkeypatch.setitem(cli._HANDLERS, "growth", nan_report)
+    assert main(["growth"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "non-finite" in captured.err
+
+
+def test_memory_error_maps_to_exit_3(capsys, monkeypatch):
+    import gwel.cli as cli
+
+    def oom(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._HANDLERS, "growth", oom)
+    assert main(["growth"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: out of memory\n"
+
+
 def test_bad_threads_env(capsys, monkeypatch):
     monkeypatch.setenv("GWEL_THREADS", "zero?")
     assert main(["growth"]) == 2

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from gwel.errors import CosetLimitError, ParseError
@@ -9,7 +11,7 @@ from gwel.parsing import (
     parse_quotient_spec,
     resolve_quotient_spec,
 )
-from gwel.quotients import AbelianRep, PermRep, TrivialRep
+from gwel.quotients import DEFAULT_MAX_COSETS, AbelianRep, PermRep, TrivialRep
 from gwel.words import parse_word
 
 
@@ -38,6 +40,14 @@ def test_empty_relator_list_is_legal():
     # resolving it asks for the whole free group; the guard must trip
     with pytest.raises(CosetLimitError):
         resolve_quotient_spec("relators:", 2, max_cosets=200)
+
+
+def test_empty_relator_list_trips_the_default_guard_at_once():
+    # F_d itself: the default cap of 10^6 cosets trips before any is defined
+    start = time.perf_counter()
+    with pytest.raises(CosetLimitError, match=f"max_cosets={DEFAULT_MAX_COSETS}"):
+        resolve_quotient_spec("relators:", 2)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_relator_errors_have_global_positions():

@@ -1,6 +1,9 @@
 import json
 from fractions import Fraction
 
+import pytest
+
+from gwel.errors import ConvergenceError
 from gwel.reports import (
     TOOL_VERSION,
     Report,
@@ -67,3 +70,11 @@ def test_round_trip_object():
     assert json.loads(json.dumps(obj, sort_keys=True)) == json.loads(
         report_json_bytes(sample_report())
     )
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_value_is_an_error(bad):
+    report = sample_report()
+    report.summary["pi_ish"] = bad
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        report_json_bytes(report)

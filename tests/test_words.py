@@ -54,6 +54,33 @@ def test_word_rejects_unreduced_and_out_of_range():
         Word((0,), 2)
 
 
+def test_internal_words_equal_validated_words():
+    # multiply, inverse, cyclically_reduce and sphere build their results
+    # without re-validating; each must equal the validated public Word
+    def check(w):
+        v = Word(w.letters, w.rank)
+        assert w == v and hash(w) == hash(v)
+        assert all(w.letters[i + 1] != -w.letters[i] for i in range(len(w) - 1))
+
+    for d in (2, 3):
+        ball = [w for n in range(4) for w in sphere(d, n)]
+        for a in ball:
+            check(a)
+            check(a.inverse())
+            check(cyclically_reduce(a))
+            for b in ball:
+                check(multiply(a, b))
+    check(identity(2))
+    with pytest.raises(ValueError):
+        Word((1, -1), 2)
+    with pytest.raises(RankMismatchError):
+        Word((1, 3), 2)
+    with pytest.raises(RankMismatchError):
+        reduce_letters((1, 3), 2)
+    with pytest.raises(RankMismatchError):
+        identity(0)
+
+
 def test_reduce_matches_oracle():
     rng = random.Random(71)
     for _ in range(300):
