@@ -35,6 +35,9 @@ CASES = {
     "boundary_entropy": ["boundary-entropy", "--rank", "3"],
     "proximality": ["proximality", "--steps", "30", "--trials", "20"],
     "lattice_experiment": ["lattice-experiment", "--config", "golden/chain.cfg"],
+    "lattice_experiment_random": [
+        "lattice-experiment", "--config", "golden/chain_random.cfg",
+    ],
     "walk_entropy_abelian": ["walk-entropy", "--quotient", "abelian", "--steps", "40"],
     "walk_entropy_trivial": ["walk-entropy", "--quotient", "trivial", "--steps", "5"],
     "cogrowth_abelian": ["cogrowth", "--quotient", "abelian"],
