@@ -46,7 +46,6 @@ from .growth import (
     sphere_counts,
 )
 from .lattice import (
-    CondExpectation,
     FiniteAction,
     FiniteSpace,
     Partition,
@@ -72,7 +71,6 @@ from .words import FreeGroup, Word, ball_size, parse_word, sphere, sphere_size
 
 __all__ = [
     "AbelianRep",
-    "CondExpectation",
     "ConvergenceError",
     "CosetLimitError",
     "Distribution",

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import GwelError, ParameterError, ResourceGuardError
-from .quotients import AbelianRep
 from .words import alphabet, ball_size, sphere_size
 
 BRUTE_NODE_LIMIT = 10**8
@@ -133,18 +132,6 @@ def kernel_sphere_counts(d: int, rep, n: int, method: str = "transfer") -> Growt
     return GrowthSeries(d, "kernel", tuple(counts))
 
 
-def abelian_zero_sphere_counts(
-    d: int, radius: int, work_budget: int = 4 * 10**6
-) -> list[int]:
-    """Exact counts of reduced words of length k with zero exponent vector,
-    for k = 0 up to the largest radius the work budget affords (at most
-    `radius`).  This is the kernel sphere series of the abelianization,
-    `AbelianRep(d).kernel_sphere_counts`."""
-    if d < 2:
-        raise ParameterError(f"rank must be >= 2, got {d}")
-    return AbelianRep(d).kernel_sphere_counts(radius, work_budget)
-
-
 def critical_exponent(d: int, rep) -> float:
     """Critical exponent limsup log|N cap S(n)| / n of the kernel N of
     F_d -> Q, in closed form; `rep.critical_exponent()` also says why."""
@@ -191,7 +178,6 @@ def half_growth_bound(d: int) -> float:
 __all__ = [
     "GrowthSeries",
     "KERNEL_WORK_BUDGET",
-    "abelian_zero_sphere_counts",
     "ball_counts",
     "critical_exponent",
     "grigorchuk_delta",

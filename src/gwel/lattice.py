@@ -1,19 +1,19 @@
 """Finite-scale model of the lattice of invariant sub-sigma-algebras.
 
 A finite probability space with strictly positive weights, partitions
-as sub-sigma-algebras, conditional expectations as weighted projection
-operators, join/meet, an L2 Hilbert-Schmidt metric on the projections,
-monotone chain limits, and the entropy functional
-sum_g mu(g) KL(weights | g-translated weights) on invariant partitions.
-Everything is exact linear algebra at machine precision; points are
-0-based throughout.
+as sub-sigma-algebras, join/meet, monotone chain limits, and the entropy
+functional sum_g mu(g) KL(weights | g-translated weights) on invariant
+partitions.  Every quantity is a closed form in block weights: the
+Hilbert-Schmidt distance between two conditional expectations sums over
+the blocks of the join, and the entropy functional over the blocks of
+one partition, so no operator matrix is ever built.  Points are 0-based
+throughout.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -162,52 +162,31 @@ def meet(p: Partition, q: Partition) -> Partition:
     return Partition(find(x) for x in range(m))
 
 
-class CondExpectation:
-    """Conditional expectation onto a partition: block-wise weighted mean."""
-
-    __slots__ = ("space", "partition", "_matrix")
-
-    def __init__(self, space: FiniteSpace, partition: Partition):
-        if partition.m != space.m:
-            raise ParameterError("partition does not match the space")
-        self.space = space
-        self.partition = partition
-        self._matrix = None
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            m = self.space.m
-            lam = np.array(self.space.weights)
-            block = np.array(self.partition.block_of)
-            block_mass = np.zeros(self.partition.n_blocks)
-            np.add.at(block_mass, block, lam)
-            mat = np.zeros((m, m))
-            same = block[:, None] == block[None, :]
-            mat[same] = (lam[None, :] / block_mass[block][:, None])[same]
-            self._matrix = mat
-        return self._matrix
-
-    def apply(self, f) -> np.ndarray:
-        f = np.asarray(f, dtype=np.float64)
-        if f.shape != (self.space.m,):
-            raise ParameterError(f"function must have shape ({self.space.m},)")
-        return self.matrix @ f
+def _block_weights(lam, p: Partition) -> list[float]:
+    out = [0.0] * p.n_blocks
+    for x, b in enumerate(p.block_of):
+        out[b] += lam[x]
+    return out
 
 
-def cond_expect(space: FiniteSpace, partition: Partition) -> CondExpectation:
-    return CondExpectation(space, partition)
+def l2_distance(space: FiniteSpace, p: Partition, q: Partition) -> float:
+    """Hilbert-Schmidt norm of E_p - E_q in the weight-weighted inner
+    product, where E_p averages over the blocks of p with the weights.
 
-
-def l2_distance(e1: CondExpectation, e2: CondExpectation) -> float:
-    """Hilbert-Schmidt norm of E1 - E2 in the weight-weighted inner
-    product: ||A||^2 = sum_xy lam_x A[x,y]^2 / lam_y."""
-    if e1.space != e2.space:
-        raise ParameterError("expectations live on different spaces")
-    lam = np.array(e1.space.weights)
-    a = e1.matrix - e2.matrix
-    val = float(np.sum(lam[:, None] * a * a / lam[None, :]))
-    return math.sqrt(max(val, 0.0))
+    A block C of join(p, q) lies inside a block P of p and a block Q of
+    q and contributes lam(C) (lam(P) + lam(Q) - 2 lam(C)) / (lam(P) lam(Q))
+    to the squared norm.  Every term is nonnegative, and each is exactly
+    0.0 when p == q."""
+    if p.m != space.m or q.m != space.m:
+        raise ParameterError("partition does not match the space")
+    wp = _block_weights(space.weights, p)
+    wq = _block_weights(space.weights, q)
+    wc: dict[tuple[int, int], float] = {}  # join block as its (P, Q) pair
+    for pair, w in zip(zip(p.block_of, q.block_of), space.weights):
+        wc[pair] = wc.get(pair, 0.0) + w
+    return math.sqrt(math.fsum(
+        c * (wp[a] + wq[b] - 2.0 * c) / (wp[a] * wq[b]) for (a, b), c in wc.items()
+    ))
 
 
 class FiniteAction:
@@ -298,52 +277,35 @@ def invariant_closure(action: FiniteAction, p: Partition) -> Partition:
         current = merged
 
 
-def _block_weights(lam, p: Partition) -> list[float]:
-    out = [0.0] * p.n_blocks
+def _image_blocks(action: FiniteAction, p: Partition, letters) -> list[int]:
+    """Block of g.B for each block B of an invariant p, g a letter
+    sequence; block ids run in order of first point, so each block's
+    first point is found in one pass."""
+    first: list[int] = []
     for x, b in enumerate(p.block_of):
-        out[b] += lam[x]
-    return out
+        if b == len(first):
+            first.append(x)
+    return [p.block_of[action.act_word(letters, x)] for x in first]
 
 
-def _image_block(action: FiniteAction, p: Partition, letters_or_letter, b: int) -> int:
-    first = p.block_of.index(b)
-    if isinstance(letters_or_letter, int):
-        y = action.act(letters_or_letter, first)
-    else:
-        y = action.act_word(letters_or_letter, first)
-    return p.block_of[y]
-
-
-def _check_lam(lam, m: int):
-    lam = [float(v) for v in lam]
-    if len(lam) != m:
-        raise ParameterError(f"weight vector must have length {m}")
-    if any(v <= 0 for v in lam):
-        raise ParameterError("weights must be strictly positive")
-    if abs(math.fsum(lam) - 1.0) > WEIGHT_TOL:
-        raise ParameterError("weights must sum to 1")
-    return lam
-
-
-def entropy_functional(action: FiniteAction, lam, p: Partition) -> float:
+def entropy_functional(action: FiniteAction, space: FiniteSpace, p: Partition) -> float:
     """sum_g mu(g) sum_b lam(b) (log lam(b) - log lam(g.b)), i.e.
     sum_g mu(g) KL(block weights | g-translated block weights).
     Requires p invariant; nonnegative (tiny negative rounding clamped)."""
-    lam = _check_lam(lam, action.m)
+    if space.m != action.m:
+        raise ParameterError("space does not match the action")
     if p.m != action.m:
         raise ParameterError("partition does not match the action")
     if not action.is_invariant(p):
         raise ParameterError("partition is not invariant under the action")
-    bw = _block_weights(lam, p)
+    bw = _block_weights(space.weights, p)
     logs = [math.log(v) for v in bw]
     total_terms = []
     for letter, w in action.step:
         if w == 0.0:
             continue
-        kl = math.fsum(
-            bw[b] * (logs[b] - logs[_image_block(action, p, letter, b)])
-            for b in range(p.n_blocks)
-        )
+        img = _image_blocks(action, p, (letter,))
+        kl = math.fsum(bw[b] * (logs[b] - logs[img[b]]) for b in range(p.n_blocks))
         total_terms.append(w * kl)
     val = math.fsum(total_terms)
     if -1e-12 < val < 0.0:
@@ -353,7 +315,7 @@ def entropy_functional(action: FiniteAction, lam, p: Partition) -> float:
 
 def chain_rule_check(
     action: FiniteAction,
-    lam,
+    space: FiniteSpace,
     p: Partition,
     q: Partition,
     g,
@@ -371,17 +333,18 @@ def chain_rule_check(
 
     With q discrete this is the pointwise derivative factorization.
     """
-    lam = _check_lam(lam, action.m)
+    if space.m != action.m:
+        raise ParameterError("space does not match the action")
     if not q.refines(p):
         raise ParameterError("partitions are not nested (q must refine p)")
     for part in (p, q):
         if not action.is_invariant(part):
             raise ParameterError("partition is not invariant under the action")
     letters = (g,) if isinstance(g, int) else tuple(g)
-    wq = _block_weights(lam, q)
-    wp = _block_weights(lam, p)
-    img_q = [_image_block(action, q, letters, b) for b in range(q.n_blocks)]
-    img_p = [_image_block(action, p, letters, b) for b in range(p.n_blocks)]
+    wq = _block_weights(space.weights, q)
+    wp = _block_weights(space.weights, p)
+    img_q = _image_blocks(action, q, letters)
+    img_p = _image_blocks(action, p, letters)
     for x in range(action.m):
         bq, bp = q.block_of[x], p.block_of[x]
         lhs = wq[img_q[bq]] / wq[bq]
@@ -409,13 +372,13 @@ def monotone_chain_limit(
     chain,
     direction: str,
     action: FiniteAction | None = None,
-    weights=None,
 ) -> ChainReport:
     """Limit of a monotone chain of partitions with per-step diagnostics.
 
     Increasing chains refine step by step and converge to the join;
     decreasing chains coarsen and converge to the meet; on a finite
-    space both stabilize at the last element.  Reports the L2 distance
+    space both are the last element, which the monotonicity check
+    guarantees.  Reports the L2 distance
     of each conditional expectation to the limit one (non-increasing to
     0) and, when an action is supplied, the entropy functional per step
     (monotone, ending at the limit value)."""
@@ -431,14 +394,8 @@ def monotone_chain_limit(
         ok = b.refines(a) if direction == "increasing" else a.refines(b)
         if not ok:
             raise ParameterError(f"chain is not monotone {direction}")
-    limit = reduce(join if direction == "increasing" else meet, chain)
-    if limit != chain[-1]:
-        raise ParameterError("chain fold does not stabilize at the last element")
-
-    e_limit = cond_expect(space, limit)
-    distances = tuple(
-        l2_distance(cond_expect(space, part), e_limit) for part in chain
-    )
+    limit = chain[-1]
+    distances = tuple(l2_distance(space, part, limit) for part in chain)
     at = len(chain) - 1
     while at > 0 and chain[at - 1] == limit:
         at -= 1
@@ -450,11 +407,8 @@ def monotone_chain_limit(
     functional_limit = None
     monotone = None
     if action is not None:
-        lam = space.weights if weights is None else weights
-        functionals = tuple(
-            entropy_functional(action, lam, part) for part in chain
-        )
-        functional_limit = entropy_functional(action, lam, limit)
+        functionals = tuple(entropy_functional(action, space, part) for part in chain)
+        functional_limit = functionals[-1]
         pairs = zip(functionals, functionals[1:])
         if direction == "increasing":
             monotone = all(b >= a - 1e-12 for a, b in pairs)
@@ -498,12 +452,10 @@ def random_weights(m: int, seed: int) -> tuple[float, ...]:
 
 __all__ = [
     "ChainReport",
-    "CondExpectation",
     "FiniteAction",
     "FiniteSpace",
     "Partition",
     "chain_rule_check",
-    "cond_expect",
     "entropy_functional",
     "invariant_closure",
     "join",

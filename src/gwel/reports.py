@@ -10,6 +10,7 @@ nats and every report says so.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -80,6 +81,8 @@ def _csv_cell(v) -> str:
     if isinstance(v, bool):
         return "1" if v else "0"
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ConvergenceError("report holds a non-finite number (NaN or inf)")
         return f"{v:.12g}"
     return str(v)
 

@@ -1,10 +1,12 @@
 """Independent computations that the closed forms in gwel replace.
 
 The library states the critical exponent of a quotient's kernel as
-log(2d-1), the Z^2 entropy as 2 H(Bin(k, 1/2)), and sums its boundary
-integrals over |g| + 1 prefix classes; the tests check all three
-against these brute computations, so they never compare a formula with
-itself.
+log(2d-1), the Z^2 entropy as 2 H(Bin(k, 1/2)), sums its boundary
+integrals over |g| + 1 prefix classes, and takes the Hilbert-Schmidt
+distance between two conditional expectations from block weights; the
+tests check all four against these brute computations (the last one
+against dense conditional-expectation matrices), so they never compare
+a formula with itself.
 """
 
 import math
@@ -143,3 +145,25 @@ def sphere_boundary_entropy_coefficient(d, mu):
         (q * sphere_kl_coefficient(d, g, m) for g, q in mu.exact_items()),
         Fraction(0),
     )
+
+
+def cond_expect_matrix(space, partition):
+    """Dense m x m matrix of the conditional expectation onto a
+    partition: (E f)(x) = sum_y E[x, y] f(y), the lam-weighted mean of f
+    over the block of x."""
+    lam = np.array(space.weights)
+    block = np.array(partition.block_of)
+    block_mass = np.zeros(partition.n_blocks)
+    np.add.at(block_mass, block, lam)
+    same = block[:, None] == block[None, :]
+    mat = np.zeros((space.m, space.m))
+    mat[same] = (lam[None, :] / block_mass[block][:, None])[same]
+    return mat
+
+
+def dense_l2_distance(space, p, q):
+    """Hilbert-Schmidt norm of E_p - E_q in the lam-weighted inner
+    product, ||A||^2 = sum_xy lam_x A[x, y]^2 / lam_y, from the matrices."""
+    lam = np.array(space.weights)
+    a = cond_expect_matrix(space, p) - cond_expect_matrix(space, q)
+    return math.sqrt(max(float(np.sum(lam[:, None] * a * a / lam[None, :])), 0.0))

@@ -194,6 +194,22 @@ def test_nan_report_maps_to_exit_4(capsys, monkeypatch):
     assert captured.err.count("\n") == 1 and "non-finite" in captured.err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_cell_maps_to_exit_4_in_every_format(fmt, capsys, monkeypatch):
+    import gwel.cli as cli
+    from gwel.reports import Report
+
+    def inf_report(args):
+        series = {"columns": ["a", "b"], "rows": [[1, float("nan")], [2, float("inf")]]}
+        return Report("growth", {}, None, series, {})
+
+    monkeypatch.setitem(cli._HANDLERS, "growth", inf_report)
+    assert main(["growth", "--format", fmt]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "non-finite" in captured.err
+
+
 def test_memory_error_maps_to_exit_3(capsys, monkeypatch):
     import gwel.cli as cli
 

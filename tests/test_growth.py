@@ -5,7 +5,6 @@ from oracles import power_iteration_exponent
 
 from gwel.errors import ParameterError, ResourceGuardError
 from gwel.growth import (
-    abelian_zero_sphere_counts,
     ball_counts,
     critical_exponent,
     grigorchuk_delta,
@@ -65,7 +64,7 @@ def test_trivial_quotient_kernel_is_everything():
 
 def test_abelian_zero_sphere_counts_against_scan():
     ab = AbelianRep(2)
-    counts = abelian_zero_sphere_counts(2, 8)
+    counts = ab.kernel_sphere_counts(8, 4 * 10**6)
     assert counts[0] == 1
     for n in range(9):
         assert counts[n] == sum(1 for w in sphere(2, n) if in_kernel(w, ab))
@@ -77,9 +76,10 @@ def test_abelian_zero_sphere_counts_against_scan():
 
 
 def test_abelian_budget_truncates():
-    counts = abelian_zero_sphere_counts(2, 40, work_budget=10**4)
+    ab = AbelianRep(2)
+    counts = ab.kernel_sphere_counts(40, 10**4)
     assert len(counts) < 41
-    full = abelian_zero_sphere_counts(2, len(counts) - 1)
+    full = ab.kernel_sphere_counts(len(counts) - 1, 4 * 10**6)
     assert tuple(counts) == tuple(full)
 
 

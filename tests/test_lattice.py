@@ -6,12 +6,10 @@ import pytest
 
 from gwel.errors import ParameterError
 from gwel.lattice import (
-    CondExpectation,
     FiniteAction,
     FiniteSpace,
     Partition,
     chain_rule_check,
-    cond_expect,
     entropy_functional,
     invariant_closure,
     join,
@@ -21,6 +19,7 @@ from gwel.lattice import (
     random_weights,
     solve_stationary,
 )
+from oracles import cond_expect_matrix, dense_l2_distance
 
 
 def all_partitions(m):
@@ -94,7 +93,7 @@ def test_cond_expectation_projection_properties():
         lam = random_weights(m, rng.randrange(10**6))
         space = FiniteSpace(lam)
         part = random_partition(rng, m)
-        E = cond_expect(space, part).matrix
+        E = cond_expect_matrix(space, part)
         lam_v = np.array(lam)
         # idempotent
         assert np.allclose(E @ E, E, atol=1e-12)
@@ -120,8 +119,27 @@ def test_l2_distance_rank_identity():
         space = FiniteSpace(random_weights(m, rng.randrange(10**6)))
         q = random_partition(rng, m)
         p = meet(q, random_partition(rng, m))  # q refines p
-        d = l2_distance(cond_expect(space, q), cond_expect(space, p))
+        d = l2_distance(space, q, p)
         assert d * d == pytest.approx(q.n_blocks - p.n_blocks, abs=1e-9)
+
+
+def test_l2_distance_matches_dense_oracle():
+    # non-nested pairs, where the distance is not a rank gap
+    rng = random.Random(21)
+    checked = 0
+    while checked < 300:
+        m = rng.randrange(3, 30)
+        space = FiniteSpace(random_weights(m, rng.randrange(10**6)))
+        p, q = random_partition(rng, m), random_partition(rng, m)
+        if p.refines(q) or q.refines(p):
+            continue
+        got = l2_distance(space, p, q)
+        assert got == pytest.approx(dense_l2_distance(space, p, q), rel=1e-12, abs=0.0)
+        assert l2_distance(space, q, p) == pytest.approx(got, rel=1e-12, abs=0.0)
+        assert l2_distance(space, p, p) == 0.0
+        checked += 1
+    with pytest.raises(ParameterError):
+        l2_distance(FiniteSpace.uniform(3), Partition.discrete(3), Partition.trivial(4))
 
 
 def test_action_translate_and_invariance():
@@ -158,14 +176,14 @@ def test_invariant_closure_matches_exhaustive():
 
 def test_entropy_functional_swap_example():
     act = FiniteAction([(1, 0)])
-    lam = (2 / 3, 1 / 3)
-    val = entropy_functional(act, lam, Partition.discrete(2))
+    space = FiniteSpace((2 / 3, 1 / 3))
+    val = entropy_functional(act, space, Partition.discrete(2))
     assert val == pytest.approx(math.log(2) / 3, abs=1e-14)
-    assert entropy_functional(act, lam, Partition.trivial(2)) == 0.0
+    assert entropy_functional(act, space, Partition.trivial(2)) == 0.0
     with pytest.raises(ParameterError):
         # blocks must be permuted by the generators
         entropy_functional(
-            FiniteAction([(1, 2, 0)]), (0.2, 0.3, 0.5), Partition([0, 0, 1])
+            FiniteAction([(1, 2, 0)]), FiniteSpace((0.2, 0.3, 0.5)), Partition([0, 0, 1])
         )
 
 
@@ -173,26 +191,26 @@ def test_entropy_functional_nonnegative_and_monotone():
     rng = random.Random(20)
     act = FiniteAction([(1, 0, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)])
     for _ in range(60):
-        lam = random_weights(6, rng.randrange(10**6))
+        space = FiniteSpace(random_weights(6, rng.randrange(10**6)))
         p = invariant_closure(act, random_partition(rng, 6))
         q = join(p, invariant_closure(act, random_partition(rng, 6)))
         # q refines p, both invariant; finer partitions see more divergence
-        fp = entropy_functional(act, lam, p)
-        fq = entropy_functional(act, lam, q)
+        fp = entropy_functional(act, space, p)
+        fq = entropy_functional(act, space, q)
         assert fp >= 0.0 and fq >= 0.0
         assert fq >= fp - 1e-12
 
 
 def test_chain_rule_check():
     act = FiniteAction([(1, 0, 3, 2)])  # (0 1)(2 3)
-    lam = (0.4, 0.1, 0.3, 0.2)
+    space = FiniteSpace((0.4, 0.1, 0.3, 0.2))
     p = Partition([0, 0, 1, 1])
     q = Partition.discrete(4)
     assert act.is_invariant(p)
-    assert chain_rule_check(act, lam, p, q, 1)
-    assert chain_rule_check(act, lam, p, q, (1, 1, -1))
+    assert chain_rule_check(act, space, p, q, 1)
+    assert chain_rule_check(act, space, p, q, (1, 1, -1))
     with pytest.raises(ParameterError):
-        chain_rule_check(act, lam, q, p, 1)  # not nested this way around
+        chain_rule_check(act, space, q, p, 1)  # not nested this way around
 
 
 def test_monotone_chain_increasing():

@@ -78,3 +78,13 @@ def test_non_finite_value_is_an_error(bad):
     report.summary["pi_ish"] = bad
     with pytest.raises(ConvergenceError, match="non-finite"):
         report_json_bytes(report)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_csv_cell_is_an_error(bad):
+    report = sample_report()
+    report.series["rows"].append([3, bad, False])
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        report_csv_bytes(report)
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        report_json_bytes(report)
