@@ -348,7 +348,7 @@ def _cmd_boundary_entropy(args) -> Report:
     d = args.rank
     mu = measures.srw(d)
     coeff = boundary.boundary_entropy_coefficient(d, mu)
-    h = float(coeff) * math.log(2 * d - 1)  # boundary.boundary_entropy, from coeff
+    h = float(coeff) * math.log(2 * d - 1)  # boundary_entropy(d, mu) without a second sum
     rows = []
     for g in sorted(mu.support(), key=lambda w: w.sort_key()):
         c = boundary.kl_coefficient(d, g)
