@@ -2,7 +2,7 @@
 
 Each case is a CLI argv; its report must equal `golden/<name>.json` byte
 for byte.  The cases are the criterion-10 verbs plus the quotient
-families (abelian, trivial, a `perm:` quotient) on walk-entropy,
+families (abelian, trivial, `perm:` quotients of order 6 and 720) on walk-entropy,
 cogrowth and gap-check.  After an intended change to report bytes,
 rewrite the files with
 
@@ -21,6 +21,7 @@ TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS / "golden"
 S3 = "perm: a=(1 2 3); b=(1 2)"
 KLEIN = "relators: aa, bb, abab"
+S6 = "perm: a=(1 2 3 4 5 6); b=(1 2)"
 
 # argv per case; the lattice config path is relative to tests/, because
 # the report echoes it
@@ -46,6 +47,9 @@ CASES = {
     "gap_check_abelian": ["gap-check", "--quotient", "abelian"],
     "gap_check_trivial": ["gap-check", "--quotient", "trivial"],
     "gap_check_s3": ["gap-check", "--quotient", S3],
+    # S_6 has 720 elements; the cogrowth counts pass 2^63 by radius 60
+    "walk_entropy_s6": ["walk-entropy", "--quotient", S6, "--steps", "40"],
+    "cogrowth_s6": ["cogrowth", "--quotient", S6, "--steps", "60"],
 }
 
 
