@@ -31,8 +31,8 @@ class FiniteSpace:
     def __post_init__(self):
         if len(self.weights) == 0:
             raise ParameterError("space needs at least one point")
-        if any(w <= 0 for w in self.weights):
-            raise ParameterError("weights must be strictly positive")
+        if not all(0 < w < math.inf for w in self.weights):  # rejects NaN too
+            raise ParameterError("weights must be finite and strictly positive")
         total = math.fsum(self.weights)
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ParameterError(f"weights sum to {total!r}, not 1")

@@ -18,10 +18,12 @@ The families:
   PermRep     a finite quotient Q given by the regular action of Q on its
               own elements; elements are integer indices, identity is 0.
               Produced by Todd-Coxeter coset enumeration over a relator
-              list, or by closing a set of explicit point permutations
-              into the group they generate.  Entropy by a dense
-              probability vector, kernel counts by a non-backtracking
-              transfer over (element, last letter).
+              list (pure Python), or by closing explicit point permutations
+              into the group they generate (numpy, a BFS level at a time).
+              Entropy by a dense probability vector, kernel counts by a
+              non-backtracking transfer over (element, last letter), both
+              on numpy arrays; the counts go from int64 to exact Python
+              ints once the sphere size passes 2^63 - 1.
   TrivialRep  the one-element PermRep.
   AbelianRep  the abelianization Z^d; elements are exponent-sum vectors.
               Entropy (rank 2) from two independent +-1 walks, kernel
@@ -78,13 +80,11 @@ class PermRep:
     def __init__(self, rank: int, rows, point_images=None):
         self.rank = rank
         self.size = len(rows)
-        ncols = 2 * rank
-        flat = array("q")
-        for row in rows:
-            if len(row) != ncols:
-                raise ParameterError("malformed coset table row")
-            flat.extend(row)
-        self._table = flat
+        try:
+            table = np.asarray(rows, dtype=np.int64).reshape(self.size, 2 * rank)
+        except ValueError:
+            raise ParameterError("malformed coset table row") from None
+        self._table = array("q", table.tobytes())
         self._rep_words = None
         self.point_images = point_images
 
@@ -95,6 +95,10 @@ class PermRep:
     def validate_element(self, q) -> None:
         if not isinstance(q, int) or not 0 <= q < self.size:
             raise ParameterError(f"{q!r} is not an element index (size {self.size})")
+
+    def _array(self) -> np.ndarray:
+        """The table as a (size, 2d) int64 view."""
+        return np.frombuffer(self._table, dtype=np.int64).reshape(self.size, 2 * self.rank)
 
     def apply_col(self, q: int, col: int) -> int:
         return self._table[q * 2 * self.rank + col]
@@ -151,8 +155,7 @@ class PermRep:
 
     def generator_permutation(self, gen: int) -> tuple[int, ...]:
         """Image of generator `gen` (1-based) as a permutation of elements."""
-        col = letter_key(gen)
-        return tuple(self.apply_col(q, col) for q in range(self.size))
+        return tuple(self._array()[:, letter_key(gen)].tolist())
 
     def cycle_types(self) -> tuple[tuple[int, ...], ...]:
         """Cycle type of each generator's permutation, for relabeling-
@@ -188,7 +191,7 @@ class PermRep:
         if size > QUOTIENT_SIZE_LIMIT:
             raise ResourceGuardError(f"quotient size {size} exceeds {QUOTIENT_SIZE_LIMIT}")
         nc = 2 * self.rank
-        table = np.frombuffer(self._table, dtype=np.int64).reshape(size, nc)
+        table = self._array()
         # mass at x comes from x * l^-1 for each letter l; l^-1 has column col ^ 1
         gathers = [np.ascontiguousarray(table[:, col ^ 1]) for col in range(nc)]
         vec = np.zeros(size, dtype=np.float64)
@@ -219,27 +222,26 @@ class PermRep:
                 f"transfer state space {nstates} exceeds {TRANSFER_STATE_LIMIT}"
             )
         radius = min(n, work_budget // nstates)
-        table = self._table  # row q starts at q * nc, like state (q, col)
         counts = [1]
         if radius == 0:
             return counts
-        vec = [0] * nstates
-        for col in range(nc):
-            vec[table[col] * nc + col] += 1
-        counts.append(sum(vec[0:nc]))
-        for _ in range(2, radius + 1):
-            new = [0] * nstates
-            for base in range(0, nstates, nc):
-                tot = sum(vec[base : base + nc])
-                if tot == 0:
-                    continue
-                for col in range(nc):
-                    # extend by the letter of `col`; forbid backtracking
-                    val = tot - vec[base + (col ^ 1)]
-                    if val:
-                        new[table[base + col] * nc + col] += val
-            vec = new
-            counts.append(sum(vec[0:nc]))
+        table = self._array()
+        cols = np.arange(nc)
+        flip = cols ^ 1
+        # state (x, col) is entered from y = table[x, col ^ 1] by every
+        # path to y except those ending in col ^ 1, which would backtrack
+        src = table[:, flip]
+        back = src * nc + flip  # flat index of the state (y, col ^ 1)
+        vec = np.zeros((self.size, nc), dtype=np.int64)
+        vec[table[0], cols] = 1
+        counts.append(int(vec[0].sum()))
+        for k in range(2, radius + 1):
+            # every entry is at most the sphere size 2d(2d-1)^(k-1); past
+            # int64 the counts go on as exact Python ints
+            if vec.dtype != object and nc * (nc - 1) ** (k - 1) > 2**63 - 1:
+                vec = vec.astype(object)
+            vec = vec.sum(axis=1)[src] - vec.take(back)
+            counts.append(int(vec[0].sum()))
         return counts
 
     def entropy_rate(self) -> tuple[float, str]:
@@ -404,7 +406,8 @@ def coset_enumerate(d: int, relators, max_cosets: int = DEFAULT_MAX_COSETS) -> P
         raise CosetLimitError(f"coset limit exceeded (max_cosets={max_cosets})")
     ncols = 2 * d
 
-    table: list[list[int | None]] = [[None] * ncols]
+    # one list per column, so a coset costs a pointer per column
+    table: list[list[int | None]] = [[None] for _ in range(ncols)]
     p = [0]  # union-find; p[i] <= i, minimum label survives
 
     def rep(k: int) -> int:
@@ -416,15 +419,16 @@ def coset_enumerate(d: int, relators, max_cosets: int = DEFAULT_MAX_COSETS) -> P
         return r
 
     def define(a: int, col: int) -> int:
-        if len(table) >= max_cosets:
+        if len(p) >= max_cosets:
             raise CosetLimitError(
                 f"coset limit exceeded (max_cosets={max_cosets})"
             )
-        b = len(table)
-        table.append([None] * ncols)
+        b = len(p)
+        for column in table:
+            column.append(None)
         p.append(b)
-        table[a][col] = b
-        table[b][col ^ 1] = a
+        table[col][a] = b
+        table[col ^ 1][b] = a
         return b
 
     def coincidence(a: int, b: int) -> None:
@@ -441,49 +445,48 @@ def coset_enumerate(d: int, relators, max_cosets: int = DEFAULT_MAX_COSETS) -> P
         merge(a, b)
         while queue:
             dead = queue.popleft()
-            row = table[dead]
             for col in range(ncols):
-                delta = row[col]
+                delta = table[col][dead]
                 if delta is None:
                     continue
                 # clear the mirror edge if it still points at the dead coset
-                if table[delta][col ^ 1] == dead:
-                    table[delta][col ^ 1] = None
+                if table[col ^ 1][delta] == dead:
+                    table[col ^ 1][delta] = None
                 mu, nu = rep(dead), rep(delta)
-                if table[mu][col] is not None:
-                    merge(nu, table[mu][col])
-                elif table[nu][col ^ 1] is not None:
-                    merge(mu, table[nu][col ^ 1])
+                if table[col][mu] is not None:
+                    merge(nu, table[col][mu])
+                elif table[col ^ 1][nu] is not None:
+                    merge(mu, table[col ^ 1][nu])
                 else:
-                    table[mu][col] = nu
-                    table[nu][col ^ 1] = mu
+                    table[col][mu] = nu
+                    table[col ^ 1][nu] = mu
 
     def scan_and_fill(alpha: int, w: list[int]) -> None:
         f, i = alpha, 0
         b, j = alpha, len(w) - 1
         while True:
-            while i <= j and table[f][w[i]] is not None:
-                f = table[f][w[i]]
+            while i <= j and table[w[i]][f] is not None:
+                f = table[w[i]][f]
                 i += 1
             if i > j:
                 if f != b:
                     coincidence(f, b)
                 return
-            while j >= i and table[b][w[j] ^ 1] is not None:
-                b = table[b][w[j] ^ 1]
+            while j >= i and table[w[j] ^ 1][b] is not None:
+                b = table[w[j] ^ 1][b]
                 j -= 1
             if j < i:
                 coincidence(f, b)
                 return
             if j == i:
                 # deduction closing the scan, recorded both ways
-                table[f][w[i]] = b
-                table[b][w[i] ^ 1] = f
+                table[w[i]][f] = b
+                table[w[i] ^ 1][b] = f
                 return
             define(f, w[i])
 
     alpha = 0
-    while alpha < len(table):
+    while alpha < len(p):
         if rep(alpha) == alpha:
             for w in rels:
                 scan_and_fill(alpha, w)
@@ -491,44 +494,29 @@ def coset_enumerate(d: int, relators, max_cosets: int = DEFAULT_MAX_COSETS) -> P
                     break
             if rep(alpha) == alpha:
                 for col in range(ncols):
-                    if table[alpha][col] is None:
+                    if table[col][alpha] is None:
                         define(alpha, col)
         alpha += 1
 
-    live = [c for c in range(len(table)) if rep(c) == c]
+    live = [c for c in range(len(p)) if rep(c) == c]
+    if any(column[c] is None for column in table for c in live):
+        raise ParameterError("incomplete coset table after enumeration")
     index = {c: k for k, c in enumerate(live)}
-    rows = []
-    for c in live:
-        row = []
-        for col in range(ncols):
-            v = table[c][col]
-            if v is None:
-                raise ParameterError("incomplete coset table after enumeration")
-            row.append(index[rep(v)])
-        rows.append(row)
+    rows = [[index[rep(column[c])] for column in table] for c in live]
     out = PermRep(d, rows)
-
-    # every relator must act trivially on every coset
-    for w in rels:
-        for q in range(out.size):
-            t = q
-            for col in w:
-                t = out.apply_col(t, col)
-            if t != q:
-                raise ParameterError("relator fails to close on the final table")
+    _check_relators(out._array(), rels)
     return out
 
 
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # apply p, then q
-    return tuple(q[x] for x in p)
-
-
-def _invert_perm(p: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
+def _check_relators(table: np.ndarray, rels: list[list[int]]) -> None:
+    """Every relator (a list of columns) must act trivially on every row."""
+    start = np.arange(len(table))
+    for w in rels:
+        t = start
+        for col in w:
+            t = table[t, col]
+        if not np.array_equal(t, start):
+            raise ParameterError("relator fails to close on the final table")
 
 
 def from_point_permutations(
@@ -538,9 +526,11 @@ def from_point_permutations(
 
     `images` maps generator index (1-based) to a permutation of
     {0..m-1}; missing generators act as the identity.  The returned rep
-    is the regular action of the generated group, closed by BFS, so the
-    kernel is the kernel of the point homomorphism even when the point
-    action is not regular.
+    is the regular action of the generated group, so the kernel is the
+    kernel of the point homomorphism even when the point action is not
+    regular.  The closure is a breadth-first search that composes a whole
+    level with every letter at once; new elements are numbered by first
+    occurrence in (element, letter) order.
     """
     if d < 1:
         raise ParameterError("rank must be >= 1")
@@ -548,39 +538,45 @@ def from_point_permutations(
     if len(ms) > 1:
         raise ParameterError("point permutations act on different point counts")
     m = ms.pop() if ms else 1
-    ident = tuple(range(m))
-    by_letter: dict[int, tuple[int, ...]] = {}
-    for gen in range(1, d + 1):
-        perm = tuple(images.get(gen, ident))
+    gens = [tuple(images.get(gen, range(m))) for gen in range(1, d + 1)]
+    for gen, perm in enumerate(gens, 1):
         if sorted(perm) != list(range(m)):
             raise ParameterError(f"generator {gen} image is not a permutation")
-        by_letter[gen] = perm
-        by_letter[-gen] = _invert_perm(perm)
+    # row letter_key(l) of `perms` maps each point to its image under l;
+    # with no points, the group acts on one fixed point instead
+    width = max(m, 1)
+    perms = np.zeros((2 * d, width), dtype=np.min_scalar_type(width - 1))
+    perms[0::2, :m] = np.array(gens).reshape(d, m)
+    perms[1::2] = np.argsort(perms[0::2], axis=1)
+    cols = np.arange(2 * d)[:, None]
+    key = np.dtype((np.void, perms.itemsize * width))  # a row as one sortable key
 
-    letters = alphabet(d)
-    order = [ident]
-    idx = {ident: 0}
-    rows: list[list[int]] = []
-    at = 0
-    while at < len(order):
-        base = order[at]
-        row = []
-        for l in letters:
-            prod = _compose(base, by_letter[l])
-            k = idx.get(prod)
-            if k is None:
-                if len(order) >= max_elements:
-                    raise CosetLimitError(
-                        f"generated permutation group exceeds {max_elements} elements"
-                    )
-                k = len(order)
-                idx[prod] = k
-                order.append(prod)
-            row.append(k)
-        rows.append(row)
-        at += 1
-    point_images = tuple(by_letter[g] for g in range(1, d + 1))
-    return PermRep(d, rows, point_images=point_images)
+    # an element of level k times a letter lies in level k-1, k or k+1,
+    # so the keys of the last two levels tell old elements from new ones
+    frontier = np.arange(width, dtype=perms.dtype)[None, :]
+    level = (frontier.view(key).ravel(), np.zeros(1, dtype=np.int64))
+    last = (level[0][:0], level[1][:0])
+    blocks = []
+    while len(frontier):
+        # row (j, c) is frontier element j followed by the letter of column c
+        prods = perms[cols, frontier[:, None, :]].reshape(-1, width)
+        seen_keys, seen_ids = (np.concatenate(pair) for pair in zip(last, level))
+        n = len(seen_keys)
+        _, first, inverse = np.unique(
+            np.concatenate([seen_keys, prods.view(key).ravel()]),
+            return_index=True, return_inverse=True,
+        )
+        at = first[inverse[n:]]  # first position of the same key in the concatenation
+        fresh = at == np.arange(n, n + len(at))  # first sight of a new element
+        new_ids = level[1][-1] + np.cumsum(fresh)  # ids go on from the newest level
+        if new_ids[-1] >= max_elements:
+            raise CosetLimitError(
+                f"generated permutation group exceeds {max_elements} elements"
+            )
+        blocks.append(np.concatenate([seen_ids, new_ids])[at].reshape(-1, 2 * d))
+        frontier = prods[fresh]
+        last, level = level, (frontier.view(key).ravel(), new_ids[fresh])
+    return PermRep(d, np.concatenate(blocks), point_images=tuple(gens))
 
 
 def project(w: Word, rep: QuotientRep):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import ParseError, RankMismatchError
+from .errors import ParameterError, ParseError, RankMismatchError
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"  # generator names; uppercase spells inverses
 
@@ -182,6 +182,10 @@ def parse_word(text: str, rank: int) -> Word:
 def format_word(w: Word) -> str:
     out = []
     for l in w.letters:
+        if abs(l) > len(LETTERS):
+            raise ParameterError(
+                f"generator {abs(l)} has no name: words use the 26 letters a-z (--rank <= 26)"
+            )
         ch = LETTERS[abs(l) - 1]
         out.append(ch if l > 0 else ch.upper())
     return "".join(out)

@@ -6,7 +6,9 @@ integrals over |g| + 1 prefix classes, and takes the Hilbert-Schmidt
 distance between two conditional expectations from block weights; the
 tests check all four against these brute computations (the last one
 against dense conditional-expectation matrices), so they never compare
-a formula with itself.
+a formula with itself.  It closes permutation groups and counts kernel
+spheres with numpy arrays; the tuple-by-tuple closure and the
+Python-int transfer loop here must give the same tables and counts.
 """
 
 import math
@@ -15,7 +17,71 @@ from fractions import Fraction
 
 import numpy as np
 
-from gwel.words import multiply, sphere
+from gwel.words import alphabet, multiply, sphere
+
+
+def tuple_closure_rows(d, images):
+    """Multiplication table of the group generated by point permutations,
+    closed element by element with Python tuples: breadth-first from the
+    identity, letters in canonical order, each new element numbered on
+    first sight.  Row q, column letter_key(l), holds the element q * l;
+    missing generators act as the identity."""
+    m = len(next(iter(images.values()))) if images else 1
+    ident = tuple(range(m))
+    by_letter = {}
+    for gen in range(1, d + 1):
+        perm = tuple(images.get(gen, ident))
+        inv = [0] * m
+        for i, x in enumerate(perm):
+            inv[x] = i
+        by_letter[gen], by_letter[-gen] = perm, tuple(inv)
+    order = [ident]
+    idx = {ident: 0}
+    rows = []
+    at = 0
+    while at < len(order):
+        base = order[at]
+        row = []
+        for l in alphabet(d):
+            prod = tuple(by_letter[l][x] for x in base)  # apply base, then l
+            k = idx.get(prod)
+            if k is None:
+                k = len(order)
+                idx[prod] = k
+                order.append(prod)
+            row.append(k)
+        rows.append(row)
+        at += 1
+    return rows
+
+
+def transfer_sphere_counts(rep, n):
+    """|N cap S(k)| for k = 0..n by the non-backtracking transfer over
+    states (element, last letter), one Python int per state."""
+    nc = 2 * rep.rank
+    nstates = rep.size * nc
+    counts = [1]
+    if n == 0:
+        return counts
+    vec = [0] * nstates
+    for col in range(nc):
+        vec[rep.apply_col(0, col) * nc + col] += 1
+    counts.append(sum(vec[0:nc]))
+    for _ in range(2, n + 1):
+        new = [0] * nstates
+        for q in range(rep.size):
+            base = q * nc
+            tot = sum(vec[base : base + nc])
+            if tot == 0:
+                continue
+            for col in range(nc):
+                # extend by the letter of `col`; forbid backtracking
+                val = tot - vec[base + (col ^ 1)]
+                if val:
+                    new[rep.apply_col(q, col) * nc + col] += val
+        vec = new
+        counts.append(sum(vec[0:nc]))
+    return counts
 
 
 def power_iteration_exponent(d, rep, tol=1e-10, max_iter=200000):

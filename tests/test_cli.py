@@ -154,11 +154,21 @@ def test_parameter_errors_exit_2(capsys):
         (["guivarch", "--seed", "-1"], "seed"),
         (["proximality", "--seed", "-1"], "seed"),
         (["theorem-a", "--out", "/no/such/dir/report.json"], "--out"),
+        (["boundary-entropy", "--rank", "27"], "26 letters"),
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, argv
         assert flag in err, argv
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_weight_exits_2(bad, tmp_path, capsys):
+    cfg = tmp_path / "chain.cfg"
+    cfg.write_text(f"points 2\nweights 0.5, {bad}\ndirection increasing\nchain 1,2\n")
+    assert main(["lattice-experiment", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "finite" in err
 
 
 def test_resource_guard_exit_3(capsys):

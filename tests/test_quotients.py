@@ -7,12 +7,14 @@ from gwel.measures import convolve, convolve_power, srw
 from gwel.quotients import (
     AbelianRep,
     TrivialRep,
+    _check_relators,
     coset_enumerate,
     from_point_permutations,
     in_kernel,
     pushforward,
 )
-from gwel.words import alphabet, parse_word, reduce_letters, sphere
+from gwel.words import alphabet, letter_key, parse_word, reduce_letters, sphere
+from oracles import transfer_sphere_counts, tuple_closure_rows
 
 
 def rels(*texts, rank=2):
@@ -153,3 +155,85 @@ def test_kernel_words_small_spheres():
             ea = sum(1 for l in w.letters if abs(l) == 1) % 2
             eb = sum(1 for l in w.letters if abs(l) == 2) % 2
             assert in_kernel(w, rep) == (ea == 0 and eb == 0)
+
+
+def relabelled_sym_images(rng, m):
+    """S_m from an m-cycle and a transposition on shuffled points."""
+    sigma = list(range(m))
+    rng.shuffle(sigma)
+    cycle, swap = list(range(m)), list(range(m))
+    for i in range(m):
+        cycle[sigma[i]] = sigma[(i + 1) % m]
+    swap[sigma[0]], swap[sigma[1]] = sigma[1], sigma[0]
+    return {1: tuple(cycle), 2: tuple(swap)}
+
+
+# (rank, point images): S_3..S_7 under seeded relabellings, an
+# intransitive action (Z/2 x Z/3 on 2 + 3 points), a missing generator
+# (b acts trivially), and rank 3 (S_4 by three transpositions; Z/2 x Z/3
+# with b missing)
+CLOSURES = [(2, relabelled_sym_images(random.Random(60 + m), m)) for m in range(3, 8)] + [
+    (2, {1: (1, 0, 2, 3, 4), 2: (0, 1, 3, 4, 2)}),
+    (2, {2: (1, 2, 3, 4, 0)}),
+    (3, {1: (1, 0, 2, 3), 2: (0, 2, 1, 3), 3: (0, 1, 3, 2)}),
+    (3, {1: (1, 0, 2, 3, 4), 3: (0, 1, 3, 4, 2)}),
+]
+
+
+def table_rows(rep):
+    return [[rep.apply_col(q, col) for col in range(2 * rep.rank)] for q in range(rep.size)]
+
+
+def all_test_reps():
+    reps = [from_point_permutations(d, images) for d, images in CLOSURES]
+    reps += [coset_enumerate(2, rels(*texts)) for texts, _ in KNOWN_ORDERS]
+    reps += [coset_enumerate(2, rels("aaaaa", "bbbbb", "abAB")), TrivialRep(2), TrivialRep(3)]
+    return reps
+
+
+@pytest.mark.parametrize("d, images", CLOSURES)
+def test_closure_matches_tuple_oracle(d, images):
+    # same elements in the same order: entropy sums run in index order
+    rep = from_point_permutations(d, images)
+    assert table_rows(rep) == tuple_closure_rows(d, images)
+    ident = tuple(range(len(next(iter(images.values())))))
+    assert rep.point_images == tuple(images.get(g, ident) for g in range(1, d + 1))
+
+
+def test_transfer_counts_match_int_oracle():
+    # radius 45 (d = 2) and 30 (d = 3) run past the switch from int64
+    # to Python ints at sphere sizes above 2^63 - 1
+    biggest = 0
+    for rep in all_test_reps():
+        n = 45 if rep.rank == 2 else 30
+        counts = rep.kernel_sphere_counts(n, 10**9)
+        assert counts == transfer_sphere_counts(rep, n), rep
+        assert all(type(c) is int for c in counts)
+        biggest = max(biggest, counts[-1])
+    assert biggest > 2**63
+
+
+def test_table_columns_are_mutually_inverse_permutations():
+    for rep in all_test_reps():
+        table = table_rows(rep)
+        for col in range(2 * rep.rank):
+            image = [row[col] for row in table]
+            assert sorted(image) == list(range(rep.size)), (rep, col)
+            assert all(table[t][col ^ 1] == q for q, t in enumerate(image)), (rep, col)
+
+
+def test_relator_check_rejects_a_tampered_table():
+    relators = rels("aa", "bb", "abab")
+    cols = [[letter_key(l) for l in r.letters] for r in relators]
+    table = coset_enumerate(2, relators)._array().copy()
+    _check_relators(table, cols)
+    table[0, 0] = 0  # a no longer moves the identity coset
+    with pytest.raises(ParameterError, match="^relator fails to close on the final table$"):
+        _check_relators(table, cols)
+
+
+def test_closure_guard_trips_past_max_elements():
+    images = relabelled_sym_images(random.Random(7), 6)
+    assert from_point_permutations(2, images, max_elements=720).size == 720
+    with pytest.raises(CosetLimitError, match="^generated permutation group exceeds 719 elements$"):
+        from_point_permutations(2, images, max_elements=719)
