@@ -3,7 +3,8 @@
 Each case is a CLI argv; its report must equal `golden/<name>.json` byte
 for byte.  The cases are the criterion-10 verbs plus the quotient
 families (abelian, trivial, `perm:` quotients of order 6 and 720) on walk-entropy,
-cogrowth and gap-check.  After an intended change to report bytes,
+cogrowth and gap-check, a long free-group entropy series and big-int
+ball counts.  After an intended change to report bytes,
 rewrite the files with
 
     PYTHONPATH=src python tests/test_golden_reports.py
@@ -27,8 +28,12 @@ S6 = "perm: a=(1 2 3 4 5 6); b=(1 2)"
 # the report echoes it
 CASES = {
     "walk_entropy": ["walk-entropy", "--steps", "30"],
+    # at step 600, 89 of the 301 nonzero radial masses lie below 2^-80
+    "walk_entropy_600": ["walk-entropy", "--steps", "600"],
     "drift": ["drift", "--steps", "2000", "--trials", "200"],
     "growth": ["growth", "--steps", "8"],
+    # ball counts reach about 5^300, far past 2^63
+    "growth_rank3": ["growth", "--rank", "3", "--steps", "300"],
     "cogrowth_klein": ["cogrowth", "--quotient", KLEIN, "--steps", "8"],
     "gap_check_klein": ["gap-check", "--quotient", KLEIN, "--steps", "4"],
     "guivarch": ["guivarch", "--steps", "2000", "--trials", "200"],
