@@ -3,10 +3,10 @@
 Verbs: walk-entropy, drift, growth, cogrowth, gap-check, guivarch,
 theorem-a, boundary-entropy, proximality, lattice-experiment.  Exit
 codes: 0 success, 2 parameter or parse error, 3 resource guard or out of
-memory, 4 non-convergence or a non-finite report value.  Reports are
-deterministic: identical inputs give byte-identical JSON for any
---threads value, so the thread cap, the output path, and the format are
-not echoed into the report body.  GWEL_THREADS overrides --threads.
+memory, 4 non-convergence or a non-finite report value, 130 interrupted.
+Reports are deterministic: identical inputs give byte-identical JSON for
+any --threads value, so the thread cap, the output path, and the format
+are not echoed into the report body.  GWEL_THREADS overrides --threads.
 """
 
 from __future__ import annotations
@@ -467,6 +467,9 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     return 0
 
 

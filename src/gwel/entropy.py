@@ -1,13 +1,13 @@
 """Avez entropy and drift for the simple random walk, exact and sampled.
 
-Free-group entropies H(mu^k) are computed exactly in O(n^2) from the
-radial birth-death chain, using the fact that mu^k restricted to a
-sphere is uniform.  Quotient entropies, entropy rates and critical
-exponents come from the quotient rep's own exact algorithms (see
-`gwel.quotients`).  Drift is Monte Carlo with per-trial counter-based
-streams.  The gap checker assembles, per step count, the entropy
-difference, the exact coset-decomposition bound, and kernel ball counts
-at radius k and 2k.
+Free-group entropies H(mu^k) come from the radial birth-death chain on
+numpy arrays, using the fact that mu^k restricted to a sphere is uniform;
+each row is a correctly rounded sum that skips only a provably negligible
+tail.  Quotient entropies, entropy rates and critical exponents come from
+the quotient rep's own exact algorithms (see `gwel.quotients`).  Drift is
+Monte Carlo with per-trial counter-based streams.  The gap checker
+assembles, per step count, the entropy difference, the exact
+coset-decomposition bound, and kernel ball counts at radius k and 2k.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from .words import ball_size
 
 JENSEN_SUPPORT_LIMIT = 60000
 BALL_WORK_BUDGET = 2 * 10**7
+# radial masses below this are bounded as a block, not summed one by one
+_TAIL_MASS = 2.0**-80
 
 
 @dataclass(frozen=True)
@@ -64,15 +66,6 @@ class EntropySeries:
         return self.increments()[-count:]
 
 
-def _sphere_log_sizes(d: int, n: int) -> list[float]:
-    logs = [0.0]
-    if n >= 1:
-        l1 = math.log(2 * d)
-        step = math.log(2 * d - 1)
-        logs.extend(l1 + (r - 1) * step for r in range(1, n + 1))
-    return logs
-
-
 def radial_entropy_exact(d: int, n: int) -> EntropySeries:
     """Exact H(mu^k), k <= n, for the simple random walk on F_d.
 
@@ -80,31 +73,45 @@ def radial_entropy_exact(d: int, n: int) -> EntropySeries:
     entropy of the radial law plus the expected log sphere size.  The
     radial law follows the birth-death chain with up-probability
     (2d-1)/(2d) from r >= 1 and reflection at 0.
+
+    Row k is the fsum of m (L_r - log m) over the radial masses m > 0,
+    L_r = log|S(r)|, but only masses >= tau = 2^-80 enter one by one.
+    Each term is >= 0 and x (L - log x) increases for x < e^(L-1), so the
+    tail sums to at most B = #tail tau (L_k - log tau) (1 + 1e-9), the
+    factor covering rounding.  fsum rounds correctly and rounding is
+    monotone, so fsum(head) <= fsum(all) <= fsum(head + [B]): when the
+    outer two agree they are the row, else fsum(all) is taken.
     """
     if d < 2:
         raise ParameterError(f"rank must be >= 2, got {d}")
     if n < 0:
         raise ParameterError("steps must be >= 0")
-    logs = _sphere_log_sizes(d, n)
+    logs = np.append(0.0, math.log(2 * d) + np.arange(n) * math.log(2 * d - 1))
     up = (2 * d - 1) / (2 * d)
     down = 1.0 / (2 * d)
-    p = [1.0]
+    p = np.ones(1)
     values = []
     for k in range(1, n + 1):
-        new = [0.0] * (k + 1)
-        new[1] += p[0]
-        for r in range(1, len(p)):
-            m = p[r]
-            if m:
-                new[r + 1] += m * up
-                new[r - 1] += m * down
+        # each entry is one sum of two products, as in a scalar update
+        new = np.concatenate(([0.0, p[0]], p[1:] * up))
+        new[: k - 1] += p[1:] * down
         p = new
-        values.append(
-            math.fsum(
-                m * (logs[r] - math.log(m)) for r, m in enumerate(p) if m > 0.0
-            )
-        )
+        head = _entropy_terms(p, np.flatnonzero(p >= _TAIL_MASS), logs)
+        total = math.fsum(head)
+        if tail := np.count_nonzero(p) - len(head):
+            head.append(tail * _TAIL_MASS * (logs[k] - math.log(_TAIL_MASS)) * (1 + 1e-9))
+            if math.fsum(head) != total:
+                total = math.fsum(_entropy_terms(p, np.flatnonzero(p), logs))
+        values.append(total)
     return EntropySeries(f"free:{d}", tuple(values))
+
+
+def _entropy_terms(p, radii, logs) -> list[float]:
+    """m (L_r - log m) for m = p[r], r in radii, with `math.log`: `np.log`
+    misses it by an ulp on some inputs."""
+    m = p[radii]
+    log_m = np.fromiter(map(math.log, m.tolist()), float, len(m))
+    return (m * (logs[radii] - log_m)).tolist()
 
 
 def quotient_entropy_dp(rep, n: int) -> EntropySeries:

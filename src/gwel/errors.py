@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 Exit-code convention (used by the CLI): 2 parameter / parse errors, 3 resource
-guards or out of memory, 4 numerical non-convergence or a non-finite report value.
+guards or out of memory, 4 numerical non-convergence or a non-finite report
+value, 130 KeyboardInterrupt.
 """
 
 

@@ -534,6 +534,8 @@ def from_point_permutations(
     """
     if d < 1:
         raise ParameterError("rank must be >= 1")
+    if max_elements < 1:
+        raise ParameterError("max_elements must be >= 1")
     ms = {len(perm) for perm in images.values()}
     if len(ms) > 1:
         raise ParameterError("point permutations act on different point counts")

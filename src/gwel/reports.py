@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
-from .errors import ConvergenceError, GwelError, ParameterError
+from .errors import ConvergenceError, GwelError, ParameterError, ResourceGuardError
 
 TOOL_VERSION = f"gwel {__version__}"
 
@@ -35,13 +35,23 @@ def _sig(x: float) -> float:
     return float(f"{x:.12g}")
 
 
+def _printable(v: int) -> int:
+    """v, unless str(v) would pass the interpreter's digit limit; under
+    3 * limit bits an integer has under `limit` digits."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if not limit or v.bit_length() <= 3 * limit or abs(v) < 10**limit:
+        return v
+    raise ResourceGuardError(f"report integer has over {limit} digits; lower --steps")
+
+
 def _clean(obj):
     if isinstance(obj, bool) or obj is None:
         return obj
     if isinstance(obj, float):
         return _sig(obj)
     if isinstance(obj, int):
-        return obj
+        # 1920 bits stay under any digit limit Python accepts (0 or >= 640)
+        return obj if obj.bit_length() <= 1920 else _printable(obj)
     if isinstance(obj, Fraction):
         return {"num": obj.numerator, "den": obj.denominator}
     if isinstance(obj, str):
@@ -90,6 +100,8 @@ def _csv_cell(v) -> str:
 def report_csv_bytes(report: Report) -> bytes:
     cols = report.series.get("columns", [])
     rows = report.series.get("rows", [])
+    for v in (v for row in rows for v in row if isinstance(v, int)):
+        _printable(v)  # trips before any slow int-to-str conversion
     lines = [",".join(str(c) for c in cols)]
     for row in rows:
         lines.append(",".join(_csv_cell(v) for v in row))

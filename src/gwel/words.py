@@ -132,7 +132,12 @@ def sphere_size(d: int, n: int) -> int:
 
 
 def ball_size(d: int, n: int) -> int:
-    return sum(sphere_size(d, k) for k in range(n + 1))
+    """|B(n)|, exact: 0 for n < 0, 2n+1 for d = 1, else (d(2d-1)^n - 1)/(d-1)."""
+    if n < 0:
+        return 0
+    if d == 1:
+        return 2 * n + 1
+    return (d * (2 * d - 1) ** n - 1) // (d - 1)
 
 
 def sphere(d: int, n: int) -> Iterator[Word]:

@@ -9,6 +9,9 @@ against dense conditional-expectation matrices), so they never compare
 a formula with itself.  It closes permutation groups and counts kernel
 spheres with numpy arrays; the tuple-by-tuple closure and the
 Python-int transfer loop here must give the same tables and counts.
+It runs the free-group radial entropy chain on arrays and cuts the
+negligible tail of each sum; the scalar loop here must give the same
+floats bit for bit.
 """
 
 import math
@@ -161,6 +164,34 @@ def power_iteration_exponent(d, rep, tol=1e-10, max_iter=200000):
             stable = 0
         prev = rho
     raise AssertionError(f"power iteration not stable within {max_iter} iterations")
+
+
+def radial_entropy_loop(d, n):
+    """H(mu^k), k = 1..n, for the simple random walk on F_d: the radial
+    birth-death chain stepped one Python float at a time, each row the
+    fsum of m (log|S(r)| - log m) over every positive radial mass m."""
+    logs = [0.0] + [
+        math.log(2 * d) + (r - 1) * math.log(2 * d - 1) for r in range(1, n + 1)
+    ]
+    up = (2 * d - 1) / (2 * d)
+    down = 1.0 / (2 * d)
+    p = [1.0]
+    values = []
+    for k in range(1, n + 1):
+        new = [0.0] * (k + 1)
+        new[1] += p[0]
+        for r in range(1, len(p)):
+            m = p[r]
+            if m:
+                new[r + 1] += m * up
+                new[r - 1] += m * down
+        p = new
+        values.append(
+            math.fsum(
+                m * (logs[r] - math.log(m)) for r, m in enumerate(p) if m > 0.0
+            )
+        )
+    return tuple(values)
 
 
 def grid_entropies(n):

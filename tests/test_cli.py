@@ -155,6 +155,10 @@ def test_parameter_errors_exit_2(capsys):
         (["proximality", "--seed", "-1"], "seed"),
         (["theorem-a", "--out", "/no/such/dir/report.json"], "--out"),
         (["boundary-entropy", "--rank", "27"], "26 letters"),
+        (
+            ["cogrowth", "--quotient", "perm: a=(1 2); b=(3 4)", "--max-cosets", "-5"],
+            "max_elements must be >= 1",
+        ),
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
@@ -220,6 +224,22 @@ def test_non_finite_cell_maps_to_exit_4_in_every_format(fmt, capsys, monkeypatch
     assert captured.err.count("\n") == 1 and "non-finite" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cogrowth", "--quotient", "trivial", "--steps", "9200"],
+        ["cogrowth", "--quotient", "trivial", "--steps", "9200", "--format", "csv"],
+        ["growth", "--steps", "9200"],
+    ],
+)
+def test_integer_past_the_str_digit_limit_exits_3(argv, capsys):
+    # 3^9199 has 4390 digits, past Python's default limit of 4300
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--steps" in captured.err
+
+
 def test_memory_error_maps_to_exit_3(capsys, monkeypatch):
     import gwel.cli as cli
 
@@ -230,6 +250,17 @@ def test_memory_error_maps_to_exit_3(capsys, monkeypatch):
     assert main(["growth"]) == 3
     err = capsys.readouterr().err
     assert err == "error: out of memory\n"
+
+
+def test_keyboard_interrupt_maps_to_exit_130(capsys, monkeypatch):
+    import gwel.cli as cli
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._HANDLERS, "growth", interrupted)
+    assert main(["growth"]) == 130
+    assert capsys.readouterr().err == "error: interrupted\n"
 
 
 def test_bad_threads_env(capsys, monkeypatch):

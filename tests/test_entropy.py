@@ -1,8 +1,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from oracles import radial_entropy_loop
+
+from gwel import entropy
 from gwel.entropy import (
     drift_mc,
     entropy_gap_check,
@@ -32,6 +36,34 @@ def test_radial_head_values():
     incs = series.increments()
     assert incs[0] == pytest.approx(series.values[0], abs=1e-15)
     assert incs[1] == pytest.approx(series.values[1] - series.values[0], abs=1e-15)
+
+
+RADIAL_CASES = [(2, 0), (2, 1), (2, 2), (2, 1500), (3, 600), (5, 600), (26, 600)]
+
+
+@pytest.mark.parametrize("d,n", RADIAL_CASES)
+def test_radial_matches_scalar_loop(d, n):
+    # same floats bit for bit; by n = 600 at d = 26 some masses are subnormal
+    assert radial_entropy_exact(d, n).values == radial_entropy_loop(d, n)
+
+
+@pytest.mark.parametrize("tail_mass", [2.0**-10, 2.0**-30])
+def test_radial_tail_fallback_matches_scalar_loop(tail_mass, monkeypatch):
+    # a coarse cut leaves the bound too large on some rows, so the full
+    # sum runs there
+    monkeypatch.setattr(entropy, "_TAIL_MASS", tail_mass)
+    for d, n in ((2, 400), (3, 200), (26, 200)):
+        assert radial_entropy_exact(d, n).values == radial_entropy_loop(d, n)
+
+
+def test_radial_terms_round_like_the_scalar_loop():
+    # np.log misses math.log by one ulp on some inputs (about 1 in 300
+    # uniform draws on AVX-512 builds); each term must match the loop's
+    rng = np.random.default_rng(7)
+    masses = rng.random(20000)
+    logs = rng.random(20000) * 50.0
+    expect = [m * (L - math.log(m)) for m, L in zip(masses.tolist(), logs.tolist())]
+    assert entropy._entropy_terms(masses, np.arange(20000), logs) == expect
 
 
 def test_radial_matches_brute_convolution():

@@ -131,6 +131,12 @@ def test_sphere_sizes_closed_form():
             assert ball_size(d, n) == ball_size(d, n - 1) + sphere_size(d, n)
 
 
+def test_ball_size_matches_sphere_sums():
+    for d in range(1, 7):
+        for n in range(-2, 401):
+            assert ball_size(d, n) == sum(sphere_size(d, k) for k in range(n + 1))
+
+
 def test_sphere_enumeration():
     for d in (2, 3):
         for n in range(0, 5):
