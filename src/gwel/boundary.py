@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,8 +156,10 @@ def boundary_entropy(d: int, mu: Distribution) -> float:
     return float(boundary_entropy_coefficient(d, mu)) * math.log(2 * d - 1)
 
 
-@dataclass(frozen=True)
-class ProximalityRow:
+class ProximalityRow(NamedTuple):
+    """One step of one trial; a tuple, so a report of 10^4 rows costs no
+    per-row __init__."""
+
     trial: int
     step: int
     length: int
@@ -216,26 +219,28 @@ def proximality_sim(
         raise ParameterError(f"seed must be >= 0, got {seed}")
     letters = alphabet(d)
     children = np.random.SeedSequence(seed).spawn(trials)
-    masses: dict[int, float] = {}  # keyed by length - k, all the mass depends on
-    rows = []
-    for t, child in enumerate(children):
-        rng = np.random.Generator(np.random.Philox(child))
-        picks = rng.integers(0, 2 * d, size=n)
+    walks = []  # |w_j| for j = 1..n, per trial
+    for child in children:
+        picks = np.random.Generator(np.random.Philox(child)).integers(0, 2 * d, size=n)
         stack: list[int] = []
-        for j in range(n):
-            l = letters[int(picks[j])]
+        lengths = []
+        for l in map(letters.__getitem__, picks.tolist()):
             if stack and stack[-1] == -l:
                 stack.pop()
             else:
                 stack.append(l)
-            length = len(stack)
-            if length < k:
-                rows.append(ProximalityRow(t, j + 1, length, None, False))
-            else:
-                gap = length - k
-                if gap not in masses:
-                    masses[gap] = float(pushed_prefix_mass_exact(d, length, k))
-                rows.append(ProximalityRow(t, j + 1, length, masses[gap], length == k))
+            lengths.append(len(stack))
+        walks.append(lengths)
+    # lengths move by one from 0: these are the masses of the lengths visited
+    top = max(map(max, walks))
+    mass_at = [None] * k + [
+        float(pushed_prefix_mass_exact(d, length, k)) for length in range(k, top + 1)
+    ]
+    rows = [
+        ProximalityRow(t, j, length, mass_at[length], length == k)
+        for t, lengths in enumerate(walks)
+        for j, length in enumerate(lengths, 1)
+    ]
     return ProximalityReport(d, n, k, seed, trials, tuple(rows))
 
 

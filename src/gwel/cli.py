@@ -7,6 +7,10 @@ memory, 4 non-convergence or a non-finite report value, 130 interrupted.
 Reports are deterministic: identical inputs give byte-identical JSON for
 any --threads value, so the thread cap, the output path, and the format
 are not echoed into the report body.  GWEL_THREADS overrides --threads.
+
+--threads is reserved, validated and then unused: the per-walk Philox
+draws of drift and proximality, its only candidates, measured no faster
+on two threads (see the README's "Common flags").
 """
 
 from __future__ import annotations
@@ -51,8 +55,9 @@ def _add_common(sub, steps_default=None, trials_default=None):
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument(
         "--threads", type=int, default=1,
-        help="worker cap; results are byte-identical for any value "
-        "(GWEL_THREADS overrides)",
+        help="reserved worker cap, validated but unused: the per-walk random "
+        "draws measured no faster on two threads; results are byte-identical "
+        "for any value (GWEL_THREADS overrides)",
     )
     sub.add_argument(
         "--format", choices=("json", "csv"), default="json",
@@ -376,9 +381,7 @@ def _cmd_proximality(args) -> Report:
     rpt = boundary.proximality_sim(
         d, args.steps, args.prefix_depth, args.seed, trials=args.trials
     )
-    rows = [
-        [r.trial, r.step, r.length, r.mass, r.shallow] for r in rpt.rows
-    ]
+    rows = list(map(list, rpt.rows))  # trial, step, length, mass, shallow
     finals = [m for m in rpt.final_masses() if m is not None]
     return Report(
         command="proximality",

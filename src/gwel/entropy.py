@@ -5,9 +5,12 @@ numpy arrays, using the fact that mu^k restricted to a sphere is uniform;
 each row is a correctly rounded sum that skips only a provably negligible
 tail.  Quotient entropies, entropy rates and critical exponents come from
 the quotient rep's own exact algorithms (see `gwel.quotients`).  Drift is
-Monte Carlo with per-trial counter-based streams.  The gap checker
-assembles, per step count, the entropy difference, the exact
-coset-decomposition bound, and kernel ball counts at radius k and 2k.
+Monte Carlo with one counter-based Philox stream per trial, spawned from
+the seed; the spawned keys come from one array pass of SeedSequence's
+hash, and each walk's length from one cumulative sum of its down steps.
+The gap checker assembles, per step count, the entropy difference, the
+exact coset-decomposition bound, and kernel ball counts at radius k and
+2k.
 """
 
 from __future__ import annotations
@@ -19,12 +22,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ResourceGuardError
 from .measures import convolve_power, srw
 from .words import ball_size
 
 JENSEN_SUPPORT_LIMIT = 60000
 BALL_WORK_BUDGET = 2 * 10**7
+# radial updates n(n+1)/2 of the free-group entropy series: admits
+# --steps 19999, about 7 s on a 2-core x86 box
+RADIAL_WORK_BUDGET = 2 * 10**8
 # radial masses below this are bounded as a block, not summed one by one
 _TAIL_MASS = 2.0**-80
 
@@ -86,6 +92,11 @@ def radial_entropy_exact(d: int, n: int) -> EntropySeries:
         raise ParameterError(f"rank must be >= 2, got {d}")
     if n < 0:
         raise ParameterError("steps must be >= 0")
+    if n * (n + 1) // 2 > RADIAL_WORK_BUDGET:
+        raise ResourceGuardError(
+            f"an entropy series of {n} steps needs n(n+1)/2 radial updates, "
+            f"over the budget of {RADIAL_WORK_BUDGET}; lower --steps"
+        )
     logs = np.append(0.0, math.log(2 * d) + np.arange(n) * math.log(2 * d - 1))
     up = (2 * d - 1) / (2 * d)
     down = 1.0 / (2 * d)
@@ -136,14 +147,85 @@ def exact_drift(d: int) -> float:
     return (d - 1) / d
 
 
+# SeedSequence's uint32 hash, which NumPy's stream policy (NEP 19) fixes;
+# the constants are those of numpy.random.bit_generator
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+# drift draws held at once: bounds its step buffers at about 5 MB
+_DRIFT_CHUNK = 2**20
+# random draws trials x steps of drift: about 13 s on a 2-core x86 box
+DRIFT_WORK_BUDGET = 2 * 10**9
+
+
+def _hashmix(h: int, mult: int):
+    """SeedSequence's hashmix on uint32 values in uint64 arrays, with its
+    running hash constant starting at h."""
+
+    def hashmix(v):
+        nonlocal h
+        v = v ^ h
+        h = h * mult & _M32
+        v = v * h & _M32
+        return v ^ v >> 16
+
+    return hashmix
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ r >> 16
+
+
+def _philox_spawn_keys(seed: int, trials: int) -> np.ndarray:
+    """Row i is the key of `Philox(SeedSequence(seed).spawn(trials)[i])`:
+    SeedSequence's entropy mixing and state generation run once, on the
+    spawn keys of all children as arrays.  Needs trials <= 2^32, so that
+    each spawn key is one uint32 word; DRIFT_WORK_BUDGET keeps it so."""
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))  # a child pads its entropy to the pool
+    entropy = [np.full(trials, w, dtype=np.uint64) for w in words]
+    entropy.append(np.arange(trials, dtype=np.uint64))  # the spawn key (i,)
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+    hashmix = _hashmix(_INIT_B, _MULT_B)
+    lo0, hi0, lo1, hi1 = (hashmix(w) for w in pool)  # generate_state(2, uint64)
+    return np.stack([lo0 | hi0 << 32, lo1 | hi1 << 32], axis=1)
+
+
+def _raw_threshold(p: float) -> np.uint64:
+    """t with raw < t exactly when random() < p for the 64-bit raw draw
+    behind it: random() is (raw >> 11) 2^-53, and p 2^53 is exact."""
+    return np.uint64(math.ceil(p * 2**53) << 11)
+
+
 def drift_mc(d: int, n: int, trials: int, seed: int) -> DriftEstimate:
     """Monte Carlo estimate of |w_n|/n with standard error.
 
-    Trial i consumes a counter-based stream spawned from (seed, i), so
-    the result is a pure function of (d, n, trials, seed) under any
-    execution schedule.  Each step multiplies by a uniform letter; only
-    the radial projection is tracked: |w| goes up with probability
-    (2d-1)/(2d) when |w| >= 1 and reflects at 0.
+    Trial i steps down where `Generator(Philox(child_i)).random(n)` falls
+    below 1/(2d), child_i = SeedSequence(seed).spawn(trials)[i], so the
+    result is a pure function of (d, n, trials, seed) under any execution
+    schedule.  Each step multiplies by a uniform letter; only the radial
+    projection is tracked: |w| goes up with probability (2d-1)/(2d) when
+    |w| >= 1 and reflects at 0.
+
+    The keys of all children come from `_philox_spawn_keys`; one Philox
+    is set to each key in turn with a zero counter and an empty buffer,
+    and a raw draw is a down step when it is below
+    `_raw_threshold(1/(2d))`.  |w_j| has the parity of j, so the
+    reflection |w_(j+1)| = ||w_j| + s_j| for the step s_j = +-1 is
+    max(|w_j| + s_j, (j+1) mod 2).  Unrolled (Lindley's recursion), with
+    C_k the down steps among the first k:
+    |w_n| = n - 2 C_n - 2 min_{0<=k<=n} (floor(k/2) - C_k).
     """
     if d < 2:
         raise ParameterError(f"rank must be >= 2, got {d}")
@@ -153,16 +235,39 @@ def drift_mc(d: int, n: int, trials: int, seed: int) -> DriftEstimate:
         raise ParameterError("trials must be >= 2")
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
-    children = np.random.SeedSequence(seed).spawn(trials)
-    down = 1.0 / (2 * d)
-    steps = np.empty((trials, n), dtype=np.int8)
-    for i, child in enumerate(children):
-        u = np.random.Generator(np.random.Philox(child)).random(n)
-        steps[i] = np.where(u < down, -1, 1)
-    by_step = np.ascontiguousarray(steps.T)
-    r = np.zeros(trials, dtype=np.int64)
-    for j in range(n):
-        r = np.abs(r + by_step[j])
+    if trials * n > DRIFT_WORK_BUDGET:
+        raise ResourceGuardError(
+            f"drift needs trials x steps random draws, over the budget of "
+            f"{DRIFT_WORK_BUDGET}; lower --trials or --steps"
+        )
+    keys = _philox_spawn_keys(seed, trials)
+    threshold = _raw_threshold(1.0 / (2 * d))
+    bitgen = np.random.Philox(0)
+    zero = np.zeros(4, dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": zero, "key": keys[0]},
+        "buffer": zero,
+        "buffer_pos": 4,  # empty
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    block = max(1, _DRIFT_CHUNK // n)  # trials per pass
+    is_down = np.empty((min(block, trials), n), dtype=bool)
+    cum = np.empty(is_down.shape, dtype=np.int32)
+    half = np.arange(1, n + 1, dtype=np.int32) // 2
+    r = np.empty(trials, dtype=np.int64)
+    for lo in range(0, trials, block):
+        hi = min(lo + block, trials)
+        for i in range(lo, hi):
+            state["state"]["key"] = keys[i]
+            bitgen.state = state
+            np.less(bitgen.random_raw(n), threshold, out=is_down[i - lo])
+        c = np.cumsum(is_down[: hi - lo], axis=1, dtype=np.int32, out=cum[: hi - lo])
+        downs = c[:, -1].astype(np.int64)
+        np.subtract(half, c, out=c)
+        # the k = 1 term, -C_1, is <= 0, the k = 0 term
+        r[lo:hi] = n - 2 * downs - 2 * c.min(axis=1)
     vals = r / n
     estimate = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(trials))

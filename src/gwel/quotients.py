@@ -386,6 +386,10 @@ def _validate_relators(d: int, relators) -> list[list[int]]:
     return rels
 
 
+def _coset_limit_message(max_cosets: int) -> str:
+    return f"coset limit exceeded (max_cosets={max_cosets}); raise --max-cosets"
+
+
 def coset_enumerate(d: int, relators, max_cosets: int = DEFAULT_MAX_COSETS) -> PermRep:
     """Todd-Coxeter enumeration of the quotient presented by the relators.
 
@@ -403,7 +407,7 @@ def coset_enumerate(d: int, relators, max_cosets: int = DEFAULT_MAX_COSETS) -> P
         raise ParameterError("max_cosets must be >= 1")
     rels = _validate_relators(d, relators)
     if not rels:  # the quotient is F_d itself, which no cap can hold
-        raise CosetLimitError(f"coset limit exceeded (max_cosets={max_cosets})")
+        raise CosetLimitError(_coset_limit_message(max_cosets))
     ncols = 2 * d
 
     # one list per column, so a coset costs a pointer per column
@@ -420,9 +424,7 @@ def coset_enumerate(d: int, relators, max_cosets: int = DEFAULT_MAX_COSETS) -> P
 
     def define(a: int, col: int) -> int:
         if len(p) >= max_cosets:
-            raise CosetLimitError(
-                f"coset limit exceeded (max_cosets={max_cosets})"
-            )
+            raise CosetLimitError(_coset_limit_message(max_cosets))
         b = len(p)
         for column in table:
             column.append(None)

@@ -5,10 +5,17 @@ digits, so byte-identical reports come out of identical inputs no
 matter how the computation was scheduled.  Exact integers stay
 integers; rationals are {num, den} pairs; all entropy values are in
 nats and every report says so.
+
+The JSON text is the layout of `json.dumps(obj, sort_keys=True,
+indent=2)`, byte for byte, but written here: with `indent` set the
+standard library falls back to its pure-Python encoder, so each flat
+list of scalars, and each block of flat rows, goes through the C
+encoder in one call with the newline and indent in its item separator.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -45,12 +52,21 @@ def _printable(v: int) -> int:
 
 
 def _clean(obj):
+    # exact types first: they are nearly every cell, and numpy floats,
+    # which subclass float, take the isinstance ladder below
+    cls = type(obj)
+    if cls is float:
+        return _sig(obj)
+    if cls is int:
+        # 1920 bits stay under any digit limit Python accepts (0 or >= 640)
+        return obj if obj.bit_length() <= 1920 else _printable(obj)
+    if cls is list:
+        return [_clean(v) for v in obj]
     if isinstance(obj, bool) or obj is None:
         return obj
     if isinstance(obj, float):
         return _sig(obj)
     if isinstance(obj, int):
-        # 1920 bits stay under any digit limit Python accepts (0 or >= 640)
         return obj if obj.bit_length() <= 1920 else _printable(obj)
     if isinstance(obj, Fraction):
         return {"num": obj.numerator, "den": obj.denominator}
@@ -76,10 +92,48 @@ def report_to_object(report: Report) -> dict:
     }
 
 
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+def _encode(obj, sep: str = ",") -> str:
+    """One call to the C encoder; NaN and inf raise ValueError.  `_clean`
+    builds a fresh tree, so it holds no cycle to check for."""
+    return json.dumps(obj, separators=(sep, ": "), allow_nan=False, check_circular=False)
+
+
+def _flat(values) -> bool:
+    return _SCALAR_TYPES.issuperset(map(type, values))
+
+
+def _indent2(obj, pad: str = "\n") -> str:
+    """obj laid out as `json.dumps(obj, sort_keys=True, indent=2)` lays it
+    out at the nesting level whose newline and indent are `pad`."""
+    ind = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",".join(f"{ind}{_encode(k)}: {_indent2(obj[k], ind)}" for k in sorted(obj))
+        return f"{{{items}{pad}}}"
+    if not isinstance(obj, (list, tuple)):
+        return _encode(obj)
+    if not obj:
+        return "[]"
+    if _flat(obj):
+        return f"[{ind}{_encode(obj, ',' + ind)[1:-1]}{pad}]"
+    if set(map(type, obj)) == {list} and all(obj) and _flat(itertools.chain.from_iterable(obj)):
+        # nonempty flat rows: encoded string cells never hold a raw
+        # newline, so "],<newline><cell indent>[" occurs only between rows
+        cell = ind + "  "
+        body = _encode(obj, "," + cell)[2:-2].replace(f"],{cell}[", f"{ind}],{ind}[{cell}")
+        return f"[{ind}[{cell}{body}{ind}]{pad}]"
+    items = ",".join(ind + _indent2(v, ind) for v in obj)
+    return f"[{items}{pad}]"
+
+
 def report_json_bytes(report: Report) -> bytes:
     obj = report_to_object(report)
     try:
-        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+        text = _indent2(obj)
     except ValueError:
         raise ConvergenceError("report holds a non-finite number (NaN or inf)") from None
     return (text + "\n").encode("utf-8")

@@ -11,9 +11,13 @@ spheres with numpy arrays; the tuple-by-tuple closure and the
 Python-int transfer loop here must give the same tables and counts.
 It runs the free-group radial entropy chain on arrays and cuts the
 negligible tail of each sum; the scalar loop here must give the same
-floats bit for bit.
+floats bit for bit.  It writes the indent-2 JSON layout itself and
+hashes the Philox keys of all drift trials at once; the standard
+library's pure-Python indent-2 encoder and the per-trial SeedSequence,
+Generator and step loop here must give the same bytes and floats.
 """
 
+import json
 import math
 from collections import deque
 from fractions import Fraction
@@ -264,3 +268,27 @@ def dense_l2_distance(space, p, q):
     lam = np.array(space.weights)
     a = cond_expect_matrix(space, p) - cond_expect_matrix(space, q)
     return math.sqrt(max(float(np.sum(lam[:, None] * a * a / lam[None, :])), 0.0))
+
+
+def indent2_json(obj):
+    """The report layout: the standard library's indent-2 JSON encoder."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+
+
+def drift_loop(d, n, trials, seed):
+    """(estimate, stderr) of |w_n|/n over trials walks: trial i steps
+    down where Generator(Philox(child_i)).random(n) < 1/(2d), child_i the
+    i-th spawn of SeedSequence(seed), and the radius is stepped with its
+    reflection at 0 one step at a time across all trials."""
+    children = np.random.SeedSequence(seed).spawn(trials)
+    down = 1.0 / (2 * d)
+    steps = np.empty((trials, n), dtype=np.int8)
+    for i, child in enumerate(children):
+        u = np.random.Generator(np.random.Philox(child)).random(n)
+        steps[i] = np.where(u < down, -1, 1)
+    by_step = np.ascontiguousarray(steps.T)
+    r = np.zeros(trials, dtype=np.int64)
+    for j in range(n):
+        r = np.abs(r + by_step[j])
+    vals = r / n
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))

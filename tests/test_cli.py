@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -181,6 +182,36 @@ def test_resource_guard_exit_3(capsys):
     )
     assert code == 3
     assert "error:" in capsys.readouterr().err
+    # an infinite quotient (a triangle group) trips the guard that names its flag
+    code = main(
+        ["cogrowth", "--quotient", "relators: aaa, bbb, ababab", "--max-cosets", "1000"]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--max-cosets" in err
+
+
+def test_walk_entropy_work_guard(tmp_path, capsys):
+    start = time.perf_counter()
+    assert main(["walk-entropy", "--steps", "1000000"]) == 3
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--steps" in captured.err
+    # gap-check runs the same series behind the same guard
+    assert main(["gap-check", "--quotient", "trivial", "--steps", "1000000"]) == 3
+    assert "--steps" in capsys.readouterr().err
+    assert main(["walk-entropy", "--steps", "4000", "--out", str(tmp_path / "r.json")]) == 0
+
+
+@pytest.mark.parametrize("verb", ["drift", "guivarch"])
+def test_drift_work_guard(verb, capsys):
+    start = time.perf_counter()
+    assert main([verb, "--steps", "10000", "--trials", "10000000"]) == 3
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--trials" in captured.err
 
 
 def test_convergence_maps_to_exit_4(capsys, monkeypatch):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import radial_entropy_loop
+from oracles import drift_loop, radial_entropy_loop
 
 from gwel import entropy
 from gwel.entropy import (
@@ -144,6 +144,38 @@ def test_drift_mc_deterministic_and_accurate():
     assert c.estimate != a.estimate
     assert abs(a.estimate - 0.5) <= 3 * a.stderr
     assert 0 < a.stderr < 0.05
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 3])
+def test_spawned_philox_keys_match_seed_sequence(seed):
+    keys = entropy._philox_spawn_keys(seed, 70)
+    children = np.random.SeedSequence(seed).spawn(70)
+    expect = np.array([np.random.Philox(c).state["state"]["key"] for c in children])
+    assert keys.dtype == np.uint64 and np.array_equal(keys, expect)
+
+
+@pytest.mark.parametrize("p", [1 / (2 * d) for d in range(2, 27)] + [0.3, 1 - 2**-53])
+def test_raw_threshold_is_exactly_random_below_p(p):
+    t = int(entropy._raw_threshold(p))
+    for raw in (t - 2**11 - 1, t - 2**11, t - 1, t, t + 2**11 - 1, t + 2**11):
+        assert (raw < t) == ((raw >> 11) * 2.0**-53 < p), raw
+
+
+@pytest.mark.parametrize(
+    "d, n, trials, seed",
+    [
+        (2, 2000, 200, 7),
+        (2, 1, 5000, 2**32),
+        (3, 2, 2, 0),
+        # 2^20 // 1100 = 953 trials per block: the walks span two blocks
+        (3, 1100, 1000, 2**64 + 5),
+        (5, 333, 4000, 12345),
+        (26, 17, 50, 2**130 + 3),
+    ],
+)
+def test_drift_mc_equals_per_trial_loop(d, n, trials, seed):
+    est = drift_mc(d, n, trials, seed)
+    assert (est.estimate, est.stderr) == drift_loop(d, n, trials, seed)
 
 
 def test_guivarch_check():

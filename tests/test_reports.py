@@ -1,8 +1,14 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from oracles import indent2_json
+from test_golden_reports import CASES
+
+from gwel import cli
 from gwel.errors import ConvergenceError
 from gwel.reports import (
     TOOL_VERSION,
@@ -88,3 +94,67 @@ def test_non_finite_csv_cell_is_an_error(bad):
         report_csv_bytes(report)
     with pytest.raises(ConvergenceError, match="non-finite"):
         report_json_bytes(report)
+
+
+def oracle_bytes(report):
+    return (indent2_json(report_to_object(report)) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_writer_matches_indent2_oracle_on_golden_reports(name, monkeypatch):
+    monkeypatch.chdir(Path(__file__).resolve().parent)
+    args = cli.build_parser().parse_args(CASES[name])
+    report = cli._HANDLERS[args.verb](args)
+    assert report_json_bytes(report) == oracle_bytes(report)
+
+
+def tricky_reports():
+    tricky = 'row end "],\n  [" in a cell, quotes \\" and non-ASCII: \u00e9\u2211\U0001d4d7'
+    yield Report(
+        command="empty",
+        params={},
+        seed=None,
+        series={"columns": [], "rows": []},
+        summary={"empty_list": [], "empty_dict": {}},
+    )
+    yield Report(
+        command="mixed",
+        params={"nested": [[1, [2, []]], {"z": [], "a": {}}], tricky: tricky},
+        seed=2**64 + 1,
+        series={
+            "columns": ["a", tricky],
+            "rows": [
+                [1, 2.5, tricky, True, None],
+                [2],
+                [3, Fraction(-7, 3), np.float64(0.1) * 3, 2**70],
+                [tricky, "],\n        [", False],
+            ],
+        },
+        summary={"flags": [True, None, False], "big": -(2**63) - 1, "x": np.float64(2 / 3)},
+        warnings=[tricky],
+    )
+    yield Report(
+        command="rows",
+        params={"rank": 2},
+        seed=0,
+        series={
+            "columns": ["n", "h", "s"],
+            # unequal lengths and string cells, all scalar: the one-call path
+            "rows": [[1, 0.5, "],\n      ["], [2, None], [3, 2**63, True, tricky]],
+        },
+        summary={"row": [[1, 2], [3]], "single": [[None]]},
+    )
+
+
+@pytest.mark.parametrize("report", list(tricky_reports()), ids=lambda r: r.command)
+def test_writer_matches_indent2_oracle_on_hand_built_reports(report):
+    assert report_json_bytes(report) == oracle_bytes(report)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64("-inf")])
+def test_non_finite_cell_in_any_row_shape_is_an_error(bad):
+    for rows in ([[1, bad]], [[1, Fraction(1, 2), bad]], [[1, [bad]]]):
+        report = sample_report()
+        report.series["rows"] = rows
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            report_json_bytes(report)
