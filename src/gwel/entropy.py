@@ -10,7 +10,7 @@ the seed; the spawned keys come from one array pass of SeedSequence's
 hash, and each walk's length from one cumulative sum of its down steps.
 The gap checker assembles, per step count, the entropy difference, the
 exact coset-decomposition bound, and kernel ball counts at radius k and
-2k.
+2k; the last two come from one kernel sphere pass of the quotient rep.
 """
 
 from __future__ import annotations
@@ -23,10 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ParameterError, ResourceGuardError
-from .measures import convolve_power, srw
-from .words import ball_size
 
-JENSEN_SUPPORT_LIMIT = 60000
 BALL_WORK_BUDGET = 2 * 10**7
 # radial updates n(n+1)/2 of the free-group entropy series: admits
 # --steps 19999, about 7 s on a 2-core x86 box
@@ -345,26 +342,18 @@ class GapReport:
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _kernel_ball_logs(rep, radius: int) -> list[float | None]:
-    """log|N cap B(r)| for r = 0..radius where affordable, else None."""
-    spheres = rep.kernel_sphere_counts(radius, BALL_WORK_BUDGET)
-    logs = [math.log(total) for total in itertools.accumulate(spheres)]
-    return logs + [None] * (radius + 1 - len(logs))
-
-
 def entropy_gap_check(d: int, rep, n: int) -> GapReport:
     """Per-step entropy gap H(mu^k) - H(mu'^k) against the exact
     coset-decomposition bound and kernel ball counts.
 
     For each k <= n the row reports the gap, the exact bound
-    sum_{cosets} mu^k(gN) log|gN cap supp mu^k| (by grouping the support
-    of the exact convolution power by coset, skipped when the support
-    guard trips), and log|N cap B(k)| and log|N cap B(2k)| where
-    affordable.  Minimal coset representatives give
-    g^{-1}(gN cap B(k)) contained in N cap B(2k); the radius-k ball
-    count can fall below the gap at finite k, and such rows are flagged
-    as warnings rather than errors.  The limit statement compares
-    h_RW - h' against the kernel's critical exponent.
+    sum_{cosets} mu^k(gN) log|gN cap supp mu^k|, and log|N cap B(k)| and
+    log|N cap B(2k)|, all three from the rep's `gap_counts` under
+    BALL_WORK_BUDGET and None past the radius it affords.  Minimal coset
+    representatives give g^{-1}(gN cap B(k)) contained in N cap B(2k);
+    the radius-k ball count can fall below the gap at finite k, and such
+    rows are flagged as warnings rather than errors.  The limit statement
+    compares h_RW - h' against the kernel's critical exponent.
     """
     if n < 1:
         raise ParameterError("steps must be >= 1")
@@ -372,27 +361,17 @@ def entropy_gap_check(d: int, rep, n: int) -> GapReport:
         raise ParameterError(f"rep rank {rep.rank} differs from {d}")
     free = radial_entropy_exact(d, n)
     quot = quotient_entropy_dp(rep, n)
-    ball_logs = _kernel_ball_logs(rep, 2 * n)
+    spheres, bounds = rep.gap_counts(n, BALL_WORK_BUDGET)
+    ball_logs = [math.log(total) for total in itertools.accumulate(spheres)]
+    ball_logs += [None] * (2 * n + 1 - len(ball_logs))
+    bounds += [None] * (n - len(bounds))
 
-    mu = srw(d)
     rows = []
     warnings: list[str] = []
     for k in range(1, n + 1):
         h_f = free.values[k - 1]
         h_q = quot.values[k - 1]
         gap = h_f - h_q
-        coset_bound = None
-        if ball_size(d, k) <= JENSEN_SUPPORT_LIMIT:
-            power = convolve_power(mu, k)
-            mass: dict = {}
-            count: dict = {}
-            for w, p in power.items():
-                q = rep.project(w)
-                mass[q] = mass.get(q, 0.0) + p
-                count[q] = count.get(q, 0) + 1
-            coset_bound = math.fsum(
-                m * math.log(count[q]) for q, m in mass.items()
-            )
         lb_k = ball_logs[k]
         lb_2k = ball_logs[2 * k]
         if lb_k is not None and gap > lb_k + 1e-9:
@@ -407,7 +386,7 @@ def entropy_gap_check(d: int, rep, n: int) -> GapReport:
                 h_quotient=h_q,
                 gap=gap,
                 gap_over_k=gap / k,
-                coset_bound=coset_bound,
+                coset_bound=bounds[k - 1],
                 log_ball_k=lb_k,
                 log_ball_2k=lb_2k,
             )

@@ -26,10 +26,6 @@ class DistributionError(ParameterError):
     pass
 
 
-class NotReachedError(ParameterError):
-    pass
-
-
 class ParseError(ParameterError):
     """Parse failure with a 1-based character position into the input text."""
 

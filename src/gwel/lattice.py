@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError
+from .errors import ParameterError
 
 WEIGHT_TOL = 1e-12
 
@@ -426,20 +426,6 @@ def monotone_chain_limit(
     )
 
 
-def solve_stationary(action: FiniteAction) -> tuple[float, ...]:
-    """Weights lam with sum_g mu(g) lam(g.x) = lam(x) for all x.
-    Permutation steps are doubly stochastic, so the uniform vector is
-    stationary; it is returned after one residual check."""
-    m = action.m
-    lam = np.full(m, 1.0 / m)
-    avg = np.zeros(m)
-    for l, w in action.step:
-        avg += w * lam[list(action.perms[l - 1] if l > 0 else action.inv_perms[-l - 1])]
-    if float(np.max(np.abs(avg - lam))) > 1e-13:
-        raise ConvergenceError("uniform weights are not stationary for the step law")
-    return tuple(float(v) for v in lam)
-
-
 def random_weights(m: int, seed: int) -> tuple[float, ...]:
     """Strictly positive weights summing to 1 from a seeded stream."""
     if m < 1:
@@ -463,5 +449,4 @@ __all__ = [
     "meet",
     "monotone_chain_limit",
     "random_weights",
-    "solve_stationary",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import ContextMismatchError, DistributionError, NotReachedError
+from .errors import ContextMismatchError, DistributionError
 from .words import FreeGroup, Word, alphabet
 
 MASS_TOL = 1e-12
@@ -132,37 +132,12 @@ def shannon_entropy(mu: Distribution) -> float:
     return math.fsum(-p * math.log(p) for p in mu.probs.values())
 
 
-def rn_bound(mu: Distribution, g, n_max: int = 16) -> float:
-    """M(g) = max(1/mu^k(g^-1), 1/mu^n(g)) over the smallest k, n <= n_max
-    whose convolution power charges the element."""
-    ctx = mu.context
-    ctx.validate_element(g)
-    ginv = ctx.invert(g)
-    p_fwd = p_inv = None
-    for n in range(n_max + 1):
-        power = convolve_power(mu, n)
-        if p_fwd is None:
-            p = power.prob(g)
-            if p > 0:
-                p_fwd = p
-        if p_inv is None:
-            p = power.prob(ginv)
-            if p > 0:
-                p_inv = p
-        if p_fwd is not None and p_inv is not None:
-            return max(1.0 / p_fwd, 1.0 / p_inv)
-    raise NotReachedError(
-        f"element not reached within n_max={n_max} convolution powers"
-    )
-
-
 __all__ = [
     "Distribution",
     "MASS_TOL",
     "convolve",
     "convolve_power",
     "point_mass",
-    "rn_bound",
     "shannon_entropy",
     "srw",
 ]

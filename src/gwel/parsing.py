@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import ParameterError, ParseError
 from .lattice import FiniteAction, FiniteSpace, Partition, random_weights
 from .quotients import (
     DEFAULT_MAX_COSETS,
@@ -174,6 +174,8 @@ def parse_quotient_spec(
 ) -> QuotientRep | RelatorList:
     """Parse a quotient spec; relator specs come back as a RelatorList
     for downstream enumeration, the other directives as a ready rep."""
+    if rank < 2:
+        raise ParameterError(f"rank must be >= 2, got {rank}")
     lead = len(text) - len(text.lstrip())
     body = text.strip()
     if body == "trivial":

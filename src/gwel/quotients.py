@@ -3,13 +3,16 @@
 Each quotient family is a rep class that owns its exact algorithms.
 Every rep speaks the group-context protocol (identity / multiply /
 invert / apply_letter / project / validate_element / element_label /
-describe), and answers four questions about the pushforward mu' of the
+describe), and answers five questions about the pushforward mu' of the
 simple random walk and the kernel N of F_d -> Q:
 
   entropy_values(n)         exact H(mu'^k) for k = 1..n;
   kernel_sphere_counts(n, work_budget)
                             exact |N cap S(k)| for k = 0..r, where r <= n
                             is the largest radius the budget affords;
+  gap_counts(n, work_budget)
+                            one pass of the same counts to r <= 2n, and the
+                            coset bound sum_q mu'^k(q) log c_k(q), k <= r;
   entropy_rate()            (lim H(mu'^k)/k, reason);
   critical_exponent()       (critical exponent of N, reason).
 
@@ -23,7 +26,7 @@ The families:
               Entropy by a dense probability vector, kernel counts by a
               non-backtracking transfer over (element, last letter), both
               on numpy arrays; the counts go from int64 to exact Python
-              ints once the sphere size passes 2^63 - 1.
+              ints once twice the sphere size passes 2^63 - 1.
   TrivialRep  the one-element PermRep.
   AbelianRep  the abelianization Z^d; elements are exponent-sum vectors.
               Entropy (rank 2) from two independent +-1 walks, kernel
@@ -153,40 +156,14 @@ class PermRep:
             r = self.apply_letter(r, -l)
         return r
 
-    def generator_permutation(self, gen: int) -> tuple[int, ...]:
-        """Image of generator `gen` (1-based) as a permutation of elements."""
-        return tuple(self._array()[:, letter_key(gen)].tolist())
-
-    def cycle_types(self) -> tuple[tuple[int, ...], ...]:
-        """Cycle type of each generator's permutation, for relabeling-
-        invariant comparison of enumerations."""
-        out = []
-        for gen in range(1, self.rank + 1):
-            perm = self.generator_permutation(gen)
-            seen = [False] * self.size
-            lens = []
-            for s in range(self.size):
-                if not seen[s]:
-                    n, t = 0, s
-                    while not seen[t]:
-                        seen[t] = True
-                        t = perm[t]
-                        n += 1
-                    lens.append(n)
-            out.append(tuple(sorted(lens)))
-        return tuple(out)
-
     def element_label(self, q: int) -> str:
         return str(q)
 
     def describe(self) -> str:
         return f"perm-quotient of size {self.size}"
 
-    def entropy_values(self, n: int) -> tuple[float, ...]:
-        """H(mu'^k) for k = 1..n, pushing a dense probability vector over
-        the elements one step at a time."""
-        if n < 0:
-            raise ParameterError("steps must be >= 0")
+    def _laws(self):
+        """mu'^k, k = 1, 2, ..., as a dense probability vector over the elements."""
         size = self.size
         if size > QUOTIENT_SIZE_LIMIT:
             raise ResourceGuardError(f"quotient size {size} exceeds {QUOTIENT_SIZE_LIMIT}")
@@ -196,35 +173,25 @@ class PermRep:
         gathers = [np.ascontiguousarray(table[:, col ^ 1]) for col in range(nc)]
         vec = np.zeros(size, dtype=np.float64)
         vec[0] = 1.0
-        values = []
-        for _ in range(n):
+        while True:
             new = np.zeros(size, dtype=np.float64)
             for g in gathers:
                 new += vec[g]
             new /= nc
             vec = new
-            nz = vec[vec > 0.0]
-            # 0.0 - s, not -s: a zero entropy must come out as 0.0, not -0.0
-            values.append(0.0 - float((nz * np.log(nz)).sum()))
-        return tuple(values)
+            yield vec
 
-    def kernel_sphere_counts(self, n: int, work_budget: int) -> list[int]:
-        """|N cap S(k)| for k = 0..r: reduced words of length k that map to
-        the identity.  Counts walk a non-backtracking transfer over the
+    def _spheres(self, n: int, work_budget: int):
+        """For r = 0..R, the array whose entry x counts the reduced words of
+        length r that map to x, by a non-backtracking transfer over the
         size*2d states (element, last letter), one update per state per
-        step; r <= n is the largest radius whose steps fit the budget."""
-        if n < 0:
-            raise ParameterError("radius must be >= 0")
+        step; R <= n is the largest radius whose steps fit the budget."""
         nc = 2 * self.rank
         nstates = self.size * nc
         if nstates > TRANSFER_STATE_LIMIT:
             raise ResourceGuardError(
                 f"transfer state space {nstates} exceeds {TRANSFER_STATE_LIMIT}"
             )
-        radius = min(n, work_budget // nstates)
-        counts = [1]
-        if radius == 0:
-            return counts
         table = self._array()
         cols = np.arange(nc)
         flip = cols ^ 1
@@ -232,17 +199,52 @@ class PermRep:
         # path to y except those ending in col ^ 1, which would backtrack
         src = table[:, flip]
         back = src * nc + flip  # flat index of the state (y, col ^ 1)
-        vec = np.zeros((self.size, nc), dtype=np.int64)
-        vec[table[0], cols] = 1
-        counts.append(int(vec[0].sum()))
-        for k in range(2, radius + 1):
-            # every entry is at most the sphere size 2d(2d-1)^(k-1); past
-            # int64 the counts go on as exact Python ints
-            if vec.dtype != object and nc * (nc - 1) ** (k - 1) > 2**63 - 1:
+        vec = np.zeros((self.size, nc), dtype=np.int64)  # the empty word has no last letter
+        tot = np.zeros(self.size, dtype=np.int64)
+        tot[0] = 1
+        yield tot
+        for k in range(1, min(n, work_budget // nstates) + 1):
+            # entries, and per-element sums over one parity up to k, are at most
+            # twice the sphere size 2d(2d-1)^(k-1); past int64 they are Python ints
+            if vec.dtype != object and 2 * nc * (nc - 1) ** (k - 1) > 2**63 - 1:
                 vec = vec.astype(object)
-            vec = vec.sum(axis=1)[src] - vec.take(back)
-            counts.append(int(vec[0].sum()))
-        return counts
+            vec = tot[src] - vec.take(back)
+            tot = vec.sum(axis=1)
+            yield tot
+
+    def entropy_values(self, n: int) -> tuple[float, ...]:
+        """H(mu'^k) for k = 1..n from the pushed law vectors."""
+        if n < 0:
+            raise ParameterError("steps must be >= 0")
+        values = []
+        for _, vec in zip(range(n), self._laws()):
+            nz = vec[vec > 0.0]
+            # 0.0 - s, not -s: a zero entropy must come out as 0.0, not -0.0
+            values.append(0.0 - float((nz * np.log(nz)).sum()))
+        return tuple(values)
+
+    def kernel_sphere_counts(self, n: int, work_budget: int) -> list[int]:
+        """|N cap S(k)| for k = 0..r <= n: the identity entries of `_spheres`."""
+        if n < 0:
+            raise ParameterError("radius must be >= 0")
+        return [int(tot[0]) for tot in self._spheres(n, work_budget)]
+
+    def gap_counts(self, n: int, work_budget: int) -> tuple[list[int], list[float]]:
+        """See the module docstring; c_k adds up the per-element counts of
+        `_spheres` at the lengths <= k of the parity of k."""
+        spheres, bounds = [], []
+        reach = [0, 0]
+        laws = self._laws()
+        for r, tot in enumerate(self._spheres(2 * n, work_budget)):
+            spheres.append(int(tot[0]))
+            if r <= n:
+                reach[r % 2] = c = reach[r % 2] + tot
+                if r:
+                    law = next(laws)
+                    live = np.flatnonzero(law)
+                    logs = np.fromiter(map(math.log, c[live].tolist()), float, len(live))
+                    bounds.append(math.fsum((law[live] * logs).tolist()))
+        return spheres, bounds
 
     def entropy_rate(self) -> tuple[float, str]:
         return 0.0, f"finite quotient: H(mu'^k) <= log {self.size}, so H/k -> 0"
@@ -328,36 +330,56 @@ class AbelianRep:
             values.append(-2.0 * float((nz * np.log(nz)).sum()))
         return tuple(values)
 
-    def kernel_sphere_counts(self, n: int, work_budget: int) -> list[int]:
-        """|N cap S(k)| for k = 0..r: reduced words of length k with zero
-        exponent vector.  Dynamic programming over (exponent vector, last
-        letter) with exact integer masses, 2d-1 updates per live state
-        per step; r <= n is the largest radius whose running total fits
-        the budget."""
-        if n < 0:
-            raise ParameterError("radius must be >= 0")
+    def _spheres(self, n: int, work_budget: int):
+        """For r = 0..R, the count of reduced words of length r with zero
+        vector, and the dict from (vector, last letter's column) to the
+        words of length r so ending: a DP with exact integer masses, 2d-1
+        updates per live state per step; R <= n is the largest radius
+        whose running total fits the budget."""
         zero = self.identity
-        counts = [1]
-        if n == 0:
-            return counts
         letters = alphabet(self.rank)  # letter t has column letter_key(t)
         fan = len(letters) - 1
-        state = {(self.apply_letter(zero, t), col): 1 for col, t in enumerate(letters)}
-        counts.append(sum(c for (v, _), c in state.items() if v == zero))
-        work = len(state) * fan
-        for _ in range(2, n + 1):
-            work += len(state) * fan
-            if work > work_budget:
-                break
-            new: dict[tuple[tuple[int, ...], int], int] = {}
-            for (vec, col), cnt in state.items():
-                for col2, t in enumerate(letters):
-                    if col2 != col ^ 1:
-                        key = (self.apply_letter(vec, t), col2)
-                        new[key] = new.get(key, 0) + cnt
-            state = new
-            counts.append(sum(c for (v, _), c in state.items() if v == zero))
-        return counts
+        state = {(zero, -1): 1}  # the empty word has no last letter
+        work = 0
+        for r in range(n + 1):
+            if r:
+                work += len(state) * fan
+                if work > work_budget:
+                    return
+                new: dict[tuple[tuple[int, ...], int], int] = {}
+                for (vec, col), cnt in state.items():
+                    for col2, t in enumerate(letters):
+                        if col2 != col ^ 1:
+                            key = (self.apply_letter(vec, t), col2)
+                            new[key] = new.get(key, 0) + cnt
+                state = new
+            yield sum(c for (v, _), c in state.items() if v == zero), state
+
+    def kernel_sphere_counts(self, n: int, work_budget: int) -> list[int]:
+        """|N cap S(k)| for k = 0..r <= n, from `_spheres`."""
+        if n < 0:
+            raise ParameterError("radius must be >= 0")
+        return [kernel for kernel, _ in self._spheres(n, work_budget)]
+
+    def gap_counts(self, n: int, work_budget: int) -> tuple[list[int], list[float]]:
+        """As `PermRep.gap_counts`, on Z^2, with the law in exact ints:
+        mu'^k(x, y) = C(k, (k+x+y)/2) C(k, (k+x-y)/2) / 4^k."""
+        if self.rank != 2:
+            raise ParameterError("abelian entropy is implemented for rank 2 only")
+        spheres, bounds = [], []
+        reach: list[dict] = [{}, {}]
+        for r, (kernel, state) in enumerate(self._spheres(2 * n, work_budget)):
+            spheres.append(kernel)
+            if r <= n:
+                counts = reach[r % 2]
+                for (v, _), c in state.items():
+                    counts[v] = counts.get(v, 0) + c
+                if r:
+                    bounds.append(math.fsum(
+                        math.comb(r, (r + x + y) // 2) * math.comb(r, (r + x - y) // 2)
+                        / 4**r * math.log(c) for (x, y), c in counts.items()
+                    ))
+        return spheres, bounds
 
     def entropy_rate(self) -> tuple[float, str]:
         return 0.0, "abelian quotient: H(mu'^k) grows logarithmically, so H/k -> 0"
@@ -583,14 +605,6 @@ def from_point_permutations(
     return PermRep(d, np.concatenate(blocks), point_images=tuple(gens))
 
 
-def project(w: Word, rep: QuotientRep):
-    return rep.project(w)
-
-
-def in_kernel(w: Word, rep: QuotientRep) -> bool:
-    return rep.project(w) == rep.identity
-
-
 def pushforward(mu: Distribution, rep: QuotientRep) -> Distribution:
     """mu'(q) = sum of mu(w) over words projecting to q."""
     ctx = mu.context
@@ -619,7 +633,5 @@ __all__ = [
     "TrivialRep",
     "coset_enumerate",
     "from_point_permutations",
-    "in_kernel",
-    "project",
     "pushforward",
 ]

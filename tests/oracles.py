@@ -14,7 +14,12 @@ negligible tail of each sum; the scalar loop here must give the same
 floats bit for bit.  It writes the indent-2 JSON layout itself and
 hashes the Philox keys of all drift trials at once; the standard
 library's pure-Python indent-2 encoder and the per-trial SeedSequence,
-Generator and step loop here must give the same bytes and floats.
+Generator and step loop here must give the same bytes and floats.  It
+takes gap-check's coset bound from the quotient rep's kernel sphere
+pass; the word convolution pushed through the projection here must give
+the same bound.  The last helpers are small checks that only the tests
+use: kernel membership, generator cycle types, the uniform stationary
+law of a finite action and the Radon-Nikodym bound M(g).
 """
 
 import json
@@ -24,7 +29,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from gwel.words import alphabet, multiply, sphere
+from gwel.errors import ConvergenceError
+from gwel.measures import convolve_power
+from gwel.words import alphabet, letter_key, multiply, sphere
 
 
 def tuple_closure_rows(d, images):
@@ -292,3 +299,81 @@ def drift_loop(d, n, trials, seed):
         r = np.abs(r + by_step[j])
     vals = r / n
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
+
+
+def convolution_coset_bound(mu, rep, k):
+    """sum_q mu'^k(q) log c_k(q) from the convolution power mu^k on words
+    (cached on mu): every support word is projected to its element q,
+    which adds its mass to mu'^k(q) and one to c_k(q)."""
+    mass, count = {}, {}
+    for w, p in convolve_power(mu, k).items():
+        q = rep.project(w)
+        mass[q] = mass.get(q, 0.0) + p
+        count[q] = count.get(q, 0) + 1
+    return math.fsum(m * math.log(count[q]) for q, m in mass.items())
+
+
+def in_kernel(w, rep):
+    return rep.project(w) == rep.identity
+
+
+def cycle_types(rep):
+    """Cycle type of each generator's permutation of a PermRep's
+    elements, for relabeling-invariant comparison of enumerations."""
+    out = []
+    for gen in range(1, rep.rank + 1):
+        perm = [rep.apply_col(q, letter_key(gen)) for q in range(rep.size)]
+        seen = [False] * rep.size
+        lens = []
+        for s in range(rep.size):
+            if not seen[s]:
+                n, t = 0, s
+                while not seen[t]:
+                    seen[t] = True
+                    t = perm[t]
+                    n += 1
+                lens.append(n)
+        out.append(tuple(sorted(lens)))
+    return tuple(out)
+
+
+def solve_stationary(action):
+    """Weights lam with sum_g mu(g) lam(g.x) = lam(x) for all x.
+    Permutation steps are doubly stochastic, so the uniform vector is
+    stationary; it is returned after one residual check."""
+    m = action.m
+    lam = np.full(m, 1.0 / m)
+    avg = np.zeros(m)
+    for l, w in action.step:
+        avg += w * lam[list(action.perms[l - 1] if l > 0 else action.inv_perms[-l - 1])]
+    if float(np.max(np.abs(avg - lam))) > 1e-13:
+        raise ConvergenceError("uniform weights are not stationary for the step law")
+    return tuple(float(v) for v in lam)
+
+
+class NotReachedError(LookupError):
+    pass
+
+
+def rn_bound(mu, g, n_max=16):
+    """M(g) = max(1/mu^k(g^-1), 1/mu^n(g)) over the smallest k, n <= n_max
+    whose convolution power charges the element."""
+    ctx = mu.context
+    ctx.validate_element(g)
+    ginv = ctx.invert(g)
+    p_fwd = p_inv = None
+    for n in range(n_max + 1):
+        power = convolve_power(mu, n)
+        if p_fwd is None:
+            p = power.prob(g)
+            if p > 0:
+                p_fwd = p
+        if p_inv is None:
+            p = power.prob(ginv)
+            if p > 0:
+                p_inv = p
+        if p_fwd is not None and p_inv is not None:
+            return max(1.0 / p_fwd, 1.0 / p_inv)
+    raise NotReachedError(
+        f"element not reached within n_max={n_max} convolution powers"
+    )

@@ -21,6 +21,7 @@ from oracles import (
     cond_expect_matrix,
     grid_entropies,
     power_iteration_exponent,
+    rn_bound,
     sphere_rn_integral,
 )
 from gwel.boundary import (
@@ -57,7 +58,7 @@ from gwel.lattice import (
     monotone_chain_limit,
     random_weights,
 )
-from gwel.measures import convolve_power, rn_bound, shannon_entropy, srw
+from gwel.measures import convolve_power, shannon_entropy, srw
 from gwel.quotients import AbelianRep, TrivialRep, coset_enumerate, from_point_permutations
 from gwel.words import alphabet, ball_size, parse_word, reduce_letters, sphere
 

@@ -20,9 +20,10 @@ from gwel.boundary import (
 )
 from gwel.entropy import exact_free_entropy
 from gwel.errors import ParameterError
-from gwel.measures import Distribution, rn_bound, srw
+from gwel.measures import Distribution, srw
 from gwel.words import FreeGroup, alphabet, parse_word, reduce_letters, sphere
 from oracles import (
+    rn_bound,
     sphere_boundary_entropy_coefficient,
     sphere_kl_coefficient,
     sphere_rn_integral,

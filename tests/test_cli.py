@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -306,3 +307,49 @@ def test_help_documents_seed(capsys):
         main(["drift", "--help"])
     assert e.value.code == 0
     assert "0xD0DD5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("rank", ["0", "1", "-3"])
+@pytest.mark.parametrize("spec", ["trivial", "abelian", "relators: aa", "perm: a=(1 2)"])
+@pytest.mark.parametrize("verb", ["walk-entropy", "cogrowth", "gap-check"])
+def test_quotient_spec_rejects_rank_below_2(verb, spec, rank, capsys):
+    assert main([verb, "--quotient", spec, "--rank", rank, "--steps", "2"]) == 2
+    assert capsys.readouterr().err == f"error: rank must be >= 2, got {rank}\n"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+# a fast run of every verb; an edge case's flags are appended, and the
+# last occurrence of a flag wins
+EDGE_BASE = {
+    "walk-entropy": ["--steps", "3"],
+    "drift": ["--steps", "5", "--trials", "4"],
+    "growth": ["--steps", "3"],
+    "cogrowth": ["--quotient", "trivial", "--steps", "3"],
+    "gap-check": ["--quotient", "trivial", "--steps", "2"],
+    "guivarch": ["--steps", "5", "--trials", "4"],
+    "theorem-a": [],
+    "boundary-entropy": [],
+    "proximality": ["--steps", "5", "--trials", "2", "--prefix-depth", "2"],
+    "lattice-experiment": ["--config", str(GOLDEN / "chain.cfg")],
+}
+EDGE_CASES = {
+    **{f"rank{r}": ["--rank", r] for r in ("0", "1", "27", "-3")},
+    **{f"steps{s}": ["--steps", s] for s in ("0", "-1")},
+    **{f"trials{t}": ["--trials", t] for t in ("0", "1")},
+    "seed-1": ["--seed", "-1"],
+    "prefix-past-steps": ["--steps", "2", "--prefix-depth", "5"],
+    "empty-quotient": ["--quotient", ""],
+    "missing-config": ["--config", str(GOLDEN / "no-such.cfg")],
+}
+
+
+@pytest.mark.parametrize("case", list(EDGE_CASES))
+@pytest.mark.parametrize("verb", list(EDGE_BASE))
+def test_edge_values_give_a_report_or_one_error_line(verb, case, capsys):
+    code = main([verb, *EDGE_BASE[verb], *EDGE_CASES[case]])
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert code in (2, 3, 4)
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err

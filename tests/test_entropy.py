@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import drift_loop, radial_entropy_loop
+from oracles import convolution_coset_bound, drift_loop, radial_entropy_loop
 
 from gwel import entropy
 from gwel.entropy import (
@@ -19,8 +19,14 @@ from gwel.entropy import (
     theorem_a_coefficient,
 )
 from gwel.measures import convolve_power, shannon_entropy, srw
-from gwel.quotients import AbelianRep, TrivialRep, coset_enumerate, pushforward
-from gwel.words import parse_word
+from gwel.quotients import (
+    AbelianRep,
+    TrivialRep,
+    coset_enumerate,
+    from_point_permutations,
+    pushforward,
+)
+from gwel.words import parse_word, sphere_size
 
 KLEIN_REP = coset_enumerate(2, [parse_word(t, 2) for t in ("aa", "bb", "abab")])
 
@@ -222,3 +228,56 @@ def test_gap_check_abelian_and_trivial():
     tr = entropy_gap_check(2, TrivialRep(2), 4)
     assert tr.gap_limit == pytest.approx(exact_free_entropy(2), abs=1e-12)
     assert tr.lemma_holds
+
+
+def test_coset_bound_matches_word_convolution():
+    rels = [("aa", "bb", "abab"), ("aa", "bb", "ababab"), ("aaaa", "abaB", "aaBB")]
+    klein, s3, q8 = (coset_enumerate(2, [parse_word(t, 2) for t in r]) for r in rels)
+    assert (klein.size, s3.size, q8.size) == (4, 6, 8)
+    s6 = from_point_permutations(2, {1: (1, 2, 3, 4, 5, 0), 2: (1, 0, 2, 3, 4, 5)})
+    cases = [(rep, 9) for rep in (klein, s3, q8, s6, TrivialRep(2), AbelianRep(2))]
+    cases.append((TrivialRep(3), 6))
+    mus = {2: srw(2), 3: srw(3)}  # each caches its convolution powers
+    for rep, n in cases:
+        spheres, bounds = rep.gap_counts(n, entropy.BALL_WORK_BUDGET)
+        assert len(spheres) == 2 * n + 1 and len(bounds) == n
+        for k, bound in enumerate(bounds, 1):
+            oracle = convolution_coset_bound(mus[rep.rank], rep, k)
+            assert bound == pytest.approx(oracle, rel=1e-12, abs=0), (rep, k)
+
+
+def test_trivial_coset_bound_is_the_log_parity_ball_past_int64():
+    # mu' is a point mass and c_k counts the words of length <= k of k's
+    # parity; the counts pass 2^63 near k = 40
+    spheres, bounds = TrivialRep(2).gap_counts(60, entropy.BALL_WORK_BUDGET)
+    assert spheres == [sphere_size(2, r) for r in range(121)]
+    assert spheres[-1] > 2**63
+    for k, bound in enumerate(bounds, 1):
+        assert bound == math.log(sum(spheres[k % 2 : k + 1 : 2]))
+
+
+def test_gap_check_fills_the_bound_past_the_old_support_limit():
+    report = entropy_gap_check(2, KLEIN_REP, 12)
+    for row in report.rows:
+        assert None not in (row.coset_bound, row.log_ball_k, row.log_ball_2k)
+        assert row.gap <= row.coset_bound + 1e-9
+
+
+@pytest.mark.parametrize(
+    "rep, budget", [(KLEIN_REP, 16 * 5), (AbelianRep(2), 200)], ids=["klein", "abelian"]
+)
+def test_gap_check_budget_cuts_every_counting_column(rep, budget, monkeypatch):
+    n = 8
+    monkeypatch.setattr(entropy, "BALL_WORK_BUDGET", budget)
+    spheres, bounds = rep.gap_counts(n, budget)
+    radius = len(spheres) - 1
+    assert 1 <= radius < n
+    assert spheres == rep.kernel_sphere_counts(2 * n, budget)
+    assert len(bounds) == radius
+    report = entropy_gap_check(2, rep, n)
+    for row in report.rows:
+        assert (row.coset_bound is None) == (row.k > radius)
+        assert (row.log_ball_k is None) == (row.k > radius)
+        assert (row.log_ball_2k is None) == (2 * row.k > radius)
+        if row.k <= radius:
+            assert row.coset_bound == bounds[row.k - 1]

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from oracles import power_iteration_exponent
+from oracles import in_kernel, power_iteration_exponent
 
 from gwel.errors import ParameterError, ResourceGuardError
 from gwel.growth import (
@@ -17,7 +17,6 @@ from gwel.quotients import (
     TrivialRep,
     coset_enumerate,
     from_point_permutations,
-    in_kernel,
 )
 from gwel.words import parse_word, sphere
 

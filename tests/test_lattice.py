@@ -17,9 +17,8 @@ from gwel.lattice import (
     meet,
     monotone_chain_limit,
     random_weights,
-    solve_stationary,
 )
-from oracles import cond_expect_matrix, dense_l2_distance
+from oracles import cond_expect_matrix, dense_l2_distance, solve_stationary
 
 
 def all_partitions(m):
