@@ -9,13 +9,11 @@ finite partition lattices.  All entropies are in nats.
 __version__ = "0.1.0"  # the one version string; pyproject.toml and reports read it
 
 from .boundary import (
-    HittingMeasure,
     boundary_entropy,
     boundary_entropy_coefficient,
     cocycle_check,
     cylinder_mass_exact,
     proximality_sim,
-    rn_derivative,
     rn_exponent,
     rn_integral,
 )
@@ -38,13 +36,7 @@ from .errors import (
     ParseError,
     ResourceGuardError,
 )
-from .growth import (
-    ball_counts,
-    critical_exponent,
-    grigorchuk_delta,
-    kernel_sphere_counts,
-    sphere_counts,
-)
+from .growth import ball_counts, grigorchuk_delta, sphere_counts
 from .lattice import (
     FiniteAction,
     FiniteSpace,
@@ -58,7 +50,7 @@ from .lattice import (
     monotone_chain_limit,
 )
 from .measures import Distribution, convolve, convolve_power, shannon_entropy, srw
-from .parsing import parse_lattice_config, parse_quotient_spec, resolve_quotient_spec
+from .parsing import parse_lattice_config, parse_quotient_spec
 from .quotients import (
     AbelianRep,
     PermRep,
@@ -78,7 +70,6 @@ __all__ = [
     "FiniteSpace",
     "FreeGroup",
     "GwelError",
-    "HittingMeasure",
     "ParameterError",
     "ParseError",
     "Partition",
@@ -95,7 +86,6 @@ __all__ = [
     "convolve",
     "convolve_power",
     "coset_enumerate",
-    "critical_exponent",
     "cylinder_mass_exact",
     "drift_mc",
     "entropy_functional",
@@ -107,7 +97,6 @@ __all__ = [
     "guivarch_check",
     "invariant_closure",
     "join",
-    "kernel_sphere_counts",
     "l2_distance",
     "meet",
     "monotone_chain_limit",
@@ -118,8 +107,6 @@ __all__ = [
     "pushforward",
     "quotient_entropy_dp",
     "radial_entropy_exact",
-    "resolve_quotient_spec",
-    "rn_derivative",
     "rn_exponent",
     "rn_integral",
     "shannon_entropy",

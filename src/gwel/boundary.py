@@ -23,27 +23,6 @@ from .measures import Distribution
 from .words import FreeGroup, Word, alphabet, multiply
 
 
-@dataclass(frozen=True)
-class Cylinder:
-    """Boundary rays extending a nonempty reduced prefix."""
-
-    word: Word
-
-    def __post_init__(self):
-        if len(self.word) < 1:
-            raise ParameterError("cylinder prefix must be nonempty")
-
-    @property
-    def rank(self) -> int:
-        return self.word.rank
-
-    def mass_exact(self) -> Fraction:
-        return cylinder_mass_exact(self.word.rank, self.word)
-
-    def mass(self) -> float:
-        return float(self.mass_exact())
-
-
 def cylinder_mass_exact(d: int, w: Word) -> Fraction:
     """nu(C_w) = (1/(2d)) * (2d-1)^-(|w|-1), exact."""
     if w.rank != d:
@@ -51,30 +30,6 @@ def cylinder_mass_exact(d: int, w: Word) -> Fraction:
     if len(w) < 1:
         raise ParameterError("cylinder prefix must be nonempty")
     return Fraction(1, 2 * d * (2 * d - 1) ** (len(w) - 1))
-
-
-def cylinder_mass(d: int, w: Word) -> float:
-    return float(cylinder_mass_exact(d, w))
-
-
-@dataclass(frozen=True)
-class HittingMeasure:
-    """The exit law of the simple random walk on F_d; determined by d."""
-
-    rank: int
-
-    def __post_init__(self):
-        if self.rank < 2:
-            raise ParameterError(f"rank must be >= 2, got {self.rank}")
-
-    def cylinder_mass(self, w: Word) -> float:
-        return cylinder_mass(self.rank, w)
-
-    def cylinder_mass_exact(self, w: Word) -> Fraction:
-        return cylinder_mass_exact(self.rank, w)
-
-    def rn_derivative(self, g: Word, w: Word) -> float:
-        return rn_derivative(self.rank, g, w)
 
 
 def rn_exponent(d: int, g: Word, w: Word) -> int:
@@ -88,10 +43,6 @@ def rn_exponent(d: int, g: Word, w: Word) -> int:
             f"cylinder depth {len(w)} too shallow for |g| = {len(g)}"
         )
     return len(w) - len(multiply(g.inverse(), w))
-
-
-def rn_derivative(d: int, g: Word, w: Word) -> float:
-    return float((2 * d - 1) ** rn_exponent(d, g, w))
 
 
 def rn_derivative_exact(d: int, g: Word, w: Word) -> Fraction:
@@ -231,11 +182,15 @@ def proximality_sim(
                 stack.append(l)
             lengths.append(len(stack))
         walks.append(lengths)
-    # lengths move by one from 0: these are the masses of the lengths visited
+    # lengths move by one from 0: these are the masses of the lengths visited;
+    # the masses rise to 1, so once one rounds to 1.0 every longer one does
     top = max(map(max, walks))
-    mass_at = [None] * k + [
-        float(pushed_prefix_mass_exact(d, length, k)) for length in range(k, top + 1)
-    ]
+    mass_at = [None] * k
+    for length in range(k, top + 1):
+        mass_at.append(float(pushed_prefix_mass_exact(d, length, k)))
+        if mass_at[-1] == 1.0:
+            break
+    mass_at += [1.0] * (top + 1 - len(mass_at))
     rows = [
         ProximalityRow(t, j, length, mass_at[length], length == k)
         for t, lengths in enumerate(walks)
@@ -245,19 +200,15 @@ def proximality_sim(
 
 
 __all__ = [
-    "Cylinder",
-    "HittingMeasure",
     "ProximalityReport",
     "ProximalityRow",
     "boundary_entropy",
     "boundary_entropy_coefficient",
     "cocycle_check",
-    "cylinder_mass",
     "cylinder_mass_exact",
     "kl_coefficient",
     "proximality_sim",
     "pushed_prefix_mass_exact",
-    "rn_derivative",
     "rn_derivative_exact",
     "rn_exponent",
     "rn_integral",

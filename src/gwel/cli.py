@@ -22,7 +22,8 @@ import sys
 
 from . import boundary, entropy, growth, lattice, measures, parsing, quotients
 from .errors import GwelError, ParameterError, ResourceGuardError
-from .reports import Report, emit_report
+from .reports import Report, emit_report, printable
+from .words import ball_size
 
 DEFAULT_SEED = 0xD0DD5  # documented default master seed
 
@@ -73,7 +74,8 @@ def _add_quotient(sub, required=False):
     )
     sub.add_argument(
         "--max-cosets", type=int, default=quotients.DEFAULT_MAX_COSETS,
-        help="coset table guard for relator specs (default 10^6)",
+        help="element guard: bounds the coset table of relator specs and "
+        "the closure of perm: specs (default 10^6)",
     )
 
 
@@ -98,10 +100,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("cogrowth", help="kernel sphere counts and critical exponent")
     _add_common(p, steps_default=12)
     _add_quotient(p, required=True)
-    p.add_argument(
-        "--method", choices=("transfer", "brute", "both"), default="transfer",
-        help="kernel counting method (default transfer)",
-    )
 
     p = sub.add_parser("gap-check", help="entropy gap vs critical exponent")
     _add_common(p, steps_default=6)
@@ -145,9 +143,7 @@ def _resolve_threads(args) -> int:
 
 
 def _quotient_rep(args):
-    return parsing.resolve_quotient_spec(
-        args.quotient, args.rank, max_cosets=args.max_cosets
-    )
+    return parsing.parse_quotient_spec(args.quotient, args.rank, max_cosets=args.max_cosets)
 
 
 def _entropy_series_payload(series: entropy.EntropySeries):
@@ -207,6 +203,10 @@ def _cmd_drift(args) -> Report:
 
 def _cmd_growth(args) -> Report:
     d = args.rank
+    # |B(n)| is the largest count: check it against the report's digit
+    # limit before building all n of them (ball_counts rejects d < 2)
+    if d >= 2:
+        printable(ball_size(d, args.steps))
     series = growth.ball_counts(d, args.steps)
     rows = [[n, c, r] for n, c, r in series.rows()]
     return Report(
@@ -225,26 +225,14 @@ def _cmd_growth(args) -> Report:
 def _cmd_cogrowth(args) -> Report:
     d = args.rank
     rep = _quotient_rep(args)
-    params = {
-        "rank": d,
-        "steps": args.steps,
-        "quotient": args.quotient,
-        "method": args.method,
-    }
+    params = {"rank": d, "steps": args.steps, "quotient": args.quotient}
     # the rep counts and states delta itself, for every quotient family
-    counts = None
-    if args.method != "brute":
-        counts = tuple(rep.kernel_sphere_counts(args.steps, growth.KERNEL_WORK_BUDGET))
-        if len(counts) <= args.steps:
-            raise ResourceGuardError(
-                f"kernel sphere counts exceed the work budget beyond radius "
-                f"{len(counts) - 1}; lower --steps"
-            )
-    if args.method != "transfer":
-        brute = growth.kernel_sphere_counts(d, rep, args.steps, method="brute").counts
-        if counts not in (None, brute):
-            raise GwelError("transfer and brute kernel counts disagree")
-        counts = brute
+    counts = tuple(rep.kernel_sphere_counts(args.steps, growth.KERNEL_WORK_BUDGET))
+    if len(counts) <= args.steps:
+        raise ResourceGuardError(
+            f"kernel sphere counts exceed the work budget beyond radius "
+            f"{len(counts) - 1}; lower --steps"
+        )
     series = growth.GrowthSeries(d, "kernel", counts)
     delta, delta_method = rep.critical_exponent()
     rows = [[n, c, r] for n, c, r in series.rows()]

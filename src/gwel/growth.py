@@ -1,11 +1,12 @@
 """Growth of F_d and of kernels of quotient maps.
 
-Sphere and ball counts are closed-form exact integers.  Kernel sphere
-counts |N cap S(n)| and the kernel's critical exponent come from the
-quotient rep's own exact algorithms (see `gwel.quotients`); brute-force
-enumeration of reduced words is an optional exact cross-check of the
-counts.  Every quotient gwel builds has critical exponent log(2d-1),
-and each rep states why.
+Only closed forms live here: exact sphere and ball counts of F_d,
+Grigorchuk's critical exponent from a spectral radius, and the
+half-growth floor.  Kernel sphere counts |N cap S(n)| and the kernel's
+critical exponent come from the quotient rep itself
+(`rep.kernel_sphere_counts(n, KERNEL_WORK_BUDGET)` and
+`rep.critical_exponent()`, see `gwel.quotients`); every quotient gwel
+builds has critical exponent log(2d-1), and each rep states why.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import GwelError, ParameterError, ResourceGuardError
-from .words import alphabet, ball_size, sphere_size
+from .errors import ParameterError
+from .words import ball_size, sphere_size
 
-BRUTE_NODE_LIMIT = 10**8
 KERNEL_WORK_BUDGET = 5 * 10**7
 
 
@@ -69,79 +69,6 @@ def sphere_counts(d: int, n: int) -> GrowthSeries:
     return GrowthSeries(d, "sphere", tuple(sphere_size(d, k) for k in range(n + 1)))
 
 
-def _brute_counts(d: int, rep, n: int) -> list[int]:
-    if (2 * d - 1) ** n > BRUTE_NODE_LIMIT:
-        raise ResourceGuardError(
-            f"brute enumeration needs about (2d-1)^{n} nodes, over {BRUTE_NODE_LIMIT}"
-        )
-    counts = [0] * (n + 1)
-    counts[0] = 1
-    if n == 0:
-        return counts
-    ident = rep.identity
-    letters = alphabet(d)
-
-    def dfs(q, last, depth):
-        nd = depth + 1
-        for t in letters:
-            if t == -last:
-                continue
-            q2 = rep.apply_letter(q, t)
-            if q2 == ident:
-                counts[nd] += 1
-            if nd < n:
-                dfs(q2, t, nd)
-
-    dfs(ident, 0, 0)
-    return counts
-
-
-def kernel_sphere_counts(d: int, rep, n: int, method: str = "transfer") -> GrowthSeries:
-    """Exact counts of reduced words of length k <= n in the kernel.
-
-    `method` is "transfer" (the rep's own exact evaluator, bounded by
-    KERNEL_WORK_BUDGET state updates), "brute", or "both" (computes both
-    and requires exact agreement).  Brute enumeration is guarded by
-    node count.
-    """
-    if d < 2:
-        raise ParameterError(f"rank must be >= 2, got {d}")
-    if n < 0:
-        raise ParameterError("radius must be >= 0")
-    if rep.rank != d:
-        raise ParameterError(f"rep rank {rep.rank} differs from {d}")
-    if method not in ("transfer", "brute", "both"):
-        raise ParameterError(f"unknown method {method!r}")
-    counts = None
-    if method in ("transfer", "both"):
-        counts = rep.kernel_sphere_counts(n, KERNEL_WORK_BUDGET)
-        if len(counts) <= n:
-            raise ResourceGuardError(
-                f"kernel sphere counts exceed the work budget beyond radius "
-                f"{len(counts) - 1}; lower the radius"
-            )
-    if method in ("brute", "both"):
-        brute = _brute_counts(d, rep, n)
-        if counts is None:
-            counts = brute
-        elif counts != brute:
-            raise GwelError(
-                "transfer and brute kernel counts disagree: "
-                f"{counts} vs {brute}"
-            )
-    return GrowthSeries(d, "kernel", tuple(counts))
-
-
-def critical_exponent(d: int, rep) -> float:
-    """Critical exponent limsup log|N cap S(n)| / n of the kernel N of
-    F_d -> Q, in closed form; `rep.critical_exponent()` also says why."""
-    if d < 2:
-        raise ParameterError(f"rank must be >= 2, got {d}")
-    if rep.rank != d:
-        raise ParameterError(f"rep rank {rep.rank} differs from {d}")
-    return rep.critical_exponent()[0]
-
-
 def grigorchuk_delta(rho: float, d: int) -> float:
     """Critical-exponent prediction from a spectral radius.
 
@@ -179,9 +106,7 @@ __all__ = [
     "GrowthSeries",
     "KERNEL_WORK_BUDGET",
     "ball_counts",
-    "critical_exponent",
     "grigorchuk_delta",
     "half_growth_bound",
-    "kernel_sphere_counts",
     "sphere_counts",
 ]

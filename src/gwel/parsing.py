@@ -33,17 +33,9 @@ from .quotients import (
 from .words import LETTERS, Word, cyclically_reduce, parse_word
 
 
-@dataclass(frozen=True)
-class RelatorList:
-    """Deferred presentation: coset enumeration runs downstream."""
-
-    rank: int
-    relators: tuple[Word, ...]  # cyclically reduced, each nonempty
-
-
-def _parse_relator_body(body: str, offset: int, rank: int) -> RelatorList:
+def _parse_relator_body(body: str, offset: int, rank: int) -> list[Word]:
     if body.strip() == "":
-        return RelatorList(rank, ())
+        return []
     relators = []
     at = 0
     for chunk in body.split(","):
@@ -63,7 +55,7 @@ def _parse_relator_body(body: str, offset: int, rank: int) -> RelatorList:
             )
         relators.append(w)
         at += len(chunk) + 1
-    return RelatorList(rank, tuple(relators))
+    return relators
 
 
 def _parse_cycle_assignments(
@@ -171,9 +163,9 @@ def _cycles_to_perm(cycles: list[list[int]], m: int) -> tuple[int, ...]:
 
 def parse_quotient_spec(
     text: str, rank: int, max_cosets: int = DEFAULT_MAX_COSETS
-) -> QuotientRep | RelatorList:
-    """Parse a quotient spec; relator specs come back as a RelatorList
-    for downstream enumeration, the other directives as a ready rep."""
+) -> QuotientRep:
+    """Parse a quotient spec into its rep; relator specs are enumerated
+    into cosets under `max_cosets`."""
     if rank < 2:
         raise ParameterError(f"rank must be >= 2, got {rank}")
     lead = len(text) - len(text.lstrip())
@@ -184,7 +176,8 @@ def parse_quotient_spec(
         return AbelianRep(rank)
     if body.startswith("relators:"):
         colon = text.index("relators:") + len("relators:")
-        return _parse_relator_body(text[colon:], colon, rank)
+        relators = _parse_relator_body(text[colon:], colon, rank)
+        return coset_enumerate(rank, relators, max_cosets=max_cosets)
     if body.startswith("perm:"):
         colon = text.index("perm:") + len("perm:")
         cycles = _parse_cycle_assignments(text[colon:], colon, rank)
@@ -197,16 +190,6 @@ def parse_quotient_spec(
     raise ParseError(
         f"unknown quotient directive {head!r}", position=lead + 1
     )
-
-
-def resolve_quotient_spec(
-    text: str, rank: int, max_cosets: int = DEFAULT_MAX_COSETS
-) -> QuotientRep:
-    """Parse and, for relator specs, run the coset enumeration."""
-    spec = parse_quotient_spec(text, rank, max_cosets=max_cosets)
-    if isinstance(spec, RelatorList):
-        return coset_enumerate(rank, spec.relators, max_cosets=max_cosets)
-    return spec
 
 
 def describe_quotient_spec(rep) -> str:
@@ -343,9 +326,7 @@ def parse_lattice_config(text: str) -> LatticeConfig:
 
 __all__ = [
     "LatticeConfig",
-    "RelatorList",
     "describe_quotient_spec",
     "parse_lattice_config",
     "parse_quotient_spec",
-    "resolve_quotient_spec",
 ]

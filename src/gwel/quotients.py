@@ -16,6 +16,10 @@ simple random walk and the kernel N of F_d -> Q:
   entropy_rate()            (lim H(mu'^k)/k, reason);
   critical_exponent()       (critical exponent of N, reason).
 
+These methods are the only production path to those numbers: the CLI
+and `gwel.entropy` call them directly, and the brute enumerations that
+check them live with the tests.
+
 The families:
 
   PermRep     a finite quotient Q given by the regular action of Q on its
@@ -37,7 +41,8 @@ F_d: a finite quotient's kernel has finite index, and Z^d is amenable,
 so its kernel sits at the spectral-radius-1 end of the cogrowth formula
 (Grigorchuk 1980; Cohen, J. Funct. Anal. 48, 1982).  Work budgets count
 state updates: one per transfer state per step, 2d-1 per live DP state
-per step.
+per step.  One element cap, `max_cosets` (the CLI's --max-cosets),
+bounds both the coset table and the permutation-group closure.
 
 The coset table is a flat 2d-column array: column 2(i-1) is generator i,
 column 2(i-1)+1 its inverse (`words.letter_key`), so the column of an
@@ -426,7 +431,7 @@ def coset_enumerate(d: int, relators, max_cosets: int = DEFAULT_MAX_COSETS) -> P
     if d < 2:
         raise ParameterError(f"rank must be >= 2, got {d}")
     if max_cosets < 1:
-        raise ParameterError("max_cosets must be >= 1")
+        raise ParameterError("max_cosets must be >= 1 (set by --max-cosets)")
     rels = _validate_relators(d, relators)
     if not rels:  # the quotient is F_d itself, which no cap can hold
         raise CosetLimitError(_coset_limit_message(max_cosets))
@@ -559,7 +564,7 @@ def from_point_permutations(
     if d < 1:
         raise ParameterError("rank must be >= 1")
     if max_elements < 1:
-        raise ParameterError("max_elements must be >= 1")
+        raise ParameterError("max_elements must be >= 1 (set by --max-cosets)")
     ms = {len(perm) for perm in images.values()}
     if len(ms) > 1:
         raise ParameterError("point permutations act on different point counts")
@@ -597,7 +602,8 @@ def from_point_permutations(
         new_ids = level[1][-1] + np.cumsum(fresh)  # ids go on from the newest level
         if new_ids[-1] >= max_elements:
             raise CosetLimitError(
-                f"generated permutation group exceeds {max_elements} elements"
+                f"generated permutation group exceeds {max_elements} elements; "
+                "raise --max-cosets"
             )
         blocks.append(np.concatenate([seen_ids, new_ids])[at].reshape(-1, 2 * d))
         frontier = prods[fresh]

@@ -42,7 +42,7 @@ def _sig(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _printable(v: int) -> int:
+def printable(v: int) -> int:
     """v, unless str(v) would pass the interpreter's digit limit; under
     3 * limit bits an integer has under `limit` digits."""
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
@@ -59,7 +59,7 @@ def _clean(obj):
         return _sig(obj)
     if cls is int:
         # 1920 bits stay under any digit limit Python accepts (0 or >= 640)
-        return obj if obj.bit_length() <= 1920 else _printable(obj)
+        return obj if obj.bit_length() <= 1920 else printable(obj)
     if cls is list:
         return [_clean(v) for v in obj]
     if isinstance(obj, bool) or obj is None:
@@ -67,7 +67,7 @@ def _clean(obj):
     if isinstance(obj, float):
         return _sig(obj)
     if isinstance(obj, int):
-        return obj if obj.bit_length() <= 1920 else _printable(obj)
+        return obj if obj.bit_length() <= 1920 else printable(obj)
     if isinstance(obj, Fraction):
         return {"num": obj.numerator, "den": obj.denominator}
     if isinstance(obj, str):
@@ -155,7 +155,7 @@ def report_csv_bytes(report: Report) -> bytes:
     cols = report.series.get("columns", [])
     rows = report.series.get("rows", [])
     for v in (v for row in rows for v in row if isinstance(v, int)):
-        _printable(v)  # trips before any slow int-to-str conversion
+        printable(v)  # trips before any slow int-to-str conversion
     lines = [",".join(str(c) for c in cols)]
     for row in rows:
         lines.append(",".join(_csv_cell(v) for v in row))
@@ -186,6 +186,7 @@ __all__ = [
     "Report",
     "TOOL_VERSION",
     "emit_report",
+    "printable",
     "report_csv_bytes",
     "report_json_bytes",
     "report_to_object",

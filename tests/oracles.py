@@ -7,8 +7,9 @@ distance between two conditional expectations from block weights; the
 tests check all four against these brute computations (the last one
 against dense conditional-expectation matrices), so they never compare
 a formula with itself.  It closes permutation groups and counts kernel
-spheres with numpy arrays; the tuple-by-tuple closure and the
-Python-int transfer loop here must give the same tables and counts.
+spheres with numpy arrays; the tuple-by-tuple closure, the Python-int
+transfer loop and the depth-first walk over every reduced word here must
+give the same tables and counts.
 It runs the free-group radial entropy chain on arrays and cuts the
 negligible tail of each sum; the scalar loop here must give the same
 floats bit for bit.  It writes the indent-2 JSON layout itself and
@@ -95,6 +96,28 @@ def transfer_sphere_counts(rep, n):
                     new[rep.apply_col(q, col) * nc + col] += val
         vec = new
         counts.append(sum(vec[0:nc]))
+    return counts
+
+
+def brute_kernel_sphere_counts(rep, n):
+    """|N cap S(k)| for k = 0..n by walking every reduced word of length
+    <= n depth first through rep.apply_letter: (2d-1)^n leaves, so keep
+    n small."""
+    counts = [1] + [0] * n
+    letters = alphabet(rep.rank)
+
+    def dfs(q, last, depth):
+        for t in letters:
+            if t == -last:
+                continue
+            q2 = rep.apply_letter(q, t)
+            if q2 == rep.identity:
+                counts[depth + 1] += 1
+            if depth + 1 < n:
+                dfs(q2, t, depth + 1)
+
+    if n > 0:
+        dfs(rep.identity, 0, 0)
     return counts
 
 

@@ -18,6 +18,7 @@ import pytest
 
 from conftest import ACCEPTANCE_LINES
 from oracles import (
+    brute_kernel_sphere_counts,
     cond_expect_matrix,
     grid_entropies,
     power_iteration_exponent,
@@ -40,12 +41,7 @@ from gwel.entropy import (
     radial_entropy_exact,
     theorem_a_bound,
 )
-from gwel.growth import (
-    ball_counts,
-    critical_exponent,
-    grigorchuk_delta,
-    kernel_sphere_counts,
-)
+from gwel.growth import KERNEL_WORK_BUDGET, ball_counts, grigorchuk_delta
 from gwel.lattice import (
     FiniteAction,
     FiniteSpace,
@@ -140,9 +136,8 @@ def test_criterion_04_drift():
 def test_criterion_05_growth_cogrowth():
     assert ball_counts(2, 3).counts == (1, 5, 17, 53)
     klein = klein_rep()
-    transfer = kernel_sphere_counts(2, klein, 12, method="transfer")
-    brute = kernel_sphere_counts(2, klein, 12, method="brute")
-    assert transfer.counts == brute.counts
+    transfer = klein.kernel_sphere_counts(12, KERNEL_WORK_BUDGET)
+    assert transfer == brute_kernel_sphere_counts(klein, 12)
     assert abs(grigorchuk_delta(1.0, 2) - math.log(3)) <= 1e-12
     # the closed form delta = log(2d-1) against power iteration on the
     # non-backtracking transfer matrix, for every finite family
@@ -155,7 +150,7 @@ def test_criterion_05_growth_cogrowth():
         d = rep.rank
         oracle = power_iteration_exponent(d, rep)
         assert abs(oracle - math.log(2 * d - 1)) <= 1e-9, rep
-        delta = critical_exponent(d, rep)
+        delta = rep.critical_exponent()[0]
         assert abs(delta - oracle) <= 1e-9, rep
         # every exponent clears the half-growth floor
         assert delta >= 0.5 * math.log(2 * d - 1) - 1e-9

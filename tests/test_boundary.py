@@ -1,12 +1,11 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from gwel.boundary import (
-    Cylinder,
-    HittingMeasure,
     boundary_entropy,
     boundary_entropy_coefficient,
     cocycle_check,
@@ -57,12 +56,10 @@ def test_cylinder_consistency():
         assert children == cylinder_mass_exact(d, w)
 
 
-def test_cylinder_object():
-    c = Cylinder(parse_word("aba", 2))
-    assert c.mass_exact() == Fraction(1, 36)
-    assert c.mass() == pytest.approx(1 / 36)
+def test_cylinder_mass_of_aba():
+    assert cylinder_mass_exact(2, parse_word("aba", 2)) == Fraction(1, 36)
     with pytest.raises(ParameterError):
-        Cylinder(parse_word("", 2))
+        cylinder_mass_exact(2, parse_word("", 2))
 
 
 def test_rn_exponent_examples():
@@ -162,11 +159,10 @@ def test_boundary_coefficient_matches_sphere_oracle():
     assert coeff == sum(q * kl_coefficient(2, g) for g, q in exact.items())
 
 
-def test_hitting_measure_wrapper():
-    nu = HittingMeasure(2)
+def test_rn_derivative_exact_on_cylinder():
     w = parse_word("ab", 2)
-    assert nu.cylinder_mass_exact(w) == Fraction(1, 12)
-    assert nu.rn_derivative(parse_word("a", 2), w) == 3.0
+    assert cylinder_mass_exact(2, w) == Fraction(1, 12)
+    assert rn_derivative_exact(2, parse_word("a", 2), w) == 3
 
 
 def test_pushed_prefix_mass_formula():
@@ -177,6 +173,26 @@ def test_pushed_prefix_mass_formula():
     assert vals == sorted(vals)
     with pytest.raises(ParameterError):
         pushed_prefix_mass_exact(2, 2, 3)
+
+
+@pytest.mark.parametrize("d", [2, 3, 26])
+def test_proximality_masses_around_the_float_cut(d):
+    k = 3
+    # the first L - k at which the exact mass rounds to the float 1.0
+    cut = next(e for e in range(100) if float(pushed_prefix_mass_exact(d, k + e, k)) == 1.0)
+    start = time.perf_counter()
+    report = proximality_sim(d, 40000, k, seed=3)
+    assert time.perf_counter() - start < 1.0
+    mass_of = {row.length: row.mass for row in report.rows}
+    top = max(mass_of)
+    assert set(range(k + cut - 3, k + cut + 4)) <= set(mass_of)  # the walk crosses the cut
+    for length, mass in mass_of.items():
+        if length < k:
+            assert mass is None
+        elif length <= k + cut + 3 or length == top:
+            assert mass == float(pushed_prefix_mass_exact(d, length, k)), length
+        else:
+            assert mass == 1.0
 
 
 def test_proximality_sim_deterministic():

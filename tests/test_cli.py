@@ -1,11 +1,17 @@
 import json
+import sys
 import time
 from pathlib import Path
 
 import pytest
+from oracles import brute_kernel_sphere_counts
 
 from gwel.cli import main
 from gwel.errors import ConvergenceError
+from gwel.parsing import parse_quotient_spec
+from gwel.reports import printable
+
+LIMIT = sys.get_int_max_str_digits()
 
 
 def run_json(capsysbinary, argv):
@@ -89,9 +95,11 @@ def test_out_file(tmp_path, capsysbinary):
 def test_cogrowth_verbs(capsysbinary):
     obj = run_json(
         capsysbinary,
-        ["cogrowth", "--quotient", "relators: aa, bb, abab", "--steps", "8",
-         "--method", "both"],
+        ["cogrowth", "--quotient", "relators: aa, bb, abab", "--steps", "8"],
     )
+    assert "method" not in obj["params"]
+    klein = parse_quotient_spec("relators: aa, bb, abab", 2)
+    assert [row[1] for row in obj["series"]["rows"]] == brute_kernel_sphere_counts(klein, 8)
     assert obj["series"]["rows"][2][1] == 4
     assert obj["summary"]["delta"] == pytest.approx(1.09861228867)
     assert obj["summary"]["bound_holds"] is True
@@ -100,6 +108,15 @@ def test_cogrowth_verbs(capsysbinary):
     )
     assert abel["series"]["rows"][4][1] == 8
     assert "amenable" in abel["summary"]["delta_method"]
+
+
+@pytest.mark.parametrize("method", ["transfer", "brute", "both"])
+def test_cogrowth_has_no_method_flag(method, capsys):
+    argv = ["cogrowth", "--quotient", "trivial", "--method", method]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--method" in captured.err
 
 
 def test_gap_check_reports_warning(capsysbinary):
@@ -159,7 +176,11 @@ def test_parameter_errors_exit_2(capsys):
         (["boundary-entropy", "--rank", "27"], "26 letters"),
         (
             ["cogrowth", "--quotient", "perm: a=(1 2); b=(3 4)", "--max-cosets", "-5"],
-            "max_elements must be >= 1",
+            "--max-cosets",
+        ),
+        (
+            ["cogrowth", "--quotient", "relators: aa, bb", "--max-cosets", "0"],
+            "--max-cosets",
         ),
     ):
         assert main(argv) == 2, argv
@@ -270,6 +291,22 @@ def test_integer_past_the_str_digit_limit_exits_3(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "--steps" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_growth_digit_guard_trips_before_the_series(fmt, capsys):
+    start = time.perf_counter()
+    assert main(["growth", "--steps", "100000", "--format", fmt]) == 3
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: report integer has over {LIMIT} digits; lower --steps\n"
+    # it trips at the first radius whose ball count has too many digits:
+    # |B(n)| = 2 * 3^n - 1 is the largest count of the series
+    top = 10**LIMIT
+    n = next(n for n in range(10**5) if 2 * 3**n - 1 >= top)
+    assert main(["growth", "--steps", str(n), "--format", fmt]) == 3
+    assert printable(2 * 3 ** (n - 1) - 1) < top
 
 
 def test_memory_error_maps_to_exit_3(capsys, monkeypatch):

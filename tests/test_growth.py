@@ -1,15 +1,14 @@
 import math
 
 import pytest
-from oracles import in_kernel, power_iteration_exponent
+from oracles import brute_kernel_sphere_counts, in_kernel, power_iteration_exponent
 
-from gwel.errors import ParameterError, ResourceGuardError
+from gwel.errors import ParameterError
 from gwel.growth import (
+    KERNEL_WORK_BUDGET,
     ball_counts,
-    critical_exponent,
     grigorchuk_delta,
     half_growth_bound,
-    kernel_sphere_counts,
     sphere_counts,
 )
 from gwel.quotients import (
@@ -38,27 +37,25 @@ def test_ball_and_sphere_series():
 
 
 def test_kernel_counts_transfer_equals_brute():
-    for texts in (KLEIN, S3):
-        rep = enumerate_quotient(texts)
-        both = kernel_sphere_counts(2, rep, 10, method="both")
-        assert both.counts == kernel_sphere_counts(2, rep, 10).counts
-    rep = from_point_permutations(2, {1: (1, 0, 2), 2: (0, 2, 1)})
-    assert (
-        kernel_sphere_counts(2, rep, 9, method="transfer").counts
-        == kernel_sphere_counts(2, rep, 9, method="brute").counts
-    )
+    reps = [enumerate_quotient(texts) for texts in (KLEIN, S3)]
+    reps.append(from_point_permutations(2, {1: (1, 0, 2), 2: (0, 2, 1)}))  # S_3 again
+    for rep in reps:
+        counts = rep.kernel_sphere_counts(10, KERNEL_WORK_BUDGET)
+        assert counts == brute_kernel_sphere_counts(rep, 10)
+    # both S_3 reps have the same kernel
+    assert reps[1].kernel_sphere_counts(10, KERNEL_WORK_BUDGET) == counts
 
 
 def test_kernel_counts_against_sphere_scan():
     rep = enumerate_quotient(KLEIN)
-    counts = kernel_sphere_counts(2, rep, 7).counts
+    counts = rep.kernel_sphere_counts(7, KERNEL_WORK_BUDGET)
     for n in range(8):
         assert counts[n] == sum(1 for w in sphere(2, n) if in_kernel(w, rep))
 
 
 def test_trivial_quotient_kernel_is_everything():
     rep = TrivialRep(2)
-    assert kernel_sphere_counts(2, rep, 5).counts == (1, 4, 12, 36, 108, 324)
+    assert rep.kernel_sphere_counts(5, KERNEL_WORK_BUDGET) == [1, 4, 12, 36, 108, 324]
 
 
 def test_abelian_zero_sphere_counts_against_scan():
@@ -71,7 +68,7 @@ def test_abelian_zero_sphere_counts_against_scan():
     # inverses of abAB
     assert counts[1] == counts[2] == counts[3] == 0
     assert counts[4] == 8
-    assert kernel_sphere_counts(2, ab, 8, method="both").counts == tuple(counts)
+    assert brute_kernel_sphere_counts(ab, 8) == counts
 
 
 def test_abelian_budget_truncates():
@@ -85,7 +82,7 @@ def test_abelian_budget_truncates():
 def test_transfer_budget_truncates():
     rep = enumerate_quotient(KLEIN)  # 4 elements x 4 last letters = 16 states
     counts = rep.kernel_sphere_counts(10, work_budget=16 * 5)
-    assert tuple(counts) == kernel_sphere_counts(2, rep, 5).counts
+    assert counts == brute_kernel_sphere_counts(rep, 5)
 
 
 def test_critical_exponent_finite_quotients():
@@ -93,12 +90,12 @@ def test_critical_exponent_finite_quotients():
     reps = [enumerate_quotient(texts) for texts in (KLEIN, S3)]
     for rep in reps + [TrivialRep(2), TrivialRep(3)]:
         d = rep.rank
-        delta = critical_exponent(d, rep)
+        delta = rep.critical_exponent()[0]
         assert delta == pytest.approx(power_iteration_exponent(d, rep), abs=1e-9)
         assert delta == pytest.approx(math.log(2 * d - 1), abs=1e-9)
     # Z^d is amenable: the spectral-radius-1 end of Grigorchuk's formula
     for d in (2, 3):
-        assert critical_exponent(d, AbelianRep(d)) == pytest.approx(
+        assert AbelianRep(d).critical_exponent()[0] == pytest.approx(
             grigorchuk_delta(1.0, d), abs=1e-12
         )
 
@@ -106,7 +103,7 @@ def test_critical_exponent_finite_quotients():
 def test_critical_exponent_at_least_half_growth():
     for texts in (KLEIN, S3, ("aaaa", "aaBB", "Baba")):
         rep = enumerate_quotient(texts)
-        assert critical_exponent(2, rep) >= half_growth_bound(2) - 1e-9
+        assert rep.critical_exponent()[0] >= half_growth_bound(2) - 1e-9
 
 
 def test_grigorchuk_endpoints():
@@ -124,9 +121,3 @@ def test_grigorchuk_endpoints():
         grigorchuk_delta(0.5, 2)  # below the Kesten floor
     with pytest.raises(ParameterError):
         grigorchuk_delta(1.5, 2)
-
-
-def test_brute_guard_trips():
-    rep = enumerate_quotient(KLEIN)
-    with pytest.raises(ResourceGuardError):
-        kernel_sphere_counts(2, rep, 60, method="brute")

@@ -1,17 +1,12 @@
 import time
 
+import numpy as np
 import pytest
 
 from gwel.errors import CosetLimitError, ParseError
 from gwel.lattice import FiniteSpace, Partition
-from gwel.parsing import (
-    RelatorList,
-    describe_quotient_spec,
-    parse_lattice_config,
-    parse_quotient_spec,
-    resolve_quotient_spec,
-)
-from gwel.quotients import DEFAULT_MAX_COSETS, AbelianRep, PermRep, TrivialRep
+from gwel.parsing import describe_quotient_spec, parse_lattice_config, parse_quotient_spec
+from gwel.quotients import DEFAULT_MAX_COSETS, AbelianRep, PermRep, TrivialRep, coset_enumerate
 from gwel.words import parse_word
 
 
@@ -22,31 +17,28 @@ def test_fixed_specs():
 
 
 def test_relator_spec_parses_and_resolves():
-    spec = parse_quotient_spec("relators: aa, bb, abab", 2)
-    assert isinstance(spec, RelatorList)
-    assert spec.relators == tuple(parse_word(t, 2) for t in ("aa", "bb", "abab"))
-    rep = resolve_quotient_spec("relators: aa, bb, abab", 2)
+    rep = parse_quotient_spec("relators: aa, bb, abab", 2)
     assert isinstance(rep, PermRep)
     assert rep.size == 4
-    # relators are cyclically reduced on the way in
-    spec2 = parse_quotient_spec("relators: aBAbab", 2)  # conjugate of bab... no, of ab
-    assert all(len(r) <= 6 for r in spec2.relators)
+    rels = [parse_word(t, 2) for t in ("aa", "bb", "abab")]
+    assert np.array_equal(rep._array(), coset_enumerate(2, rels)._array())
+    # Abbba is cyclically reduced to bbb on the way in
+    assert parse_quotient_spec("relators: Abbba, a", 2).size == 3
 
 
 def test_empty_relator_list_is_legal():
-    spec = parse_quotient_spec("relators:", 2)
-    assert isinstance(spec, RelatorList)
-    assert spec.relators == ()
-    # resolving it asks for the whole free group; the guard must trip
+    # it parses, and asks for the whole free group; the guard must trip
     with pytest.raises(CosetLimitError):
-        resolve_quotient_spec("relators:", 2, max_cosets=200)
+        parse_quotient_spec("relators:", 2, max_cosets=200)
+    with pytest.raises(CosetLimitError):
+        parse_quotient_spec("relators:  ", 2, max_cosets=200)
 
 
 def test_empty_relator_list_trips_the_default_guard_at_once():
     # F_d itself: the default cap of 10^6 cosets trips before any is defined
     start = time.perf_counter()
     with pytest.raises(CosetLimitError, match=f"max_cosets={DEFAULT_MAX_COSETS}"):
-        resolve_quotient_spec("relators:", 2)
+        parse_quotient_spec("relators:", 2)
     assert time.perf_counter() - start < 0.5
 
 
@@ -96,7 +88,7 @@ def test_perm_spec_errors():
 def test_describe_specs():
     assert describe_quotient_spec(TrivialRep(2)) == "trivial quotient"
     assert describe_quotient_spec(AbelianRep(3)) == "abelianization Z^3"
-    rep = resolve_quotient_spec("relators: aa, bb, abab", 2)
+    rep = parse_quotient_spec("relators: aa, bb, abab", 2)
     assert describe_quotient_spec(rep) == "perm-quotient of size 4"
 
 

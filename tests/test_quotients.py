@@ -234,5 +234,6 @@ def test_relator_check_rejects_a_tampered_table():
 def test_closure_guard_trips_past_max_elements():
     images = relabelled_sym_images(random.Random(7), 6)
     assert from_point_permutations(2, images, max_elements=720).size == 720
-    with pytest.raises(CosetLimitError, match="^generated permutation group exceeds 719 elements$"):
+    msg = "^generated permutation group exceeds 719 elements; raise --max-cosets$"
+    with pytest.raises(CosetLimitError, match=msg):
         from_point_permutations(2, images, max_elements=719)
