@@ -57,7 +57,6 @@ from .quotients import (
     TrivialRep,
     coset_enumerate,
     from_point_permutations,
-    pushforward,
 )
 from .words import FreeGroup, Word, ball_size, parse_word, sphere, sphere_size
 
@@ -104,7 +103,6 @@ __all__ = [
     "parse_quotient_spec",
     "parse_word",
     "proximality_sim",
-    "pushforward",
     "quotient_entropy_dp",
     "radial_entropy_exact",
     "rn_exponent",

@@ -1,11 +1,12 @@
-"""Finitely supported probability measures on a group context.
+"""Finitely supported probability measures on the free group F_d.
 
-A context is any object with identity / multiply / invert / validate_element
-(FreeGroup, or a quotient representation).  Probabilities are doubles;
-entropy sums go through math.fsum.  Alongside the float channel a
-distribution may carry exact rational masses (srw and point masses do),
-which the boundary calculus consumes; convolution drops the exact channel
-because rational arithmetic blows up in convolution powers.
+The context of a distribution is a `FreeGroup`, whose identity /
+multiply / invert / validate_element give the group law on words; laws
+on a quotient come from the quotient rep's own methods.  Probabilities
+are doubles; entropy sums go through math.fsum.  Alongside the float
+channel a distribution may carry exact rational masses (srw and point
+masses do), which the boundary calculus consumes; convolution drops the
+exact channel because rational arithmetic blows up in convolution powers.
 """
 
 from __future__ import annotations

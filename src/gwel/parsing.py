@@ -208,7 +208,10 @@ class LatticeConfig:
 
 
 def _parse_partition_line(value: str, points: int, lineno: int) -> Partition:
-    assignment = [-1] * points
+    """The line's partition; the points it names are checked before
+    anything of size `points` is built, so a line that leaves a point out
+    fails in time proportional to its text."""
+    block_of: dict[int, int] = {}
     for b, block in enumerate(value.split("|")):
         for tok in block.split(","):
             tok = tok.strip()
@@ -221,15 +224,15 @@ def _parse_partition_line(value: str, points: int, lineno: int) -> Partition:
                 raise ParseError(
                     f"line {lineno}: point {p} outside 1..{points}"
                 )
-            if assignment[p - 1] != -1:
+            if p in block_of:
                 raise ParseError(
                     f"line {lineno}: point {p} appears in two blocks"
                 )
-            assignment[p - 1] = b
-    if -1 in assignment:
-        missing = assignment.index(-1) + 1
+            block_of[p] = b
+    if len(block_of) < points:
+        missing = next(p for p in range(1, points + 1) if p not in block_of)
         raise ParseError(f"line {lineno}: point {missing} not covered")
-    return Partition(assignment)
+    return Partition([block_of[p] for p in range(1, points + 1)])
 
 
 def parse_lattice_config(text: str) -> LatticeConfig:
@@ -276,6 +279,9 @@ def parse_lattice_config(text: str) -> LatticeConfig:
         raise ParseError("config is missing a direction line")
     if not chain_lines:
         raise ParseError("config needs at least one chain line")
+    chain = tuple(
+        _parse_partition_line(value, points, lineno) for lineno, value in chain_lines
+    )
 
     if weights_value is None or weights_value == "uniform":
         weights = FiniteSpace.uniform(points).weights
@@ -318,9 +324,6 @@ def parse_lattice_config(text: str) -> LatticeConfig:
         perms = [_cycles_to_perm(cycles[g], points) for g in gens]
         action = FiniteAction(perms)
 
-    chain = tuple(
-        _parse_partition_line(value, points, lineno) for lineno, value in chain_lines
-    )
     return LatticeConfig(space=space, chain=chain, direction=direction, action=action)
 
 

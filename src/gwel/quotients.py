@@ -1,10 +1,11 @@
 """Homomorphisms from F_d onto computable quotients.
 
-Each quotient family is a rep class that owns its exact algorithms.
-Every rep speaks the group-context protocol (identity / multiply /
-invert / apply_letter / project / validate_element / element_label /
-describe), and answers five questions about the pushforward mu' of the
-simple random walk and the kernel N of F_d -> Q:
+Each quotient family is a rep class that owns its exact algorithms
+behind one protocol.  A rep knows its `rank` and `identity`, maps words
+to elements (`apply_letter`, `project`; `PermRep` also `apply_col`),
+names itself (`describe`), and answers five questions about the pushed
+walk mu' (the image of the simple random walk) and the kernel N of
+F_d -> Q:
 
   entropy_values(n)         exact H(mu'^k) for k = 1..n;
   kernel_sphere_counts(n, work_budget)
@@ -55,7 +56,6 @@ import math
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -65,15 +65,7 @@ from .errors import (
     RankMismatchError,
     ResourceGuardError,
 )
-from .measures import Distribution
-from .words import (
-    FreeGroup,
-    Word,
-    alphabet,
-    cyclically_reduce,
-    letter_key,
-    reduce_letters,
-)
+from .words import Word, alphabet, cyclically_reduce, letter_key
 
 DEFAULT_MAX_COSETS = 10**6
 QUOTIENT_SIZE_LIMIT = 5 * 10**6
@@ -83,7 +75,7 @@ TRANSFER_STATE_LIMIT = 5 * 10**6
 class PermRep:
     """Regular action of a finite quotient of F_d on its elements."""
 
-    __slots__ = ("rank", "size", "_table", "_rep_words", "point_images")
+    __slots__ = ("rank", "size", "_table", "point_images")
 
     def __init__(self, rank: int, rows, point_images=None):
         self.rank = rank
@@ -93,16 +85,11 @@ class PermRep:
         except ValueError:
             raise ParameterError("malformed coset table row") from None
         self._table = array("q", table.tobytes())
-        self._rep_words = None
         self.point_images = point_images
 
     @property
     def identity(self) -> int:
         return 0
-
-    def validate_element(self, q) -> None:
-        if not isinstance(q, int) or not 0 <= q < self.size:
-            raise ParameterError(f"{q!r} is not an element index (size {self.size})")
 
     def _array(self) -> np.ndarray:
         """The table as a (size, 2d) int64 view."""
@@ -121,48 +108,6 @@ class PermRep:
         for l in w.letters:
             q = self.apply_letter(q, l)
         return q
-
-    def _ensure_rep_words(self):
-        # shortest representative word per element, BFS in canonical order
-        if self._rep_words is not None:
-            return
-        reps: list[tuple[int, ...] | None] = [None] * self.size
-        reps[0] = ()
-        queue = deque([0])
-        letters = alphabet(self.rank)
-        while queue:
-            q = queue.popleft()
-            base = reps[q]
-            for l in letters:
-                t = self.apply_letter(q, l)
-                if reps[t] is None:
-                    reps[t] = base + (l,)
-                    queue.append(t)
-        if any(r is None for r in reps):
-            raise ParameterError("coset table is not transitive")
-        self._rep_words = reps
-
-    def rep_word(self, q: int) -> Word:
-        """A shortest word mapping the identity to element q."""
-        self._ensure_rep_words()
-        return reduce_letters(self._rep_words[q], self.rank)
-
-    def multiply(self, q1: int, q2: int) -> int:
-        self._ensure_rep_words()
-        q = q1
-        for l in self._rep_words[q2]:
-            q = self.apply_letter(q, l)
-        return q
-
-    def invert(self, q: int) -> int:
-        self._ensure_rep_words()
-        r = 0
-        for l in reversed(self._rep_words[q]):
-            r = self.apply_letter(r, -l)
-        return r
-
-    def element_label(self, q: int) -> str:
-        return str(q)
 
     def describe(self) -> str:
         return f"perm-quotient of size {self.size}"
@@ -286,14 +231,6 @@ class AbelianRep:
     def identity(self) -> tuple[int, ...]:
         return (0,) * self.rank
 
-    def validate_element(self, q) -> None:
-        if (
-            not isinstance(q, tuple)
-            or len(q) != self.rank
-            or not all(isinstance(c, int) for c in q)
-        ):
-            raise ParameterError(f"{q!r} is not a Z^{self.rank} vector")
-
     def apply_letter(self, q, letter: int):
         i = abs(letter) - 1
         return q[:i] + (q[i] + (1 if letter > 0 else -1),) + q[i + 1 :]
@@ -305,15 +242,6 @@ class AbelianRep:
         for l in w.letters:
             v[abs(l) - 1] += 1 if l > 0 else -1
         return tuple(v)
-
-    def multiply(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def invert(self, a):
-        return tuple(-x for x in a)
-
-    def element_label(self, q) -> str:
-        return str(q)
 
     def describe(self) -> str:
         return f"abelianization Z^{self.rank}"
@@ -611,26 +539,6 @@ def from_point_permutations(
     return PermRep(d, np.concatenate(blocks), point_images=tuple(gens))
 
 
-def pushforward(mu: Distribution, rep: QuotientRep) -> Distribution:
-    """mu'(q) = sum of mu(w) over words projecting to q."""
-    ctx = mu.context
-    if not isinstance(ctx, FreeGroup) or ctx.rank != rep.rank:
-        raise RankMismatchError(
-            f"distribution context {ctx!r} does not match rep rank {rep.rank}"
-        )
-    probs: dict = {}
-    for w, pw in mu.items():
-        q = rep.project(w)
-        probs[q] = probs.get(q, 0.0) + pw
-    exact = None
-    if mu.exact is not None:
-        exact = {}
-        for w, frac in mu.exact.items():
-            q = rep.project(w)
-            exact[q] = exact.get(q, Fraction(0)) + frac
-    return Distribution(rep, probs, exact=exact)
-
-
 __all__ = [
     "AbelianRep",
     "DEFAULT_MAX_COSETS",
@@ -639,5 +547,4 @@ __all__ = [
     "TrivialRep",
     "coset_enumerate",
     "from_point_permutations",
-    "pushforward",
 ]

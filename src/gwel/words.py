@@ -215,9 +215,3 @@ class FreeGroup:
     def validate_element(self, a) -> None:
         if not isinstance(a, Word) or a.rank != self.rank:
             raise RankMismatchError(f"{a!r} is not a rank-{self.rank} word")
-
-    def element_label(self, a: Word) -> str:
-        return format_word(a)
-
-    def describe(self) -> str:
-        return f"free:{self.rank}"

@@ -198,6 +198,15 @@ def test_non_finite_weight_exits_2(bad, tmp_path, capsys):
     assert err.count("\n") == 1 and "finite" in err
 
 
+def test_uncovered_chain_fails_before_sizing_the_space(tmp_path, capsys):
+    cfg = tmp_path / "chain.cfg"
+    cfg.write_text("points 30000000\ndirection increasing\nchain 1\n")
+    start = time.perf_counter()
+    assert main(["lattice-experiment", "--config", str(cfg)]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == "error: line 3: point 2 not covered\n"
+
+
 def test_resource_guard_exit_3(capsys):
     code = main(
         ["cogrowth", "--quotient", "relators: abAB", "--max-cosets", "100"]
@@ -234,6 +243,16 @@ def test_drift_work_guard(verb, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "--trials" in captured.err
+
+
+def test_proximality_work_guard(capsys):
+    start = time.perf_counter()
+    assert main(["proximality", "--steps", "10000000", "--trials", "100"]) == 3
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.endswith("lower --trials or --steps\n")
 
 
 def test_convergence_maps_to_exit_4(capsys, monkeypatch):

@@ -1,5 +1,12 @@
+import contextlib
 import importlib
+import io
+import math
 import pkgutil
+import re
+from pathlib import Path
+
+import pytest
 
 import gwel
 
@@ -16,3 +23,17 @@ def test_every_exported_name_resolves():
         missing = [name for name in names if not hasattr(mod, name)]
         assert missing == [], mod.__name__
         assert len(set(names)) == len(names), mod.__name__
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    comments = [
+        line.split("#", 1)[1].strip() for line in block.splitlines() if line.startswith("print(")
+    ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    printed = out.getvalue().splitlines()
+    assert printed[:2] == comments[:2] == ["4", "[1, 0, 4, 0, 60]"]
+    assert float(printed[2]) == pytest.approx(math.log(3) / 2, abs=1e-15)
