@@ -10,7 +10,7 @@ the seed; the spawned keys come from one array pass of SeedSequence's
 hash, and each walk's length from one cumulative sum of its down steps.
 The gap checker assembles, per step count, the entropy difference, the
 exact coset-decomposition bound, and kernel ball counts at radius k and
-2k; the last two come from one kernel sphere pass of the quotient rep.
+2k; the last two come from the quotient rep's `gap_counts`.
 """
 
 from __future__ import annotations

@@ -2,11 +2,11 @@
 
 Only closed forms live here: exact sphere and ball counts of F_d,
 Grigorchuk's critical exponent from a spectral radius, and the
-half-growth floor.  Kernel sphere counts |N cap S(n)| and the kernel's
-critical exponent come from the quotient rep itself
-(`rep.kernel_sphere_counts(n, KERNEL_WORK_BUDGET)` and
-`rep.critical_exponent()`, see `gwel.quotients`); every quotient gwel
-builds has critical exponent log(2d-1), and each rep states why.
+half-growth floor.  The quotient rep counts its kernel's spheres, by one
+non-backtracking recurrence for every family (Grigorchuk's cogrowth
+formula on Z^d), and charges KERNEL_WORK_BUDGET in its own unit before
+it starts (see `gwel.quotients`); `rep.critical_exponent()` states why
+each kernel has critical exponent log(2d-1).
 """
 
 from __future__ import annotations

@@ -5,49 +5,46 @@ behind one protocol.  A rep knows its `rank` and `identity`, maps words
 to elements (`apply_letter`, `project`; `PermRep` also `apply_col`),
 names itself (`describe`), and answers five questions about the pushed
 walk mu' (the image of the simple random walk) and the kernel N of
-F_d -> Q:
+F_d -> Q, the only production path to those numbers:
 
   entropy_values(n)         exact H(mu'^k) for k = 1..n;
   kernel_sphere_counts(n, work_budget)
                             exact |N cap S(k)| for k = 0..r, where r <= n
                             is the largest radius the budget affords;
   gap_counts(n, work_budget)
-                            one pass of the same counts to r <= 2n, and the
-                            coset bound sum_q mu'^k(q) log c_k(q), k <= r;
+                            the same counts to r <= 2n, and the coset bound
+                            sum_q mu'^k(q) log c_k(q) for the k <= n that
+                            the budget affords (k <= r on a PermRep);
   entropy_rate()            (lim H(mu'^k)/k, reason);
   critical_exponent()       (critical exponent of N, reason).
 
-These methods are the only production path to those numbers: the CLI
-and `gwel.entropy` call them directly, and the brute enumerations that
-check them live with the tests.
-
-The families:
+Every count comes from one recurrence, `_nonbacktracking`: with A the
+adjacency of the Cayley graph of Q on the 2d letters, the reduced words
+of length r by the element they reach are v_1 = A v_0, v_2 = A v_1 -
+2d v_0, v_r = A v_{r-1} - (2d-1) v_{r-2} (Bartholdi, Enseign. Math. 1999).
 
   PermRep     a finite quotient Q given by the regular action of Q on its
               own elements; elements are integer indices, identity is 0.
               Produced by Todd-Coxeter coset enumeration over a relator
               list (pure Python), or by closing explicit point permutations
               into the group they generate (numpy, a BFS level at a time).
-              Entropy by a dense probability vector, kernel counts by a
-              non-backtracking transfer over (element, last letter), both
-              on numpy arrays; the counts go from int64 to exact Python
-              ints once twice the sphere size passes 2^63 - 1.
+              Entropy by a dense probability vector; A gathers the columns.
   TrivialRep  the one-element PermRep.
   AbelianRep  the abelianization Z^d; elements are exponent-sum vectors.
-              Entropy (rank 2) from two independent +-1 walks, kernel
-              counts by a DP over (vector, last letter).
+              Entropy (rank 2) from two independent +-1 walks; kernel
+              counts for every d by Grigorchuk's cogrowth formula, the
+              recurrence on polynomials dotted with closed-walk counts;
+              the coset bound (rank 2) on a grid of the L1 ball.
 
-Every quotient here has critical exponent log(2d-1), the growth rate of
-F_d: a finite quotient's kernel has finite index, and Z^d is amenable,
-so its kernel sits at the spectral-radius-1 end of the cogrowth formula
-(Grigorchuk 1980; Cohen, J. Funct. Anal. 48, 1982).  Work budgets count
-state updates: one per transfer state per step, 2d-1 per live DP state
-per step.  One element cap, `max_cosets` (the CLI's --max-cosets),
-bounds both the coset table and the permutation-group closure.
-
-The coset table is a flat 2d-column array: column 2(i-1) is generator i,
-column 2(i-1)+1 its inverse (`words.letter_key`), so the column of an
-inverse letter is col ^ 1.
+Every quotient here has critical exponent log(2d-1): a finite quotient's
+kernel has finite index, and Z^d is amenable (Grigorchuk 1980; Cohen, J.
+Funct. Anal. 48, 1982).  A pass charges its work budget up front: size*2d
+per step on a PermRep; on Z^d, terms times the digits of (2d)^r at radius
+r, with d(r//2+1) terms for the closed form and (r+1)^2 grid cells.
+`max_cosets` (--max-cosets) caps the coset table and the permutation
+closure, `QUOTIENT_SIZE_LIMIT` a PermRep's vectors.  Column 2(i-1) of the
+flat coset table is generator i, column 2(i-1)+1 its inverse
+(`words.letter_key`), so the column of an inverse letter is col ^ 1.
 """
 
 from __future__ import annotations
@@ -56,20 +53,59 @@ import math
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate, count, takewhile
 
 import numpy as np
 
-from .errors import (
-    CosetLimitError,
-    ParameterError,
-    RankMismatchError,
-    ResourceGuardError,
-)
-from .words import Word, alphabet, cyclically_reduce, letter_key
+from .errors import CosetLimitError, ParameterError, RankMismatchError, ResourceGuardError
+from .words import Word, cyclically_reduce, letter_key, sphere_size
 
 DEFAULT_MAX_COSETS = 10**6
 QUOTIENT_SIZE_LIMIT = 5 * 10**6
-TRANSFER_STATE_LIMIT = 5 * 10**6
+_INT64_MAX = 2**63 - 1
+
+
+def _nonbacktracking(step, start, n: int, degree: int):
+    """Yield v_0 = start, ..., v_n for the adjacency `step` of a
+    `degree`-regular graph.  int64 turns into Python ints before A v_{r-1}
+    can pass 2^63 - 1: its entries, v_r and the sums of v_j over j <= r of
+    r's parity are all at most degree * |S(r-1)|."""
+    prev, cur = np.zeros_like(start), start
+    yield cur
+    for r in range(1, n + 1):
+        if cur.dtype != object and degree * sphere_size(degree // 2, r - 1) > _INT64_MAX:
+            prev, cur = prev.astype(object), cur.astype(object)
+        prev, cur = cur, _plus(step(cur), -(degree - (r > 2)) * prev)
+        yield cur
+
+
+def _plus(big: np.ndarray, small: np.ndarray) -> np.ndarray:
+    """big + small, with small zero-padded around the centre of big."""
+    out = big.copy()
+    out[tuple(slice((b - a) // 2, (b + a) // 2) for a, b in zip(small.shape, big.shape))] += small
+    return out
+
+
+def _afforded(n: int, work_budget: int, d: int, terms) -> int:
+    """The largest r <= n affordable at terms(k) * digits((2d)^k) per step k."""
+    spent = accumulate(terms(k) * (1 + int(k * math.log10(2 * d))) for k in range(1, n + 1))
+    return sum(1 for _ in takewhile(lambda w: w <= work_budget, spent))
+
+
+def _gap_counts(rep, n: int, work_budget: int) -> tuple[list[int], list[float]]:
+    """`gap_counts` of every rep: kernel counts to radius 2n, then bounds for
+    r <= n from `_vectors` v_r and `_laws` mu'^r, with c_r the sum of v_j
+    over j <= r of r's parity."""
+    spheres = rep.kernel_sphere_counts(2 * n, work_budget)
+    bounds, reach, laws = [], [None, None], rep._laws()
+    for r, v in enumerate(rep._vectors(min(n, len(spheres) - 1), work_budget)):
+        c = reach[r % 2] = v if r < 2 else _plus(v, reach[r % 2])
+        if r:
+            law = next(laws).ravel()
+            live = np.flatnonzero(law)
+            logs = np.fromiter(map(math.log, c.ravel()[live].tolist()), float, len(live))
+            bounds.append(math.fsum((law[live] * logs).tolist()))
+    return spheres, bounds
 
 
 class PermRep:
@@ -112,55 +148,27 @@ class PermRep:
     def describe(self) -> str:
         return f"perm-quotient of size {self.size}"
 
+    def _gathers(self) -> list[np.ndarray]:
+        """x * l^-1 for every x, one array per letter l (column col ^ 1)."""
+        if self.size > QUOTIENT_SIZE_LIMIT:
+            raise ResourceGuardError(f"quotient size {self.size} exceeds {QUOTIENT_SIZE_LIMIT}")
+        return [np.ascontiguousarray(self._array()[:, c ^ 1]) for c in range(2 * self.rank)]
+
     def _laws(self):
         """mu'^k, k = 1, 2, ..., as a dense probability vector over the elements."""
-        size = self.size
-        if size > QUOTIENT_SIZE_LIMIT:
-            raise ResourceGuardError(f"quotient size {size} exceeds {QUOTIENT_SIZE_LIMIT}")
-        nc = 2 * self.rank
-        table = self._array()
-        # mass at x comes from x * l^-1 for each letter l; l^-1 has column col ^ 1
-        gathers = [np.ascontiguousarray(table[:, col ^ 1]) for col in range(nc)]
-        vec = np.zeros(size, dtype=np.float64)
-        vec[0] = 1.0
+        gathers = self._gathers()  # mass at x comes from x * l^-1 for each letter l
+        vec = np.eye(1, self.size)[0]
         while True:
-            new = np.zeros(size, dtype=np.float64)
-            for g in gathers:
-                new += vec[g]
-            new /= nc
-            vec = new
+            vec = sum(vec[g] for g in gathers) / len(gathers)
             yield vec
 
-    def _spheres(self, n: int, work_budget: int):
-        """For r = 0..R, the array whose entry x counts the reduced words of
-        length r that map to x, by a non-backtracking transfer over the
-        size*2d states (element, last letter), one update per state per
-        step; R <= n is the largest radius whose steps fit the budget."""
-        nc = 2 * self.rank
-        nstates = self.size * nc
-        if nstates > TRANSFER_STATE_LIMIT:
-            raise ResourceGuardError(
-                f"transfer state space {nstates} exceeds {TRANSFER_STATE_LIMIT}"
-            )
-        table = self._array()
-        cols = np.arange(nc)
-        flip = cols ^ 1
-        # state (x, col) is entered from y = table[x, col ^ 1] by every
-        # path to y except those ending in col ^ 1, which would backtrack
-        src = table[:, flip]
-        back = src * nc + flip  # flat index of the state (y, col ^ 1)
-        vec = np.zeros((self.size, nc), dtype=np.int64)  # the empty word has no last letter
-        tot = np.zeros(self.size, dtype=np.int64)
-        tot[0] = 1
-        yield tot
-        for k in range(1, min(n, work_budget // nstates) + 1):
-            # entries, and per-element sums over one parity up to k, are at most
-            # twice the sphere size 2d(2d-1)^(k-1); past int64 they are Python ints
-            if vec.dtype != object and 2 * nc * (nc - 1) ** (k - 1) > 2**63 - 1:
-                vec = vec.astype(object)
-            vec = tot[src] - vec.take(back)
-            tot = vec.sum(axis=1)
-            yield tot
+    def _vectors(self, n: int, work_budget: int):
+        """v_0..v_R, R <= n the largest radius whose steps, at size*2d
+        each, fit the budget; (Av)(x) = sum_l v(x l^-1)."""
+        gathers, nc = self._gathers(), 2 * self.rank
+        start = np.eye(1, self.size, dtype=np.int64)[0]
+        return _nonbacktracking(lambda v: sum(v[g] for g in gathers), start,
+                                min(n, work_budget // (self.size * nc)), nc)
 
     def entropy_values(self, n: int) -> tuple[float, ...]:
         """H(mu'^k) for k = 1..n from the pushed law vectors."""
@@ -174,36 +182,19 @@ class PermRep:
         return tuple(values)
 
     def kernel_sphere_counts(self, n: int, work_budget: int) -> list[int]:
-        """|N cap S(k)| for k = 0..r <= n: the identity entries of `_spheres`."""
+        """|N cap S(k)| for k = 0..r <= n: the identity entries of `_vectors`."""
         if n < 0:
             raise ParameterError("radius must be >= 0")
-        return [int(tot[0]) for tot in self._spheres(n, work_budget)]
+        return [int(v[0]) for v in self._vectors(n, work_budget)]
 
-    def gap_counts(self, n: int, work_budget: int) -> tuple[list[int], list[float]]:
-        """See the module docstring; c_k adds up the per-element counts of
-        `_spheres` at the lengths <= k of the parity of k."""
-        spheres, bounds = [], []
-        reach = [0, 0]
-        laws = self._laws()
-        for r, tot in enumerate(self._spheres(2 * n, work_budget)):
-            spheres.append(int(tot[0]))
-            if r <= n:
-                reach[r % 2] = c = reach[r % 2] + tot
-                if r:
-                    law = next(laws)
-                    live = np.flatnonzero(law)
-                    logs = np.fromiter(map(math.log, c[live].tolist()), float, len(live))
-                    bounds.append(math.fsum((law[live] * logs).tolist()))
-        return spheres, bounds
+    gap_counts = _gap_counts
 
     def entropy_rate(self) -> tuple[float, str]:
         return 0.0, f"finite quotient: H(mu'^k) <= log {self.size}, so H/k -> 0"
 
     def critical_exponent(self) -> tuple[float, str]:
-        return (
-            math.log(2 * self.rank - 1),
-            "finite quotient: the kernel has finite index, so delta = log(2d-1)",
-        )
+        reason = "finite quotient: the kernel has finite index, so delta = log(2d-1)"
+        return math.log(2 * self.rank - 1), reason
 
     def __repr__(self):
         return f"PermRep(rank={self.rank}, size={self.size})"
@@ -263,65 +254,55 @@ class AbelianRep:
             values.append(-2.0 * float((nz * np.log(nz)).sum()))
         return tuple(values)
 
-    def _spheres(self, n: int, work_budget: int):
-        """For r = 0..R, the count of reduced words of length r with zero
-        vector, and the dict from (vector, last letter's column) to the
-        words of length r so ending: a DP with exact integer masses, 2d-1
-        updates per live state per step; R <= n is the largest radius
-        whose running total fits the budget."""
-        zero = self.identity
-        letters = alphabet(self.rank)  # letter t has column letter_key(t)
-        fan = len(letters) - 1
-        state = {(zero, -1): 1}  # the empty word has no last letter
-        work = 0
-        for r in range(n + 1):
-            if r:
-                work += len(state) * fan
-                if work > work_budget:
-                    return
-                new: dict[tuple[tuple[int, ...], int], int] = {}
-                for (vec, col), cnt in state.items():
-                    for col2, t in enumerate(letters):
-                        if col2 != col ^ 1:
-                            key = (self.apply_letter(vec, t), col2)
-                            new[key] = new.get(key, 0) + cnt
-                state = new
-            yield sum(c for (v, _), c in state.items() if v == zero), state
-
     def kernel_sphere_counts(self, n: int, work_budget: int) -> list[int]:
-        """|N cap S(k)| for k = 0..r <= n, from `_spheres`."""
+        """|N cap S(k)| for k = 0..r <= n, by Grigorchuk's cogrowth formula:
+        the recurrence runs on the coefficients of the polynomials p_k with
+        v_k = p_k(A) v_0, where A is a shift, and the count at the identity
+        is sum_m [x^m]p_k R_m, R_m the closed walks of length m on Z^d."""
         if n < 0:
             raise ParameterError("radius must be >= 0")
-        return [kernel for kernel, _ in self._spheres(n, work_budget)]
+        d = self.rank
+        r = _afforded(n, work_budget, d, lambda k: d * (k // 2 + 1))
+        # closed walks of length 2k: C(2k, k) S_d(k), S_e(k) = sum_j C(k, j)^2 S_{e-1}(j)
+        s = [1] * (r // 2 + 1)
+        for _ in range(d - 1):
+            s = [sum(math.comb(k, j) ** 2 * s[j] for j in range(k + 1)) for k in range(len(s))]
+        returns = np.zeros(r + 1, dtype=object)
+        returns[::2] = [math.comb(2 * k, k) * s[k] for k in range(len(s))]
+        start = np.eye(1, r + 1, dtype=object)[0]
+        polys = _nonbacktracking(lambda p: np.append(0, p[:-1]), start, r, 2 * d)
+        return [int(p.dot(returns)) for p in polys]
 
-    def gap_counts(self, n: int, work_budget: int) -> tuple[list[int], list[float]]:
-        """As `PermRep.gap_counts`, on Z^2, with the law in exact ints:
-        mu'^k(x, y) = C(k, (k+x+y)/2) C(k, (k+x-y)/2) / 4^k."""
+    def _vectors(self, n: int, work_budget: int):
+        """v_0..v_R on Z^2, R <= n as the budget affords.  A letter moves
+        (x+y, x-y) by (+-1, +-1), so v_k lives on the (k+1)^2 points
+        (2i-k, 2j-k), and A sums the 2x2 blocks of v_{k-1} padded by 0."""
         if self.rank != 2:
             raise ParameterError("abelian entropy is implemented for rank 2 only")
-        spheres, bounds = [], []
-        reach: list[dict] = [{}, {}]
-        for r, (kernel, state) in enumerate(self._spheres(2 * n, work_budget)):
-            spheres.append(kernel)
-            if r <= n:
-                counts = reach[r % 2]
-                for (v, _), c in state.items():
-                    counts[v] = counts.get(v, 0) + c
-                if r:
-                    bounds.append(math.fsum(
-                        math.comb(r, (r + x + y) // 2) * math.comb(r, (r + x - y) // 2)
-                        / 4**r * math.log(c) for (x, y), c in counts.items()
-                    ))
-        return spheres, bounds
+
+        def block_sums(v):
+            out = np.zeros((len(v) + 1, len(v) + 1), dtype=v.dtype)
+            for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                out[i : i + len(v), j : j + len(v)] += v
+            return out
+
+        r = _afforded(n, work_budget, 2, lambda k: (k + 1) ** 2)
+        return _nonbacktracking(block_sums, np.ones((1, 1), dtype=np.int64), r, 4)
+
+    def _laws(self):
+        """mu'^k, k = 1, 2, ..., on the grid of `_vectors`: C(k, i) C(k, j) / 4^k
+        at (i, j), rounded once from exact ints."""
+        for k in count(1):
+            row = np.array([math.comb(k, i) for i in range(k + 1)], dtype=object)
+            yield (np.multiply.outer(row, row) / 4**k).astype(float)
+
+    gap_counts = _gap_counts
 
     def entropy_rate(self) -> tuple[float, str]:
         return 0.0, "abelian quotient: H(mu'^k) grows logarithmically, so H/k -> 0"
 
     def critical_exponent(self) -> tuple[float, str]:
-        return (
-            math.log(2 * self.rank - 1),
-            "amenable-endpoint prediction at spectral radius 1",
-        )
+        return math.log(2 * self.rank - 1), "amenable-endpoint prediction at spectral radius 1"
 
 
 QuotientRep = PermRep | AbelianRep
@@ -339,6 +320,22 @@ def _validate_relators(d: int, relators) -> list[list[int]]:
             raise ParameterError("empty relator")
         rels.append([letter_key(l) for l in c.letters])
     return rels
+
+
+def _check_abelianization(d: int, rels: list[list[int]]) -> None:
+    """Raise CosetLimitError at once if the relators' exponent sums have
+    rank < d over Q (integer elimination): the quotient then maps onto Z."""
+    rows = [[sum(1 - 2 * (c & 1) for c in w if c >> 1 == i) for i in range(d)] for w in rels]
+    rank = 0
+    for j in range(d):
+        pivot = next((row for row in rows if row[j]), None)
+        if pivot:
+            rows = [[pivot[j] * x - row[j] * y for x, y in zip(row, pivot)]
+                    for row in rows if row is not pivot]
+            rank += 1
+    if rank < d:
+        raise CosetLimitError(f"the relators' exponent sums have rank {rank} < {d}, "
+                              "so the quotient maps onto Z and is infinite")
 
 
 def _coset_limit_message(max_cosets: int) -> str:
@@ -363,6 +360,7 @@ def coset_enumerate(d: int, relators, max_cosets: int = DEFAULT_MAX_COSETS) -> P
     rels = _validate_relators(d, relators)
     if not rels:  # the quotient is F_d itself, which no cap can hold
         raise CosetLimitError(_coset_limit_message(max_cosets))
+    _check_abelianization(d, rels)
     ncols = 2 * d
 
     # one list per column, so a coset costs a pointer per column

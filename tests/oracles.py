@@ -7,9 +7,10 @@ distance between two conditional expectations from block weights; the
 tests check all four against these brute computations (the last one
 against dense conditional-expectation matrices), so they never compare
 a formula with itself.  It closes permutation groups and counts kernel
-spheres with numpy arrays; the tuple-by-tuple closure, the Python-int
-transfer loop and the depth-first walk over every reduced word here must
-give the same tables and counts.
+spheres by one non-backtracking recurrence (on Z^d, through the
+closed-walk counts); the tuple-by-tuple closure, the Python-int transfer
+loop, the (vector, last letter) dict DP on Z^d and the depth-first walk
+over every reduced word here must give the same tables and counts.
 It runs the free-group radial entropy chain on arrays and cuts the
 negligible tail of each sum; the scalar loop here must give the same
 floats bit for bit.  It writes the indent-2 JSON layout itself and
@@ -119,6 +120,26 @@ def brute_kernel_sphere_counts(rep, n):
     if n > 0:
         dfs(rep.identity, 0, 0)
     return counts
+
+
+def abelian_sphere_states(rep, n):
+    """For r = 0..n on the abelianization Z^d, the count of reduced words
+    of length r with zero vector, and the dict from (vector, last letter's
+    column) to the words of length r so ending: a DP with exact integer
+    masses, 2d-1 updates per live state per step."""
+    zero = rep.identity
+    letters = alphabet(rep.rank)  # letter t has column letter_key(t)
+    state = {(zero, -1): 1}  # the empty word has no last letter
+    for r in range(n + 1):
+        if r:
+            new = {}
+            for (vec, col), cnt in state.items():
+                for col2, t in enumerate(letters):
+                    if col2 != col ^ 1:
+                        key = (rep.apply_letter(vec, t), col2)
+                        new[key] = new.get(key, 0) + cnt
+            state = new
+        yield sum(c for (v, _), c in state.items() if v == zero), state
 
 
 def power_iteration_exponent(d, rep, tol=1e-10, max_iter=200000):

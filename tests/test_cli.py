@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import time
@@ -9,6 +10,7 @@ from oracles import brute_kernel_sphere_counts
 from gwel.cli import main
 from gwel.errors import ConvergenceError
 from gwel.parsing import parse_quotient_spec
+from gwel.quotients import AbelianRep
 from gwel.reports import printable
 
 LIMIT = sys.get_int_max_str_digits()
@@ -220,6 +222,61 @@ def test_resource_guard_exit_3(capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--max-cosets" in err
+
+
+def test_cogrowth_abelian_at_radius_400_is_fast(capsysbinary):
+    start = time.perf_counter()
+    obj = run_json(capsysbinary, ["cogrowth", "--quotient", "abelian", "--steps", "400"])
+    assert time.perf_counter() - start < 2.0
+    assert len(obj["series"]["rows"]) == 401
+
+
+def test_cogrowth_abelian_rank3_matches_brute(capsysbinary):
+    obj = run_json(
+        capsysbinary, ["cogrowth", "--quotient", "abelian", "--rank", "3", "--steps", "8"]
+    )
+    counts = [row[1] for row in obj["series"]["rows"]]
+    assert counts == brute_kernel_sphere_counts(AbelianRep(3), 8)
+
+
+# sha256 of the comma-joined counts that `cogrowth --quotient abelian --steps
+# 200` printed when a (vector, last letter) dict DP computed them (about a
+# minute on a 2-core x86 box); they begin 1, 0, 0, 0, 8, 0, 40, 0, 312
+DICT_DP_COUNTS_200 = "5b734d0dfb94c492a5e90448238105dcea6d6c4ace4e62b52ab960a255da078c"
+
+
+def test_cogrowth_abelian_200_matches_the_dict_dp_run(capsysbinary):
+    obj = run_json(capsysbinary, ["cogrowth", "--quotient", "abelian", "--steps", "200"])
+    counts = [row[1] for row in obj["series"]["rows"]]
+    assert counts[:9] == [1, 0, 0, 0, 8, 0, 40, 0, 312]
+    joined = ",".join(map(str, counts)).encode()
+    assert hashlib.sha256(joined).hexdigest() == DICT_DP_COUNTS_200
+
+
+def test_cogrowth_abelian_budget_trips_before_the_work(capsys):
+    start = time.perf_counter()
+    assert main(["cogrowth", "--quotient", "abelian", "--steps", "1000000"]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("lower --steps\n")
+
+
+@pytest.mark.parametrize("relators", ["abAB", "aa"])
+def test_infinite_abelianization_exits_at_once(relators, capsys):
+    start = time.perf_counter()
+    assert main(["cogrowth", "--quotient", f"relators: {relators}"]) == 3
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "maps onto Z" in err
+
+
+@pytest.mark.parametrize("relators", ["aaa, bbb, ababab", "aa, bbb", "aa, bb"])
+def test_finite_abelianization_still_reaches_the_coset_cap(relators, capsys):
+    # infinite quotients whose abelianization is finite
+    argv = ["cogrowth", "--quotient", f"relators: {relators}", "--max-cosets", "1000"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == "error: coset limit exceeded (max_cosets=1000); raise --max-cosets\n"
 
 
 def test_walk_entropy_work_guard(tmp_path, capsys):

@@ -268,7 +268,7 @@ def test_gap_check_fills_the_bound_past_the_old_support_limit():
 
 
 @pytest.mark.parametrize(
-    "rep, budget", [(KLEIN_REP, 16 * 5), (AbelianRep(2), 200)], ids=["klein", "abelian"]
+    "rep, budget", [(KLEIN_REP, 16 * 5), (AbelianRep(2), 4)], ids=["klein", "abelian"]
 )
 def test_gap_check_budget_cuts_every_counting_column(rep, budget, monkeypatch):
     n = 8

@@ -1,7 +1,14 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
-from oracles import brute_kernel_sphere_counts, in_kernel, power_iteration_exponent
+from oracles import (
+    abelian_sphere_states,
+    brute_kernel_sphere_counts,
+    in_kernel,
+    power_iteration_exponent,
+)
 
 from gwel.errors import ParameterError
 from gwel.growth import (
@@ -77,6 +84,65 @@ def test_abelian_budget_truncates():
     assert len(counts) < 41
     full = ab.kernel_sphere_counts(len(counts) - 1, 4 * 10**6)
     assert tuple(counts) == tuple(full)
+
+
+@pytest.mark.parametrize("d, n", [(2, 30), (3, 14)])
+def test_abelian_closed_form_matches_dict_dp(d, n):
+    counts = AbelianRep(d).kernel_sphere_counts(n, KERNEL_WORK_BUDGET)
+    assert counts == [kernel for kernel, _ in abelian_sphere_states(AbelianRep(d), n)]
+
+
+def test_abelian_rank3_counts_match_brute():
+    ab = AbelianRep(3)
+    counts = ab.kernel_sphere_counts(8, KERNEL_WORK_BUDGET)
+    assert counts == brute_kernel_sphere_counts(ab, 8)
+    assert counts[4] == 24  # the 24 rotations and inverses of the 3 commutators
+
+
+def per_element(state):
+    """The words of a dict-DP state summed over their last letter, as a
+    map from (x+y, x-y) to counts."""
+    out = {}
+    for ((x, y), _), c in state.items():
+        out[x + y, x - y] = out.get((x + y, x - y), 0) + c
+    return out
+
+
+def test_abelian_grid_vectors_match_dict_dp():
+    # v_k sits at (2i - k, 2j - k) in the coordinates (x+y, x-y)
+    grid = AbelianRep(2)._vectors(10, KERNEL_WORK_BUDGET)
+    for k, (v, (_, state)) in enumerate(zip(grid, abelian_sphere_states(AbelianRep(2), 10))):
+        assert v.shape == (k + 1, k + 1)
+        cells = {(2 * i - k, 2 * j - k): int(c) for (i, j), c in np.ndenumerate(v) if c}
+        assert cells == per_element(state)
+
+
+def test_abelian_grid_crosses_int64_exactly():
+    # past radius ~40 the grid holds Python ints; its origin stays equal to
+    # the closed form's kernel counts
+    counts = AbelianRep(2).kernel_sphere_counts(60, KERNEL_WORK_BUDGET)
+    grid = list(AbelianRep(2)._vectors(60, KERNEL_WORK_BUDGET))
+    assert len(grid) == 61 and grid[-1].dtype == object and counts[60] > 2**63
+    assert [int(v[k // 2, k // 2]) if k % 2 == 0 else 0 for k, v in enumerate(grid)] == counts
+
+
+def test_abelian_gap_counts_match_dict_dp():
+    n = 12
+    spheres, bounds = AbelianRep(2).gap_counts(n, KERNEL_WORK_BUDGET)
+    states = list(abelian_sphere_states(AbelianRep(2), 2 * n))
+    assert spheres == [kernel for kernel, _ in states]
+    # c_k: the words of length <= k of k's parity, by endpoint
+    reach = [{}, {}]
+    for k in range(n + 1):
+        for st, c in per_element(states[k][1]).items():
+            reach[k % 2][st] = reach[k % 2].get(st, 0) + c
+        if k:
+            expected = math.fsum(
+                math.comb(k, (k + s) // 2) * math.comb(k, (k + t) // 2) / 4**k * math.log(c)
+                for (s, t), c in reach[k % 2].items()
+            )
+            assert bounds[k - 1] == expected, k
+    assert len(bounds) == n
 
 
 def test_transfer_budget_truncates():
