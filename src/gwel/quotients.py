@@ -25,9 +25,10 @@ of length r by the element they reach are v_1 = A v_0, v_2 = A v_1 -
 
   PermRep     a finite quotient Q given by the regular action of Q on its
               own elements; elements are integer indices, identity is 0.
-              Produced by Todd-Coxeter coset enumeration over a relator
-              list (pure Python), or by closing explicit point permutations
-              into the group they generate (numpy, a BFS level at a time).
+              Produced by HLT Todd-Coxeter coset enumeration over a
+              relator list (a flat Python loop, numpy for the final
+              relabelling), or by closing explicit point permutations into
+              the group they generate (numpy, a BFS level at a time).
               Entropy by a dense probability vector; A gathers the columns.
   TrivialRep  the one-element PermRep.
   AbelianRep  the abelianization Z^d; elements are exponent-sum vectors.
@@ -36,15 +37,26 @@ of length r by the element they reach are v_1 = A v_0, v_2 = A v_1 -
               recurrence on polynomials dotted with closed-walk counts;
               the coset bound (rank 2) on a grid of the L1 ball.
 
+A PermRep's element numbering is part of the report contract: entropy
+sums run over the elements in index order, so a different numbering of
+the same group changes the last bits of the floats.  Both builders fix
+it.  Coset enumeration follows one definition sequence (relators and
+letters in the given order, the smaller coset surviving a coincidence),
+and `tests/oracles.py::hlt_coset_table` keeps the original loop that
+every table and error is checked against.  The closure numbers elements
+by first occurrence in breadth-first (element, letter) order, checked
+against the tuple-by-tuple `tests/oracles.py::tuple_closure_rows`.
+
 Every quotient here has critical exponent log(2d-1): a finite quotient's
 kernel has finite index, and Z^d is amenable (Grigorchuk 1980; Cohen, J.
 Funct. Anal. 48, 1982).  A pass charges its work budget up front: size*2d
 per step on a PermRep; on Z^d, terms times the digits of (2d)^r at radius
 r, with d(r//2+1) terms for the closed form and (r+1)^2 grid cells.
-`max_cosets` (--max-cosets) caps the coset table and the permutation
-closure, `QUOTIENT_SIZE_LIMIT` a PermRep's vectors.  Column 2(i-1) of the
-flat coset table is generator i, column 2(i-1)+1 its inverse
-(`words.letter_key`), so the column of an inverse letter is col ^ 1.
+`max_cosets` (--max-cosets, 1 to `QUOTIENT_SIZE_LIMIT`) caps the coset
+table and the permutation closure, `QUOTIENT_SIZE_LIMIT` a PermRep's
+vectors.  Column 2(i-1) of the flat coset table is generator i, column
+2(i-1)+1 its inverse (`words.letter_key`), so the column of an inverse
+letter is col ^ 1.
 """
 
 from __future__ import annotations
@@ -120,7 +132,8 @@ class PermRep:
             table = np.asarray(rows, dtype=np.int64).reshape(self.size, 2 * rank)
         except ValueError:
             raise ParameterError("malformed coset table row") from None
-        self._table = array("q", table.tobytes())
+        self._table = array("q")  # filled straight from the array's buffer: one copy, not two
+        self._table.frombytes(memoryview(np.ascontiguousarray(table)).cast("B"))
         self.point_images = point_images
 
     @property
@@ -342,21 +355,37 @@ def _coset_limit_message(max_cosets: int) -> str:
     return f"coset limit exceeded (max_cosets={max_cosets}); raise --max-cosets"
 
 
+def _check_cap(name: str, cap: int) -> None:
+    """A builder's cap must lie in 1..QUOTIENT_SIZE_LIMIT: no verb can use a
+    larger PermRep, so a larger cap would only let a guard trip later."""
+    if cap < 1:
+        raise ParameterError(f"{name} must be >= 1 (set by --max-cosets)")
+    if cap > QUOTIENT_SIZE_LIMIT:
+        raise ParameterError(f"{name} must be <= {QUOTIENT_SIZE_LIMIT}, the largest "
+                             "quotient any verb can use (set by --max-cosets)")
+
+
 def coset_enumerate(d: int, relators, max_cosets: int = DEFAULT_MAX_COSETS) -> PermRep:
     """Todd-Coxeter enumeration of the quotient presented by the relators.
 
-    HLT strategy: scan every relator at every live coset in creation
-    order, filling undefined entries as needed, then fill the rest of the
-    row; coincidences are processed to completion as they appear, with
-    the smaller coset number surviving.  Deductions from closing scans
-    are recorded in both table directions immediately.  The cap counts
+    HLT strategy (Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory, 5.1): scan every relator, in the given order, at every live
+    coset alpha in creation order, defining a new coset at the first
+    undefined entry until the scan closes; then fill the rest of alpha's
+    row column by column.  A closing scan's deduction is recorded in both
+    table directions at once; coincidences are processed to completion as
+    they appear, with the smaller coset number surviving.  The cap counts
     rows ever defined; exceeding it raises CosetLimitError, the normal
     outcome for an infinite quotient.
+
+    This definition sequence is fixed, because the table's numbering is
+    part of the report contract (see the module docstring).  The loop is
+    `tests/oracles.py::hlt_coset_table` with the scans and definitions
+    inlined; the tests check both give the same table and the same errors.
     """
     if d < 2:
         raise ParameterError(f"rank must be >= 2, got {d}")
-    if max_cosets < 1:
-        raise ParameterError("max_cosets must be >= 1 (set by --max-cosets)")
+    _check_cap("max_cosets", max_cosets)
     rels = _validate_relators(d, relators)
     if not rels:  # the quotient is F_d itself, which no cap can hold
         raise CosetLimitError(_coset_limit_message(max_cosets))
@@ -374,17 +403,6 @@ def coset_enumerate(d: int, relators, max_cosets: int = DEFAULT_MAX_COSETS) -> P
         while p[k] != r:
             p[k], k = r, p[k]
         return r
-
-    def define(a: int, col: int) -> int:
-        if len(p) >= max_cosets:
-            raise CosetLimitError(_coset_limit_message(max_cosets))
-        b = len(p)
-        for column in table:
-            column.append(None)
-        p.append(b)
-        table[col][a] = b
-        table[col ^ 1][b] = a
-        return b
 
     def coincidence(a: int, b: int) -> None:
         queue: deque[int] = deque()
@@ -416,49 +434,75 @@ def coset_enumerate(d: int, relators, max_cosets: int = DEFAULT_MAX_COSETS) -> P
                     table[col][mu] = nu
                     table[col ^ 1][nu] = mu
 
-    def scan_and_fill(alpha: int, w: list[int]) -> None:
-        f, i = alpha, 0
-        b, j = alpha, len(w) - 1
-        while True:
-            while i <= j and table[w[i]][f] is not None:
-                f = table[w[i]][f]
-                i += 1
-            if i > j:
-                if f != b:
-                    coincidence(f, b)
-                return
-            while j >= i and table[w[j] ^ 1][b] is not None:
-                b = table[w[j] ^ 1][b]
-                j -= 1
-            if j < i:
-                coincidence(f, b)
-                return
-            if j == i:
-                # deduction closing the scan, recorded both ways
-                table[w[i]][f] = b
-                table[w[i] ^ 1][b] = f
-                return
-            define(f, w[i])
-
+    # each relator w as the columns w[i] and the inverse columns w[i] ^ 1,
+    # which the backward half of a scan reads from the end
+    scans = [([table[c] for c in w], [table[c ^ 1] for c in w], len(w) - 1) for w in rels]
+    fills = [(table[c], table[c ^ 1]) for c in range(ncols)]
+    n = 1  # rows ever defined, len(p)
     alpha = 0
-    while alpha < len(p):
-        if rep(alpha) == alpha:
-            for w in rels:
-                scan_and_fill(alpha, w)
-                if rep(alpha) != alpha:
+    while alpha < n:
+        if p[alpha] == alpha:  # alpha is live: p[i] <= i, so rep(alpha) == alpha
+            for fwd, bwd, last in scans:
+                f, i, b, j = alpha, 0, alpha, last
+                while True:
+                    while i <= j:
+                        x = fwd[i][f]
+                        if x is None:
+                            break
+                        f, i = x, i + 1
+                    if i > j:
+                        if f != b:
+                            coincidence(f, b)
+                        break
+                    while j >= i:
+                        x = bwd[j][b]
+                        if x is None:
+                            break
+                        b, j = x, j - 1
+                    if j < i:
+                        coincidence(f, b)
+                        break
+                    if j == i:
+                        # deduction closing the scan, recorded both ways
+                        fwd[i][f] = b
+                        bwd[i][b] = f
+                        break
+                    # define coset n = f * w[i]
+                    if n >= max_cosets:
+                        raise CosetLimitError(_coset_limit_message(max_cosets))
+                    for column in table:
+                        column.append(None)
+                    p.append(n)
+                    fwd[i][f] = n
+                    bwd[i][n] = f
+                    n += 1
+                if p[alpha] != alpha:
                     break
-            if rep(alpha) == alpha:
-                for col in range(ncols):
-                    if table[col][alpha] is None:
-                        define(alpha, col)
+            else:
+                for column, mirror in fills:
+                    if column[alpha] is None:
+                        if n >= max_cosets:
+                            raise CosetLimitError(_coset_limit_message(max_cosets))
+                        for col in table:
+                            col.append(None)
+                        p.append(n)
+                        column[alpha] = n
+                        mirror[n] = alpha
+                        n += 1
         alpha += 1
 
-    live = [c for c in range(len(p)) if rep(c) == c]
-    if any(column[c] is None for column in table for c in live):
+    # relabel the live cosets 0, 1, ... in order; p[i] <= i, so pointer
+    # jumping reaches every coset's representative in log(depth) rounds
+    roots = np.array(p)
+    while not np.array_equal(jumped := roots[roots], roots):
+        roots = jumped
+    live = np.flatnonzero(roots == np.arange(n))
+    images = [[column[c] for c in live.tolist()] for column in table]
+    if any(None in image for image in images):
         raise ParameterError("incomplete coset table after enumeration")
-    index = {c: k for k, c in enumerate(live)}
-    rows = [[index[rep(column[c])] for column in table] for c in live]
-    out = PermRep(d, rows)
+    index = np.empty(n, dtype=np.int64)
+    index[live] = np.arange(len(live))
+    out = PermRep(d, index[roots[np.array(images)]].T)
     _check_relators(out._array(), rels)
     return out
 
@@ -474,6 +518,23 @@ def _check_relators(table: np.ndarray, rels: list[list[int]]) -> None:
             raise ParameterError("relator fails to close on the final table")
 
 
+_CHUNK = 1 << 15  # frontier rows composed at once by the closure
+
+
+def _row_keys(rows: np.ndarray, bits: int) -> np.ndarray:
+    """One sortable key per row of point images, equal keys for equal rows.
+    When a row fits 64 bits at `bits` per point, the key is a uint64 packed
+    one column at a time, so no (rows x points) uint64 temporary is made;
+    wider rows keep their bytes as one void scalar."""
+    if rows.shape[1] * bits <= 64:
+        keys = np.zeros(len(rows), dtype=np.uint64)
+        for column in rows.T:
+            keys <<= bits
+            keys |= column
+        return keys
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
 def from_point_permutations(
     d: int, images: dict[int, tuple[int, ...]], max_elements: int = DEFAULT_MAX_COSETS
 ) -> PermRep:
@@ -483,14 +544,19 @@ def from_point_permutations(
     {0..m-1}; missing generators act as the identity.  The returned rep
     is the regular action of the generated group, so the kernel is the
     kernel of the point homomorphism even when the point action is not
-    regular.  The closure is a breadth-first search that composes a whole
-    level with every letter at once; new elements are numbered by first
-    occurrence in (element, letter) order.
+    regular.  The closure is a breadth-first search that composes the
+    frontier with every letter at once, `_CHUNK` frontier rows at a time;
+    new elements are numbered by first occurrence in (element, letter)
+    order, so the numbering depends neither on the chunks nor on how the
+    keys that tell elements apart sort.  An element is keyed by one
+    uint64, its point images packed at ceil(log2 m) bits each, when
+    m ceil(log2 m) <= 64 (m <= 16 points), and by the bytes of its images
+    otherwise.  The chunk whose new elements pass `max_elements` raises
+    before the rest of its level is built.
     """
     if d < 1:
         raise ParameterError("rank must be >= 1")
-    if max_elements < 1:
-        raise ParameterError("max_elements must be >= 1 (set by --max-cosets)")
+    _check_cap("max_elements", max_elements)
     ms = {len(perm) for perm in images.values()}
     if len(ms) > 1:
         raise ParameterError("point permutations act on different point counts")
@@ -502,38 +568,56 @@ def from_point_permutations(
     # row letter_key(l) of `perms` maps each point to its image under l;
     # with no points, the group acts on one fixed point instead
     width = max(m, 1)
+    bits = (width - 1).bit_length()
     perms = np.zeros((2 * d, width), dtype=np.min_scalar_type(width - 1))
     perms[0::2, :m] = np.array(gens).reshape(d, m)
     perms[1::2] = np.argsort(perms[0::2], axis=1)
     cols = np.arange(2 * d)[:, None]
-    key = np.dtype((np.void, perms.itemsize * width))  # a row as one sortable key
 
-    # an element of level k times a letter lies in level k-1, k or k+1,
-    # so the keys of the last two levels tell old elements from new ones
+    # an element of level k times a letter lies in level k-1, k or k+1, so
+    # the keys of those levels, as far as they are known, tell old elements
+    # from new ones; `keys` holds them sorted and `ids` their element ids
     frontier = np.arange(width, dtype=perms.dtype)[None, :]
-    level = (frontier.view(key).ravel(), np.zeros(1, dtype=np.int64))
-    last = (level[0][:0], level[1][:0])
+    keys, ids = _row_keys(frontier, bits), np.zeros(1, dtype=np.int64)
+    top, low = 0, 0  # the newest id; the first id of the frontier's level
     blocks = []
     while len(frontier):
-        # row (j, c) is frontier element j followed by the letter of column c
-        prods = perms[cols, frontier[:, None, :]].reshape(-1, width)
-        seen_keys, seen_ids = (np.concatenate(pair) for pair in zip(last, level))
-        n = len(seen_keys)
-        _, first, inverse = np.unique(
-            np.concatenate([seen_keys, prods.view(key).ravel()]),
-            return_index=True, return_inverse=True,
-        )
-        at = first[inverse[n:]]  # first position of the same key in the concatenation
-        fresh = at == np.arange(n, n + len(at))  # first sight of a new element
-        new_ids = level[1][-1] + np.cumsum(fresh)  # ids go on from the newest level
-        if new_ids[-1] >= max_elements:
-            raise CosetLimitError(
-                f"generated permutation group exceeds {max_elements} elements; "
-                "raise --max-cosets"
-            )
-        blocks.append(np.concatenate([seen_ids, new_ids])[at].reshape(-1, 2 * d))
-        frontier = prods[fresh]
-        last, level = level, (frontier.view(key).ravel(), new_ids[fresh])
+        born, fresh = [], top + 1  # fresh: the first id of the next level
+        for start in range(0, len(frontier), _CHUNK):
+            # row (j, c) is frontier element j followed by the letter of column c
+            prods = perms[cols, frontier[start : start + _CHUNK, None, :]].reshape(-1, width)
+            row_keys = _row_keys(prods, bits)
+            order = np.argsort(row_keys)
+            sorted_keys = row_keys[order]
+            at = np.searchsorted(keys, sorted_keys)
+            old = keys[np.minimum(at, len(keys) - 1)] == sorted_keys
+            row_ids = np.empty(len(prods), dtype=np.int64)
+            row_ids[order[old]] = ids[at[old]]
+            # the new products, grouped by key: the groups take the next ids
+            # in the order of their first rows
+            rows, new_keys = order[~old], sorted_keys[~old]
+            head = np.ones(len(rows), dtype=bool)
+            head[1:] = new_keys[1:] != new_keys[:-1]
+            starts = np.flatnonzero(head)
+            first = np.minimum.reduceat(rows, starts)
+            by_first = np.argsort(first)
+            new_ids = np.empty(len(first), dtype=np.int64)
+            new_ids[by_first] = np.arange(top + 1, top + 1 + len(first))
+            row_ids[rows] = new_ids[np.cumsum(head) - 1]
+            top += len(first)
+            if top >= max_elements:
+                raise CosetLimitError(
+                    f"generated permutation group exceeds {max_elements} elements; "
+                    "raise --max-cosets"
+                )
+            blocks.append(row_ids.reshape(-1, 2 * d))
+            born.append(prods[first[by_first]])
+            at = np.searchsorted(keys, new_keys[starts])
+            keys, ids = np.insert(keys, at, new_keys[starts]), np.insert(ids, at, new_ids)
+        # the next level's products lie in this level and the two after it
+        keep = ids >= low
+        keys, ids, low = keys[keep], ids[keep], fresh
+        frontier = np.concatenate(born)
     return PermRep(d, np.concatenate(blocks), point_images=tuple(gens))
 
 

@@ -6,11 +6,13 @@ integrals over |g| + 1 prefix classes, and takes the Hilbert-Schmidt
 distance between two conditional expectations from block weights; the
 tests check all four against these brute computations (the last one
 against dense conditional-expectation matrices), so they never compare
-a formula with itself.  It closes permutation groups and counts kernel
-spheres by one non-backtracking recurrence (on Z^d, through the
-closed-walk counts); the tuple-by-tuple closure, the Python-int transfer
-loop, the (vector, last letter) dict DP on Z^d and the depth-first walk
-over every reduced word here must give the same tables and counts.
+a formula with itself.  It enumerates cosets with a flattened HLT
+loop, closes permutation groups with sorted integer keys, and counts
+kernel spheres by one non-backtracking recurrence (on Z^d, through the
+closed-walk counts); the HLT loop as first written with nested helpers,
+the tuple-by-tuple closure, the Python-int transfer loop, the (vector,
+last letter) dict DP on Z^d and the depth-first walk over every reduced
+word here must give the same tables, errors and counts.
 It runs the free-group radial entropy chain on arrays and cuts the
 negligible tail of each sum; the scalar loop here must give the same
 floats bit for bit.  It writes the indent-2 JSON layout itself and
@@ -31,8 +33,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from gwel.errors import ConvergenceError
+from gwel.errors import ConvergenceError, CosetLimitError, ParameterError
 from gwel.measures import convolve_power
+from gwel.quotients import (
+    DEFAULT_MAX_COSETS,
+    PermRep,
+    _check_abelianization,
+    _check_relators,
+    _coset_limit_message,
+    _validate_relators,
+)
 from gwel.words import alphabet, letter_key, multiply, sphere
 
 
@@ -69,6 +79,122 @@ def tuple_closure_rows(d, images):
         rows.append(row)
         at += 1
     return rows
+
+
+def hlt_coset_table(d, relators, max_cosets=DEFAULT_MAX_COSETS):
+    """Coset table of the quotient by HLT Todd-Coxeter, as first written:
+    nested scan-and-fill and define helpers, liveness by rep(alpha), and a
+    dict relabelling of the live cosets.  `quotients.coset_enumerate` must
+    define the same cosets in the same order, so it must return the same
+    table and raise the same errors for every presentation and cap."""
+    if d < 2:
+        raise ParameterError(f"rank must be >= 2, got {d}")
+    if max_cosets < 1:
+        raise ParameterError("max_cosets must be >= 1 (set by --max-cosets)")
+    rels = _validate_relators(d, relators)
+    if not rels:  # the quotient is F_d itself, which no cap can hold
+        raise CosetLimitError(_coset_limit_message(max_cosets))
+    _check_abelianization(d, rels)
+    ncols = 2 * d
+
+    # one list per column, so a coset costs a pointer per column
+    table: list[list[int | None]] = [[None] for _ in range(ncols)]
+    p = [0]  # union-find; p[i] <= i, minimum label survives
+
+    def rep(k: int) -> int:
+        r = k
+        while p[r] != r:
+            r = p[r]
+        while p[k] != r:
+            p[k], k = r, p[k]
+        return r
+
+    def define(a: int, col: int) -> int:
+        if len(p) >= max_cosets:
+            raise CosetLimitError(_coset_limit_message(max_cosets))
+        b = len(p)
+        for column in table:
+            column.append(None)
+        p.append(b)
+        table[col][a] = b
+        table[col ^ 1][b] = a
+        return b
+
+    def coincidence(a: int, b: int) -> None:
+        queue: deque[int] = deque()
+
+        def merge(u: int, v: int) -> None:
+            u, v = rep(u), rep(v)
+            if u != v:
+                if u > v:
+                    u, v = v, u
+                p[v] = u
+                queue.append(v)
+
+        merge(a, b)
+        while queue:
+            dead = queue.popleft()
+            for col in range(ncols):
+                delta = table[col][dead]
+                if delta is None:
+                    continue
+                # clear the mirror edge if it still points at the dead coset
+                if table[col ^ 1][delta] == dead:
+                    table[col ^ 1][delta] = None
+                mu, nu = rep(dead), rep(delta)
+                if table[col][mu] is not None:
+                    merge(nu, table[col][mu])
+                elif table[col ^ 1][nu] is not None:
+                    merge(mu, table[col ^ 1][nu])
+                else:
+                    table[col][mu] = nu
+                    table[col ^ 1][nu] = mu
+
+    def scan_and_fill(alpha: int, w: list[int]) -> None:
+        f, i = alpha, 0
+        b, j = alpha, len(w) - 1
+        while True:
+            while i <= j and table[w[i]][f] is not None:
+                f = table[w[i]][f]
+                i += 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i and table[w[j] ^ 1][b] is not None:
+                b = table[w[j] ^ 1][b]
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if j == i:
+                # deduction closing the scan, recorded both ways
+                table[w[i]][f] = b
+                table[w[i] ^ 1][b] = f
+                return
+            define(f, w[i])
+
+    alpha = 0
+    while alpha < len(p):
+        if rep(alpha) == alpha:
+            for w in rels:
+                scan_and_fill(alpha, w)
+                if rep(alpha) != alpha:
+                    break
+            if rep(alpha) == alpha:
+                for col in range(ncols):
+                    if table[col][alpha] is None:
+                        define(alpha, col)
+        alpha += 1
+
+    live = [c for c in range(len(p)) if rep(c) == c]
+    if any(column[c] is None for column in table for c in live):
+        raise ParameterError("incomplete coset table after enumeration")
+    index = {c: k for k, c in enumerate(live)}
+    rows = [[index[rep(column[c])] for column in table] for c in live]
+    out = PermRep(d, rows)
+    _check_relators(out._array(), rels)
+    return out
 
 
 def transfer_sphere_counts(rep, n):

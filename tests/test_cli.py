@@ -224,6 +224,25 @@ def test_resource_guard_exit_3(capsys):
     assert err.count("\n") == 1 and "--max-cosets" in err
 
 
+@pytest.mark.parametrize("spec", ["relators: aaa, bbb, ababab", "perm: a=(1 2 3); b=(1 2)"])
+def test_max_cosets_above_the_quotient_size_limit_exits_2(spec, capsys):
+    # no verb can use a quotient above QUOTIENT_SIZE_LIMIT, so a larger cap
+    # is refused before any enumeration starts
+    start = time.perf_counter()
+    assert main(["cogrowth", "--quotient", spec, "--max-cosets", "1000000000"]) == 2
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--max-cosets" in err
+
+
+@pytest.mark.parametrize("spec", ["trivial", "abelian"])
+def test_max_cosets_is_ignored_without_an_enumeration(spec, capsysbinary):
+    argv = ["cogrowth", "--quotient", spec, "--steps", "4"]
+    assert run_json(capsysbinary, argv + ["--max-cosets", "1000000000"]) == run_json(
+        capsysbinary, argv
+    )
+
+
 def test_cogrowth_abelian_at_radius_400_is_fast(capsysbinary):
     start = time.perf_counter()
     obj = run_json(capsysbinary, ["cogrowth", "--quotient", "abelian", "--steps", "400"])

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from gwel.errors import CosetLimitError, ParameterError
+from gwel import quotients
+from gwel.errors import CosetLimitError, GwelError, ParameterError
 from gwel.quotients import (
+    QUOTIENT_SIZE_LIMIT,
     AbelianRep,
     TrivialRep,
     _check_relators,
@@ -11,7 +13,13 @@ from gwel.quotients import (
     from_point_permutations,
 )
 from gwel.words import alphabet, letter_key, parse_word, reduce_letters, sphere
-from oracles import cycle_types, in_kernel, transfer_sphere_counts, tuple_closure_rows
+from oracles import (
+    cycle_types,
+    hlt_coset_table,
+    in_kernel,
+    transfer_sphere_counts,
+    tuple_closure_rows,
+)
 
 
 def rels(*texts, rank=2):
@@ -46,6 +54,77 @@ def test_enumeration_orders():
     for texts, order in KNOWN_ORDERS:
         rep = coset_enumerate(2, rels(*texts))
         assert rep.size == order, texts
+
+
+def relator_corpus(seed, count):
+    """Seeded presentations of rank 2 and 3: powers of most generators and
+    one or two powers of short random words, shuffled.  Some are finite,
+    some infinite, some have a relator that reduces to the identity; a
+    generator without a power relator leaves rows for the fill step."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.choice((2, 3))
+        gens = [g for g in range(1, d + 1) if rng.random() < 0.7]
+        relators = [reduce_letters([g] * rng.randint(1, 7), d) for g in gens]
+        for _ in range(rng.randint(1, 2)):
+            w = [rng.choice(alphabet(d)) for _ in range(rng.randint(2, 5))]
+            relators.append(reduce_letters(w * rng.randint(1, 4), d))
+        rng.shuffle(relators)
+        yield d, relators
+
+
+def enumeration_outcome(build, d, relators, max_cosets):
+    """The table bytes, or the type and message of the error raised."""
+    try:
+        return build(d, relators, max_cosets)._array().tobytes()
+    except GwelError as exc:
+        return type(exc), str(exc)
+
+
+def test_coset_enumeration_matches_the_hlt_oracle():
+    # the same definition sequence gives the same table, numbering
+    # included, and the same error at every cap
+    cases = [(d, r, cap) for d, r in relator_corpus(12, 45) for cap in (1, 7, 300, 3000)]
+    cases += [(2, rels(*texts), 10**6) for texts, _ in KNOWN_ORDERS]
+    # b (and c) only inside relators: both of their columns are still
+    # empty when the fill step reaches a coset, so its order sets the numbering
+    cases += [(2, rels("aaa", "abba"), 10**6), (3, rels("bbb", "BCCB", "a", rank=3), 10**6)]
+    for d, relators, cap in cases:
+        want = enumeration_outcome(hlt_coset_table, d, relators, cap)
+        assert enumeration_outcome(coset_enumerate, d, relators, cap) == want, (relators, cap)
+    assert {type(o) for o in (enumeration_outcome(coset_enumerate, *c) for c in cases)} == {
+        bytes, tuple}
+
+
+@pytest.mark.parametrize(
+    "texts, cap, size",
+    [
+        (("a" * 100, "b" * 100, "abAB"), 10**6, 10**4),  # Z/100 x Z/100
+        (("aaa", "bbb", "ababab"), 10**5, None),  # a triangle group: the cap trips
+    ],
+)
+def test_benchmark_presentations_match_the_hlt_oracle(texts, cap, size):
+    want = enumeration_outcome(hlt_coset_table, 2, rels(*texts), cap)
+    assert enumeration_outcome(coset_enumerate, 2, rels(*texts), cap) == want
+    if size is None:
+        message = f"coset limit exceeded (max_cosets={cap}); raise --max-cosets"
+        assert want == (CosetLimitError, message)
+    else:
+        assert len(want) == size * 4 * 8
+
+
+def test_builders_bound_the_cap_from_above():
+    klein = rels("aa", "bb", "abab")
+    assert coset_enumerate(2, klein, QUOTIENT_SIZE_LIMIT).size == 4
+    assert from_point_permutations(2, {1: (1, 0)}, QUOTIENT_SIZE_LIMIT).size == 2
+    for build, args, name in (
+        (coset_enumerate, (2, klein), "max_cosets"),
+        (from_point_permutations, (2, {1: (1, 0)}), "max_elements"),
+    ):
+        with pytest.raises(ParameterError, match=f"^{name} must be <= {QUOTIENT_SIZE_LIMIT}, "):
+            build(*args, QUOTIENT_SIZE_LIMIT + 1)
+        with pytest.raises(ParameterError, match=rf"^{name} must be >= 1 \(set by --max-cosets\)$"):
+            build(*args, 0)
 
 
 def test_relators_and_conjugates_die():
@@ -148,15 +227,28 @@ def relabelled_sym_images(rng, m):
     return {1: tuple(cycle), 2: tuple(swap)}
 
 
+def cycles_images(m, *cycles):
+    """A permutation of m points from disjoint cycles."""
+    perm = list(range(m))
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            perm[a] = b
+    return tuple(perm)
+
+
 # (rank, point images): S_3..S_7 under seeded relabellings, an
 # intransitive action (Z/2 x Z/3 on 2 + 3 points), a missing generator
-# (b acts trivially), and rank 3 (S_4 by three transpositions; Z/2 x Z/3
-# with b missing)
+# (b acts trivially), rank 3 (S_4 by three transpositions; Z/2 x Z/3
+# with b missing), and S_4 with a cyclic group on 12 + 4 points and on
+# 4 + 13 points: the widest action keyed by a packed uint64 and one
+# keyed by its bytes
 CLOSURES = [(2, relabelled_sym_images(random.Random(60 + m), m)) for m in range(3, 8)] + [
     (2, {1: (1, 0, 2, 3, 4), 2: (0, 1, 3, 4, 2)}),
     (2, {2: (1, 2, 3, 4, 0)}),
     (3, {1: (1, 0, 2, 3), 2: (0, 2, 1, 3), 3: (0, 1, 3, 2)}),
     (3, {1: (1, 0, 2, 3, 4), 3: (0, 1, 3, 4, 2)}),
+    (2, {1: cycles_images(16, [12, 13, 14, 15], list(range(12))), 2: cycles_images(16, [14, 15])}),
+    (2, {1: cycles_images(17, [0, 1, 2, 3], list(range(4, 17))), 2: cycles_images(17, [0, 1])}),
 ]
 
 
@@ -218,3 +310,15 @@ def test_closure_guard_trips_past_max_elements():
     msg = "^generated permutation group exceeds 719 elements; raise --max-cosets$"
     with pytest.raises(CosetLimitError, match=msg):
         from_point_permutations(2, images, max_elements=719)
+
+
+@pytest.mark.parametrize("d, images", [CLOSURES[3], CLOSURES[-1]])
+def test_chunked_closure_numbers_like_the_tuple_oracle(d, images, monkeypatch):
+    # levels split into chunks of 5 frontier rows: the same numbering, and
+    # the guard trips at the chunk that passes the cap
+    want = tuple_closure_rows(d, images)
+    monkeypatch.setattr(quotients, "_CHUNK", 5)
+    assert table_rows(from_point_permutations(d, images, max_elements=len(want))) == want
+    msg = f"^generated permutation group exceeds {len(want) - 1} elements; raise --max-cosets$"
+    with pytest.raises(CosetLimitError, match=msg):
+        from_point_permutations(d, images, max_elements=len(want) - 1)
