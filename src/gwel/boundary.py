@@ -2,11 +2,14 @@
 
 The boundary of the tree carries the hitting measure nu with
 nu(C_w) = (1/(2d)) (2d-1)^-(|w|-1) on the cylinder of a reduced prefix
-w.  On each cylinder of depth |g| + 1 the translate density d(g nu)/d nu
-is (2d-1)^(2k - |g|), k the length of the prefix w shares with g, so an
-integral against g sums |g| + 1 cancellation-depth classes of exact mass
-instead of a sphere of words.  The entropy integrand is
--log(d g^{-1}nu / d nu), orientation-independent for the symmetric walk.
+w.  On a cylinder with |w| >= |g| + 1 the translate density d(g nu)/d nu
+is (2d-1)^e with e = |w| - |g^-1 w| = 2 lcp(g, w) - |g|, lcp the length
+of the longest common prefix: g^-1 w cancels exactly that prefix.  So an
+integral against g sums |g| + 1 classes k = lcp of exact mass instead of
+a sphere of words, and the cocycle check takes its three exponents from
+the letter tuples of g, h and w; nothing here builds a Word.  The
+entropy integrand is -log(d g^{-1}nu / d nu), orientation-independent
+for the symmetric walk.
 """
 
 from __future__ import annotations
@@ -14,13 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import neg
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError, RankMismatchError, ResourceGuardError
 from .measures import Distribution
-from .words import FreeGroup, Word, alphabet, multiply
+from .words import FreeGroup, Word, alphabet
 
 
 def cylinder_mass_exact(d: int, w: Word) -> Fraction:
@@ -32,58 +36,83 @@ def cylinder_mass_exact(d: int, w: Word) -> Fraction:
     return Fraction(1, 2 * d * (2 * d - 1) ** (len(w) - 1))
 
 
+def _lcp(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """Length of the longest common prefix of two letter tuples."""
+    k, m = 0, min(len(a), len(b))
+    while k < m and a[k] == b[k]:
+        k += 1
+    return k
+
+
 def rn_exponent(d: int, g: Word, w: Word) -> int:
     """Integer e with d(g nu)/d nu = (2d-1)^e on C_w, namely
-    |w| - |reduce(g^-1 w)|.  Needs |w| >= |g| + 1 so the derivative is
-    constant on the cylinder."""
+    |w| - |reduce(g^-1 w)| = 2 lcp(g, w) - |g|.  Needs |w| >= |g| + 1 so
+    the derivative is constant on the cylinder."""
     if g.rank != d or w.rank != d:
         raise RankMismatchError("rank mismatch in derivative arguments")
     if len(w) < len(g) + 1:
         raise ParameterError(
             f"cylinder depth {len(w)} too shallow for |g| = {len(g)}"
         )
-    return len(w) - len(multiply(g.inverse(), w))
+    return 2 * _lcp(g.letters, w.letters) - len(g)
 
 
 def rn_derivative_exact(d: int, g: Word, w: Word) -> Fraction:
     return Fraction(2 * d - 1) ** rn_exponent(d, g, w)
 
 
-def cocycle_check(d: int, g: Word, h: Word, w: Word) -> bool:
-    """Multiplicative chain rule rn(gh, w) = rn(g, w) * rn(h, g^-1 w),
-    verified as an exact integer exponent identity."""
+def _cocycle_exponents(d: int, g: Word, h: Word, w: Word) -> tuple[int, int, int]:
+    """The exponents e(gh, w), e(g, w) and e(h, g^-1 w), from the letters
+    of gh reduced at the seam and of g^-1 w = inv(g[k:]) + w[k:], k =
+    lcp(g, w).  Every cylinder is deep enough: |g^-1 w| >= |w| - |g|."""
     if len(w) < len(g) + len(h) + 1:
         raise ParameterError(
             f"cylinder depth {len(w)} too shallow for |g|+|h| = {len(g) + len(h)}"
         )
-    lhs = rn_exponent(d, multiply(g, h), w)
-    rhs = rn_exponent(d, g, w) + rn_exponent(d, h, multiply(g.inverse(), w))
-    return lhs == rhs
+    if g.rank != h.rank:
+        raise RankMismatchError(f"rank mismatch: {g.rank} vs {h.rank}")
+    if g.rank != d or w.rank != d:
+        raise RankMismatchError("rank mismatch in derivative arguments")
+    a, b, v = g.letters, h.letters, w.letters
+    j, m = 0, min(len(a), len(b))
+    while j < m and a[-1 - j] == -b[j]:
+        j += 1
+    gh = a[: len(a) - j] + b[j:]
+    k = _lcp(a, v)
+    ginv_w = tuple(map(neg, reversed(a[k:]))) + v[k:]
+    return 2 * _lcp(gh, v) - len(gh), 2 * k - len(a), 2 * _lcp(b, ginv_w) - len(b)
+
+
+def cocycle_check(d: int, g: Word, h: Word, w: Word) -> bool:
+    """Multiplicative chain rule rn(gh, w) = rn(g, w) * rn(h, g^-1 w),
+    verified as an exact integer exponent identity."""
+    gh, first, second = _cocycle_exponents(d, g, h, w)
+    return gh == first + second
 
 
 def _prefix_classes(d: int, g: Word):
-    """(nu-mass, one word) of each class k = 0..|g| of S(|g|+1), the words
-    sharing a prefix of length exactly k with g.  The letter after that
-    prefix is neither g's next letter nor the inverse of the one before."""
+    """(nu-mass, k) of each class k = 0..|g| of S(|g|+1), the words sharing
+    a prefix of length exactly k with g.  The letter after that prefix is
+    neither g's next letter nor the inverse of the one before, so
+    (k > 0) + (k < |g|) letters are banned: the masses depend on |g| only."""
     if g.rank != d:
         raise RankMismatchError(f"word rank {g.rank} differs from {d}")
     n, q = len(g), 2 * d - 1
     for k in range(n + 1):
-        banned = {-l for l in g.letters[max(k - 1, 0) : k]} | set(g.letters[k : k + 1])
-        x = next(l for l in alphabet(d) if l not in banned)
-        mass = Fraction((2 * d - len(banned)) * q ** (n - k), 2 * d * q**n)
-        yield mass, Word(g.letters[:k] + (x,) * (n - k + 1), d)
+        yield Fraction((2 * d - (k > 0) - (k < n)) * q ** (n - k), 2 * d * q**n), k
 
 
 def rn_integral(d: int, g: Word) -> Fraction:
     """Integral of the translate density over the boundary; exactly 1."""
-    return sum(m * rn_derivative_exact(d, g, w) for m, w in _prefix_classes(d, g))
+    n, q = len(g), Fraction(2 * d - 1)
+    return sum(m * q ** (2 * k - n) for m, k in _prefix_classes(d, g))
 
 
 def _kl(d: int, g: Word) -> Fraction:
-    # |g w| - |w| = -rn_exponent(g^-1, w) is constant on the classes of g^-1
-    ginv = g.inverse()
-    return sum(-m * rn_exponent(d, ginv, w) for m, w in _prefix_classes(d, ginv))
+    # |g w| - |w| = -rn_exponent(g^-1, w) = |g| - 2k on class k of g^-1,
+    # whose classes have the masses of g's
+    n = len(g)
+    return sum(m * (n - 2 * k) for m, k in _prefix_classes(d, g))
 
 
 def kl_coefficient(d: int, g: Word) -> Fraction:

@@ -23,7 +23,7 @@ import sys
 from . import boundary, entropy, growth, lattice, measures, parsing, quotients
 from .errors import GwelError, ParameterError, ResourceGuardError
 from .reports import Report, emit_report, printable
-from .words import ball_size
+from .words import ball_size, sphere_size
 
 DEFAULT_SEED = 0xD0DD5  # documented default master seed
 
@@ -226,6 +226,11 @@ def _cmd_cogrowth(args) -> Report:
     d = args.rank
     rep = _quotient_rep(args)
     params = {"rank": d, "steps": args.steps, "quotient": args.quotient}
+    # |S(n)| bounds every count and is the trivial quotient's last one:
+    # check it against the report's digit limit before counting (a
+    # negative radius is the rep's error)
+    if args.steps >= 0:
+        printable(sphere_size(d, args.steps))
     # the rep counts and states delta itself, for every quotient family
     counts = tuple(rep.kernel_sphere_counts(args.steps, growth.KERNEL_WORK_BUDGET))
     if len(counts) <= args.steps:

@@ -491,18 +491,17 @@ def coset_enumerate(d: int, relators, max_cosets: int = DEFAULT_MAX_COSETS) -> P
                         n += 1
         alpha += 1
 
-    # relabel the live cosets 0, 1, ... in order; p[i] <= i, so pointer
-    # jumping reaches every coset's representative in log(depth) rounds
-    roots = np.array(p)
-    while not np.array_equal(jumped := roots[roots], roots):
-        roots = jumped
-    live = np.flatnonzero(roots == np.arange(n))
+    # relabel the live cosets 0, 1, ... in order.  Entries are written in
+    # mirrored pairs into empty slots only, and a coincidence clears the
+    # mirror of every entry of a dead coset before it returns (Holt, Eick
+    # and O'Brien, 5.1), so live rows point at live cosets only
+    live = np.flatnonzero(np.array(p) == np.arange(n))
     images = [[column[c] for c in live.tolist()] for column in table]
     if any(None in image for image in images):
         raise ParameterError("incomplete coset table after enumeration")
-    index = np.empty(n, dtype=np.int64)
+    index = np.full(n, -1, dtype=np.int64)
     index[live] = np.arange(len(live))
-    out = PermRep(d, index[roots[np.array(images)]].T)
+    out = PermRep(d, index[np.array(images)].T)
     _check_relators(out._array(), rels)
     return out
 

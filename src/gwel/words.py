@@ -42,21 +42,36 @@ def _check_letters(letters, rank):
             raise RankMismatchError(f"letter {l!r} invalid for rank {rank}")
 
 
-@dataclass(frozen=True, slots=True)
+def _reject(letters, rank):
+    """Raise the error of letters that fail Word's one-pass check: an
+    invalid letter anywhere before the first unreduced pair."""
+    _check_letters(letters, rank)
+    i = next(i for i in range(1, len(letters)) if letters[i] == -letters[i - 1])
+    raise ValueError(f"not freely reduced at position {i}: {letters[i - 1]}, {letters[i]}")
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Word:
     """A freely reduced word.  Immutable, hashable, usable as a dict key."""
 
     letters: tuple[int, ...]
     rank: int
 
+    def __init__(self, letters: tuple[int, ...], rank: int):
+        _set_letters(self, letters)
+        _set_rank(self, rank)
+        self.__post_init__()
+
     def __post_init__(self):
-        _check_letters(self.letters, self.rank)
-        for i in range(len(self.letters) - 1):
-            if self.letters[i + 1] == -self.letters[i]:
-                raise ValueError(
-                    f"not freely reduced at position {i + 1}: "
-                    f"{self.letters[i]}, {self.letters[i + 1]}"
-                )
+        # one pass checks each letter and its seam with the one before
+        letters, rank = self.letters, self.rank
+        if rank < 1:
+            raise RankMismatchError(f"rank must be >= 1, got {rank}")
+        prev = 0
+        for l in letters:
+            if not isinstance(l, int) or not 0 < abs(l) <= rank or l == -prev:
+                _reject(letters, rank)
+            prev = l
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -21,9 +21,15 @@ library's pure-Python indent-2 encoder and the per-trial SeedSequence,
 Generator and step loop here must give the same bytes and floats.  It
 takes gap-check's coset bound from the quotient rep's kernel sphere
 pass; the word convolution pushed through the projection here must give
-the same bound.  The last helpers are small checks that only the tests
-use: kernel membership, generator cycle types, the uniform stationary
-law of a finite action and the Radon-Nikodym bound M(g).
+the same bound.  It takes each Radon-Nikodym exponent as
+2 lcp(g, w) - |g| from letter tuples, the cocycle's three exponents from
+tuple arithmetic and the prefix classes as (mass, k); the reduced
+products of `multiply_rn_exponent` and `multiply_cocycle_exponents` and
+the Word representatives of `word_prefix_classes`, `word_rn_integral`
+and `word_kl_coefficient` must give the same values and the same errors.
+The last helpers are small checks that only the tests use: kernel
+membership, generator cycle types, the uniform stationary law of a
+finite action and the Radon-Nikodym bound M(g).
 """
 
 import json
@@ -33,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from gwel.errors import ConvergenceError, CosetLimitError, ParameterError
+from gwel.errors import ConvergenceError, CosetLimitError, ParameterError, RankMismatchError
 from gwel.measures import convolve_power
 from gwel.quotients import (
     DEFAULT_MAX_COSETS,
@@ -43,7 +49,7 @@ from gwel.quotients import (
     _coset_limit_message,
     _validate_relators,
 )
-from gwel.words import alphabet, letter_key, multiply, sphere
+from gwel.words import Word, alphabet, letter_key, multiply, sphere
 
 
 def tuple_closure_rows(d, images):
@@ -423,6 +429,58 @@ def sphere_boundary_entropy_coefficient(d, mu):
         (q * sphere_kl_coefficient(d, g, m) for g, q in mu.exact_items()),
         Fraction(0),
     )
+
+
+def multiply_rn_exponent(d, g, w):
+    """rn_exponent as first written: |w| - |g^-1 w| by a reduced product,
+    with the same checks and messages."""
+    if g.rank != d or w.rank != d:
+        raise RankMismatchError("rank mismatch in derivative arguments")
+    if len(w) < len(g) + 1:
+        raise ParameterError(f"cylinder depth {len(w)} too shallow for |g| = {len(g)}")
+    return len(w) - len(multiply(g.inverse(), w))
+
+
+def multiply_cocycle_exponents(d, g, h, w):
+    """e(gh, w), e(g, w) and e(h, g^-1 w), each from reduced products;
+    cocycle_check as first written compared the first with the sum of the
+    other two."""
+    if len(w) < len(g) + len(h) + 1:
+        raise ParameterError(
+            f"cylinder depth {len(w)} too shallow for |g|+|h| = {len(g) + len(h)}"
+        )
+    gh = multiply(g, h)
+    return (
+        multiply_rn_exponent(d, gh, w),
+        multiply_rn_exponent(d, g, w),
+        multiply_rn_exponent(d, h, multiply(g.inverse(), w)),
+    )
+
+
+def word_prefix_classes(d, g):
+    """(nu-mass, one word) of each class k = 0..|g| of S(|g|+1), the words
+    sharing a prefix of length exactly k with g: the banned next letters
+    are collected as a set, and each class is represented by a Word."""
+    if g.rank != d:
+        raise RankMismatchError(f"word rank {g.rank} differs from {d}")
+    n, q = len(g), 2 * d - 1
+    for k in range(n + 1):
+        banned = {-l for l in g.letters[max(k - 1, 0) : k]} | set(g.letters[k : k + 1])
+        x = next(l for l in alphabet(d) if l not in banned)
+        mass = Fraction((2 * d - len(banned)) * q ** (n - k), 2 * d * q**n)
+        yield mass, Word(g.letters[:k] + (x,) * (n - k + 1), d)
+
+
+def word_rn_integral(d, g):
+    """rn_integral as first written, over the Word representatives."""
+    q = Fraction(2 * d - 1)
+    return sum(m * q ** multiply_rn_exponent(d, g, w) for m, w in word_prefix_classes(d, g))
+
+
+def word_kl_coefficient(d, g):
+    """kl_coefficient as first written: the classes of g^-1."""
+    ginv = g.inverse()
+    return sum(-m * multiply_rn_exponent(d, ginv, w) for m, w in word_prefix_classes(d, ginv))
 
 
 def cond_expect_matrix(space, partition):

@@ -21,6 +21,7 @@ from oracles import (
     brute_kernel_sphere_counts,
     cond_expect_matrix,
     grid_entropies,
+    multiply_rn_exponent,
     power_iteration_exponent,
     rn_bound,
     sphere_rn_integral,
@@ -235,7 +236,8 @@ def test_criterion_08_boundary_suite():
 
     # density sup bound: exhaustively for |g| <= 3, then via the
     # no-cancellation prefix rule e(g, w) = 2*|common prefix| - |g|
-    # (itself verified exhaustively below), which gives sup = 3^|g|
+    # (verified exhaustively below against |w| - |g^-1 w| from reduced
+    # products), which gives sup = 3^|g|
     mu = srw(d)
     for n in range(1, 4):
         for g in sphere(d, n):
@@ -247,7 +249,7 @@ def test_criterion_08_boundary_suite():
             cp = 0
             while cp < len(g) and g.letters[cp] == w.letters[cp]:
                 cp += 1
-            assert rn_exponent(d, g, w) == 2 * cp - len(g)
+            assert rn_exponent(d, g, w) == multiply_rn_exponent(d, g, w) == 2 * cp - len(g)
     for n in (4, 5, 6):
         for g in sphere(d, n):
             assert 3**n <= rn_bound(mu, g)

@@ -6,6 +6,9 @@ from fractions import Fraction
 import pytest
 
 from gwel.boundary import (
+    _cocycle_exponents,
+    _lcp,
+    _prefix_classes,
     boundary_entropy,
     boundary_entropy_coefficient,
     cocycle_check,
@@ -18,14 +21,19 @@ from gwel.boundary import (
     rn_integral,
 )
 from gwel.entropy import exact_free_entropy
-from gwel.errors import ParameterError
+from gwel.errors import ParameterError, RankMismatchError
 from gwel.measures import Distribution, srw
 from gwel.words import FreeGroup, alphabet, parse_word, reduce_letters, sphere
 from oracles import (
+    multiply_cocycle_exponents,
+    multiply_rn_exponent,
     rn_bound,
     sphere_boundary_entropy_coefficient,
     sphere_kl_coefficient,
     sphere_rn_integral,
+    word_kl_coefficient,
+    word_prefix_classes,
+    word_rn_integral,
 )
 
 
@@ -76,16 +84,108 @@ def test_rn_exponent_examples():
 
 
 def test_exponent_range_and_prefix_rule():
-    # e(g, w) = 2 * (common prefix length) - |g| for deep cylinders
+    # e(g, w) = |w| - |g^-1 w| by a reduced product, within [-|g|, |g|]
     rng = random.Random(131)
     d = 2
     for _ in range(300):
         g = random_word(rng, d, rng.randrange(1, 5))
         w = random_word(rng, d, len(g) + 1 + rng.randrange(0, 3))
-        cp = 0
-        while cp < len(g) and g.letters[cp] == w.letters[cp]:
-            cp += 1
-        assert rn_exponent(d, g, w) == 2 * cp - len(g)
+        e = rn_exponent(d, g, w)
+        assert e == multiply_rn_exponent(d, g, w)
+        assert -len(g) <= e <= len(g)
+
+
+def relabelled_sphere(d, n):
+    """The words of length n whose generators first appear in the order
+    a, b, c, ..., each first as a positive letter: one word per orbit of
+    the signed permutations of the generators.  These keep lengths,
+    reduced products and common prefixes, so pairs (g, w) with g from
+    here and every w stand for all pairs."""
+    out = []
+    for g in sphere(d, n):
+        seen = 0
+        for l in g.letters:
+            if abs(l) > seen:
+                if l != seen + 1:
+                    break
+                seen += 1
+        else:
+            out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_rn_exponent_matches_the_product_oracle(d):
+    # every g with |g| <= 4, every w one or two letters deeper; at d = 3
+    # and |g| = 4 only one letter deeper, as S(6) has 18,750 words
+    orbits = {2: [1, 1, 2, 5, 14], 3: [1, 1, 2, 6, 23]}[d]
+    assert [len(relabelled_sphere(d, n)) for n in range(5)] == orbits
+    for n in range(5):
+        depths = (n + 1,) if (d, n) == (3, 4) else (n + 1, n + 2)
+        ws = [w for m in depths for w in sphere(d, m)]
+        for g in relabelled_sphere(d, n):
+            got = [rn_exponent(d, g, w) for w in ws]
+            assert got == [multiply_rn_exponent(d, g, w) for w in ws], g
+
+
+def test_cocycle_exponents_match_the_product_oracle():
+    # every (g, h) with |g|, |h| <= 2 and every w of the least depth the
+    # check accepts, |g| + |h| + 1
+    d = 2
+    spheres = [list(sphere(d, m)) for m in range(6)]
+    hs = [h for n in range(3) for h in spheres[n]]
+    for g in (g for n in range(3) for g in relabelled_sphere(d, n)):
+        for h in hs:
+            ws = spheres[len(g) + len(h) + 1]
+            got = [_cocycle_exponents(d, g, h, w) for w in ws]
+            assert got == [multiply_cocycle_exponents(d, g, h, w) for w in ws], (g, h)
+            assert all(cocycle_check(d, g, h, w) for w in ws)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_prefix_classes_match_the_word_oracle(d):
+    for n in range(5):
+        for g in sphere(d, n):
+            classes = [(m, _lcp(g.letters, w.letters)) for m, w in word_prefix_classes(d, g)]
+            assert list(_prefix_classes(d, g)) == classes
+            assert rn_integral(d, g) == word_rn_integral(d, g) == 1
+            assert kl_coefficient(d, g) == word_kl_coefficient(d, g)
+
+
+def error_of(fn, *args):
+    try:
+        fn(*args)
+    except (ParameterError, ValueError) as e:
+        return type(e), str(e)
+    return None
+
+
+def test_boundary_errors_match_the_oracles():
+    a2, ab2, aba2 = (parse_word(t, 2) for t in ("a", "ab", "aba"))
+    a3, aba3 = parse_word("a", 3), parse_word("aba", 3)
+    shallow = (ParameterError, "cylinder depth 2 too shallow for |g| = 2")
+    derivative = (RankMismatchError, "rank mismatch in derivative arguments")
+    for args, want in [
+        ((2, a3, aba2), derivative),  # g
+        ((2, a2, aba3), derivative),  # w
+        ((3, a2, aba2), derivative),  # d
+        ((2, ab2, ab2), shallow),
+        ((3, ab2, ab2), derivative),  # the rank check comes first
+    ]:
+        assert error_of(rn_exponent, *args) == error_of(multiply_rn_exponent, *args) == want
+    for args, want in [
+        ((2, a2, a3, aba2), (RankMismatchError, "rank mismatch: 2 vs 3")),  # g and h
+        ((2, a3, a2, aba2), (RankMismatchError, "rank mismatch: 3 vs 2")),
+        ((2, a3, a3, aba2), derivative),  # g and h agree, d and w do not
+        ((2, a2, a2, aba3), derivative),  # w
+        ((3, a2, a2, aba2), derivative),  # d
+        ((2, a2, ab2, aba2), (ParameterError, "cylinder depth 3 too shallow for |g|+|h| = 3")),
+        ((2, ab2, a3, aba2), (ParameterError, "cylinder depth 3 too shallow for |g|+|h| = 3")),
+    ]:
+        assert error_of(cocycle_check, *args) == error_of(multiply_cocycle_exponents, *args) == want
+    for fn, oracle in ((rn_integral, word_rn_integral), (kl_coefficient, word_kl_coefficient)):
+        want = (RankMismatchError, "word rank 2 differs from 3")
+        assert error_of(fn, 3, ab2) == error_of(oracle, 3, ab2) == want
 
 
 def test_cocycle_identity():

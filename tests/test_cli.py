@@ -280,6 +280,26 @@ def test_cogrowth_abelian_budget_trips_before_the_work(capsys):
     assert err.count("\n") == 1 and err.endswith("lower --steps\n")
 
 
+def test_cogrowth_digit_guard_trips_before_counting(capsys):
+    # the trivial quotient's counts are the sphere sizes 4 * 3^(n-1); the
+    # first one past the digit limit is refused before any is counted
+    n = next(n for n in range(1, 10**5) if 4 * 3 ** (n - 1) >= 10**LIMIT)
+    for steps in (n, 100000):
+        start = time.perf_counter()
+        assert main(["cogrowth", "--quotient", "trivial", "--steps", str(steps)]) == 3
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: report integer has over {LIMIT} digits; lower --steps\n"
+    # radius 1000 is printable on Z^2, and over the budget, which trips first
+    start = time.perf_counter()
+    assert main(["cogrowth", "--quotient", "abelian", "--steps", "1000"]) == 3
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().err == (
+        "error: kernel sphere counts exceed the work budget beyond radius 627; lower --steps\n"
+    )
+
+
 @pytest.mark.parametrize("relators", ["abAB", "aa"])
 def test_infinite_abelianization_exits_at_once(relators, capsys):
     start = time.perf_counter()

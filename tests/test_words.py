@@ -54,6 +54,74 @@ def test_word_rejects_unreduced_and_out_of_range():
         Word((0,), 2)
 
 
+@pytest.mark.parametrize(
+    "letters, rank, error, message",
+    [
+        ((0,), 2, RankMismatchError, "letter 0 invalid for rank 2"),
+        ((1, 3), 2, RankMismatchError, "letter 3 invalid for rank 2"),
+        ((-3,), 2, RankMismatchError, "letter -3 invalid for rank 2"),
+        ((1.0,), 2, RankMismatchError, "letter 1.0 invalid for rank 2"),
+        (("a",), 2, RankMismatchError, "letter 'a' invalid for rank 2"),
+        ((1, "a"), 2, RankMismatchError, "letter 'a' invalid for rank 2"),
+        ((None,), 2, RankMismatchError, "letter None invalid for rank 2"),
+        ((1,), 0, RankMismatchError, "rank must be >= 1, got 0"),
+        ((), 0, RankMismatchError, "rank must be >= 1, got 0"),
+        ((1, -1, 2), 2, ValueError, "not freely reduced at position 1: 1, -1"),
+        ((2, 1, -1), 2, ValueError, "not freely reduced at position 2: 1, -1"),
+        # the first unreduced pair is named, and a bad letter anywhere wins
+        ((1, -1, 2, -2), 2, ValueError, "not freely reduced at position 1: 1, -1"),
+        ((1, -1, 3), 2, RankMismatchError, "letter 3 invalid for rank 2"),
+        ((1, -1, 0), 2, RankMismatchError, "letter 0 invalid for rank 2"),
+        ((True, -1), 2, ValueError, "not freely reduced at position 1: True, -1"),
+    ],
+)
+def test_word_construction_errors(letters, rank, error, message):
+    with pytest.raises(error) as e:
+        Word(letters, rank)
+    assert type(e.value) is error
+    assert str(e.value) == message
+
+
+def two_pass_error(letters, rank):
+    # the validator as first written: every letter, then every adjacent pair
+    if rank < 1:
+        return RankMismatchError, f"rank must be >= 1, got {rank}"
+    for l in letters:
+        if not isinstance(l, int) or l == 0 or abs(l) > rank:
+            return RankMismatchError, f"letter {l!r} invalid for rank {rank}"
+    for i in range(len(letters) - 1):
+        if letters[i + 1] == -letters[i]:
+            return ValueError, (
+                f"not freely reduced at position {i + 1}: {letters[i]}, {letters[i + 1]}"
+            )
+    return None
+
+
+def test_word_validation_matches_the_two_pass_check():
+    rng = random.Random(74)
+    pool = [1, -1, 2, -2, 1, -1, 2, -2, 0, 3, -3, 1.0, True, "a"]
+    accepted = 0
+    for _ in range(5000):
+        letters = tuple(rng.choice(pool) for _ in range(rng.randrange(0, 7)))
+        rank = rng.choice((2, 2, 2, 3, 0))
+        expected = two_pass_error(letters, rank)
+        try:
+            w = Word(letters, rank)
+        except (RankMismatchError, ValueError) as e:
+            assert (type(e), str(e)) == expected, letters
+        else:
+            assert expected is None and w.letters == letters, letters
+            accepted += 1
+    assert accepted > 500
+
+
+def test_word_accepts_bools_as_ints():
+    # isinstance(True, int) holds, so True passes as the letter 1
+    w = Word((True, 2), 2)
+    assert w == Word((1, 2), 2) and str(w) == "ab"
+    assert Word(letters=(1, -2), rank=2) == parse_word("aB", 2)
+
+
 def test_internal_words_equal_validated_words():
     # multiply, inverse, cyclically_reduce and sphere build their results
     # without re-validating; each must equal the validated public Word
