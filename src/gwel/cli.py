@@ -22,7 +22,7 @@ import sys
 
 from . import boundary, entropy, growth, lattice, measures, parsing, quotients
 from .errors import GwelError, ParameterError, ResourceGuardError
-from .reports import Report, emit_report, printable
+from .reports import Report, check_power_digits, emit_report, printable
 from .words import ball_size, sphere_size
 
 DEFAULT_SEED = 0xD0DD5  # documented default master seed
@@ -203,9 +203,11 @@ def _cmd_drift(args) -> Report:
 
 def _cmd_growth(args) -> Report:
     d = args.rank
-    # |B(n)| is the largest count: check it against the report's digit
-    # limit before building all n of them (ball_counts rejects d < 2)
+    # |B(n)| >= (2d-1)^n is the largest count: check it against the
+    # report's digit limit before building all n of them (ball_counts
+    # rejects d < 2), by its logarithm first when n is huge
     if d >= 2:
+        check_power_digits(2 * d - 1, args.steps)
         printable(ball_size(d, args.steps))
     series = growth.ball_counts(d, args.steps)
     rows = [[n, c, r] for n, c, r in series.rows()]
@@ -226,10 +228,12 @@ def _cmd_cogrowth(args) -> Report:
     d = args.rank
     rep = _quotient_rep(args)
     params = {"rank": d, "steps": args.steps, "quotient": args.quotient}
-    # |S(n)| bounds every count and is the trivial quotient's last one:
-    # check it against the report's digit limit before counting (a
-    # negative radius is the rep's error)
+    # |S(n)| >= (2d-1)^n bounds every count and is the trivial quotient's
+    # last one: check it against the report's digit limit before counting,
+    # by its logarithm first when n is huge (a negative radius is the
+    # rep's error)
     if args.steps >= 0:
+        check_power_digits(2 * d - 1, args.steps)
         printable(sphere_size(d, args.steps))
     # the rep counts and states delta itself, for every quotient family
     counts = tuple(rep.kernel_sphere_counts(args.steps, growth.KERNEL_WORK_BUDGET))
@@ -374,7 +378,6 @@ def _cmd_proximality(args) -> Report:
     rpt = boundary.proximality_sim(
         d, args.steps, args.prefix_depth, args.seed, trials=args.trials
     )
-    rows = list(map(list, rpt.rows))  # trial, step, length, mass, shallow
     finals = [m for m in rpt.final_masses() if m is not None]
     return Report(
         command="proximality",
@@ -387,13 +390,13 @@ def _cmd_proximality(args) -> Report:
         seed=args.seed,
         series={
             "columns": ["trial", "step", "length", "mass", "shallow"],
-            "rows": rows,
+            "rows": rpt.rows,  # made as the writer reads them
         },
         summary={
             "final_mass_min": min(finals) if finals else None,
             "final_mass_max": max(finals) if finals else None,
-            "skipped_rows": sum(1 for r in rpt.rows if r.mass is None),
-            "shallow_rows": sum(1 for r in rpt.rows if r.shallow),
+            "skipped_rows": int((rpt.lengths < args.prefix_depth).sum()),
+            "shallow_rows": int((rpt.lengths == args.prefix_depth).sum()),
             "mass_formula": "1 - (1/(2d)) (2d-1)^-(L-k), exact per step",
         },
     )

@@ -6,11 +6,19 @@ matter how the computation was scheduled.  Exact integers stay
 integers; rationals are {num, den} pairs; all entropy values are in
 nats and every report says so.
 
-The JSON text is the layout of `json.dumps(obj, sort_keys=True,
-indent=2)`, byte for byte, but written here: with `indent` set the
-standard library falls back to its pure-Python encoder, so each flat
-list of scalars, and each block of flat rows, goes through the C
-encoder in one call with the newline and indent in its item separator.
+The JSON text is the layout of `json.dumps(report_to_object(report),
+sort_keys=True, indent=2)`, byte for byte, but written here: with
+`indent` set the standard library falls back to its pure-Python
+encoder.  The writer cleans and lays out a list `_ROW_CHUNK` items at a
+time, so a Sequence that makes its rows as they are read, such as
+proximality's, is never held whole.  A chunk of scalars, or of rows of
+one nonzero width holding scalars, is cleaned column by column with
+exact-type tests and no call per cell, and goes through the C encoder
+in one call, with the newline and indent in its item separator; any
+other chunk takes the recursive layout item by item.  The encoded
+chunks are joined once into the report's bytes, so a report of 10^6
+rows is never held as rows, cleaned rows and text at the same time.
+CSV goes through the same chunks.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ import itertools
 import json
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,7 +42,7 @@ class Report:
     command: str
     params: dict
     seed: int | None
-    series: dict  # {"columns": [names], "rows": [[scalar or None, ...]]}
+    series: dict  # {"columns": [names], "rows": a Sequence of [scalar or None, ...]}
     summary: dict
     warnings: list = field(default_factory=list)
 
@@ -42,13 +51,36 @@ def _sig(x: float) -> float:
     return float(f"{x:.12g}")
 
 
+def _digit_limit() -> int:
+    return getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+
+
+def _too_long(limit: int) -> ResourceGuardError:
+    return ResourceGuardError(f"report integer has over {limit} digits; lower --steps")
+
+
 def printable(v: int) -> int:
     """v, unless str(v) would pass the interpreter's digit limit; under
     3 * limit bits an integer has under `limit` digits."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    limit = _digit_limit()
     if not limit or v.bit_length() <= 3 * limit or abs(v) < 10**limit:
         return v
-    raise ResourceGuardError(f"report integer has over {limit} digits; lower --steps")
+    raise _too_long(limit)
+
+
+def check_power_digits(q: int, n: int) -> None:
+    """Raise printable's error for q**n, and for any count at least as
+    large, when n * log10(q) passes the digit limit by over one digit, a
+    margin no float rounding reaches; nearer the limit, printable decides
+    on the exact count.  Costs no power of q."""
+    limit = _digit_limit()
+    if limit and n * math.log10(q) > limit + 1:
+        raise _too_long(limit)
+
+
+def _is_list(obj) -> bool:
+    # a report's lazy rows are a Sequence; strings are not lists
+    return isinstance(obj, Sequence) and not isinstance(obj, (str, bytes, bytearray))
 
 
 def _clean(obj):
@@ -74,69 +106,125 @@ def _clean(obj):
         return obj
     if isinstance(obj, dict):
         return {str(k): _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if _is_list(obj):
         return [_clean(v) for v in obj]
     return str(obj)
 
 
-def report_to_object(report: Report) -> dict:
+def _fields(report: Report) -> dict:
     return {
         "command": report.command,
-        "params": _clean(report.params),
+        "params": report.params,
         "seed": report.seed,
-        "series": _clean(report.series),
-        "summary": _clean(report.summary),
+        "series": report.series,
+        "summary": report.summary,
         "warnings": [str(w) for w in report.warnings],
         "tool_version": TOOL_VERSION,
         "units": "nats",
     }
 
 
+def report_to_object(report: Report) -> dict:
+    return _clean(_fields(report))
+
+
 _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+_ROW_CHUNK = 4096  # list items cleaned and encoded per encoder call
+_INT_CAP = 1 << 1920  # _clean's bound: smaller ints skip printable
 
 
 def _encode(obj, sep: str = ",") -> str:
-    """One call to the C encoder; NaN and inf raise ValueError.  `_clean`
-    builds a fresh tree, so it holds no cycle to check for."""
+    """One call to the C encoder; NaN and inf raise ValueError.  It is
+    given scalars and lists of scalars or of rows of scalars, which hold
+    no cycle to check."""
     return json.dumps(obj, separators=(sep, ": "), allow_nan=False, check_circular=False)
 
 
-def _flat(values) -> bool:
-    return _SCALAR_TYPES.issuperset(map(type, values))
+def _chunks(items):
+    """Lists of `_ROW_CHUNK` consecutive items, the last one shorter."""
+    it = iter(items)
+    while chunk := list(itertools.islice(it, _ROW_CHUNK)):
+        yield chunk
 
 
-def _indent2(obj, pad: str = "\n") -> str:
-    """obj laid out as `json.dumps(obj, sort_keys=True, indent=2)` lays it
-    out at the nesting level whose newline and indent are `pad`."""
+def _clean_cells(cells: list, width: int) -> bool:
+    """Clean `cells`, scalars in rows of `width`, in place column by
+    column: exact-type tests, a digit check only for a column whose ints
+    pass _clean's bound, one rounding per distinct float.  False, with
+    nothing changed, when a cell is not a scalar of an exact type (a
+    numpy float, a Fraction, a list): its chunk takes the recursive
+    layout, which cleans it item by item."""
+    cols = [cells[i::width] for i in range(width)]
+    col_kinds = [set(map(type, col)) for col in cols]
+    if not _SCALAR_TYPES.issuperset(itertools.chain.from_iterable(col_kinds)):
+        return False
+    for i, (col, kinds) in enumerate(zip(cols, col_kinds)):
+        if int in kinds:
+            ints = col if len(kinds) == 1 else [v for v in col if type(v) is int]
+            if max(ints) >= _INT_CAP or min(ints) <= -_INT_CAP:
+                for v in ints:
+                    printable(v)
+        if float in kinds:
+            # one rounding per distinct nonzero float; a zero keeps its sign
+            sig = {v: _sig(v) for v in {v for v in col if type(v) is float and v}}
+            cells[i::width] = [sig[v] if type(v) is float and v else v for v in col]
+    return True
+
+
+def _chunk_text(items: list, ind: str) -> str:
+    """The items of one chunk of a list, each on its own line at the
+    level whose newline and indent are `ind`, joined by commas: one
+    encoder call when they are all scalars, or all rows of one nonzero
+    width holding scalars, else one recursive layout per item."""
+    kinds = set(map(type, items))
+    if kinds <= _SCALAR_TYPES:
+        if _clean_cells(items, 1):
+            return ind + _encode(items, "," + ind)[1:-1]
+    elif all(issubclass(k, (list, tuple)) for k in kinds):
+        widths = set(map(len, items))
+        width = widths.pop() if len(widths) == 1 else 0
+        cells = list(itertools.chain.from_iterable(items)) if width else []
+        if width and _clean_cells(cells, width):
+            # encoded string cells never hold a raw newline, so
+            # "],<newline><cell indent>[" occurs only between rows
+            cell = ind + "  "
+            rows = list(zip(*[iter(cells)] * width))
+            body = _encode(rows, "," + cell)[2:-2].replace(f"],{cell}[", f"{ind}],{ind}[{cell}")
+            return f"{ind}[{cell}{body}{ind}]"
+    return ",".join(ind + "".join(_parts(v, ind)) for v in items)
+
+
+def _parts(obj, pad: str = "\n"):
+    """The text of `_clean(obj)` as `json.dumps(_clean(obj),
+    sort_keys=True, indent=2)` lays it out at the nesting level whose
+    newline and indent are `pad`, in parts: one per chunk of a list."""
+    if not isinstance(obj, dict) and not _is_list(obj):
+        obj = _clean(obj)  # a scalar, or a Fraction's {num, den}
+        if not isinstance(obj, dict):
+            yield _encode(obj)
+            return
     ind = pad + "  "
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",".join(f"{ind}{_encode(k)}: {_indent2(obj[k], ind)}" for k in sorted(obj))
-        return f"{{{items}{pad}}}"
-    if not isinstance(obj, (list, tuple)):
-        return _encode(obj)
-    if not obj:
-        return "[]"
-    if _flat(obj):
-        return f"[{ind}{_encode(obj, ',' + ind)[1:-1]}{pad}]"
-    if set(map(type, obj)) == {list} and all(obj) and _flat(itertools.chain.from_iterable(obj)):
-        # nonempty flat rows: encoded string cells never hold a raw
-        # newline, so "],<newline><cell indent>[" occurs only between rows
-        cell = ind + "  "
-        body = _encode(obj, "," + cell)[2:-2].replace(f"],{cell}[", f"{ind}],{ind}[{cell}")
-        return f"[{ind}[{cell}{body}{ind}]{pad}]"
-    items = ",".join(ind + _indent2(v, ind) for v in obj)
-    return f"[{items}{pad}]"
+        obj = {str(k): v for k, v in obj.items()}
+        sep = "{"
+        for k in sorted(obj):
+            yield f"{sep}{ind}{_encode(k)}: "
+            yield from _parts(obj[k], ind)
+            sep = ","
+        yield pad + "}" if obj else "{}"
+        return
+    sep = "["
+    for chunk in _chunks(obj):
+        yield sep + _chunk_text(chunk, ind)
+        sep = ","
+    yield pad + "]" if sep == "," else "[]"
 
 
 def report_json_bytes(report: Report) -> bytes:
-    obj = report_to_object(report)
     try:
-        text = _indent2(obj)
+        return b"".join(map(str.encode, itertools.chain(_parts(_fields(report)), ["\n"])))
     except ValueError:
         raise ConvergenceError("report holds a non-finite number (NaN or inf)") from None
-    return (text + "\n").encode("utf-8")
 
 
 def _csv_cell(v) -> str:
@@ -148,22 +236,24 @@ def _csv_cell(v) -> str:
         if not math.isfinite(v):
             raise ConvergenceError("report holds a non-finite number (NaN or inf)")
         return f"{v:.12g}"
+    if isinstance(v, int):
+        return str(printable(v))  # trips before a slow int-to-str conversion
     return str(v)
 
 
+def _csv_parts(report: Report):
+    yield ",".join(str(c) for c in report.series.get("columns", [])) + "\n"
+    for chunk in _chunks(report.series.get("rows", [])):
+        yield "".join([",".join(map(_csv_cell, row)) + "\n" for row in chunk])
+
+
 def report_csv_bytes(report: Report) -> bytes:
-    cols = report.series.get("columns", [])
-    rows = report.series.get("rows", [])
-    for v in (v for row in rows for v in row if isinstance(v, int)):
-        printable(v)  # trips before any slow int-to-str conversion
-    lines = [",".join(str(c) for c in cols)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return b"".join(map(str.encode, _csv_parts(report)))
 
 
 def emit_report(report: Report, fmt: str = "json", out: str | None = None) -> bytes:
-    """Serialize and write to `out` (or stdout); returns the bytes."""
+    """Serialize and write to `out` (or stdout); returns the bytes.  Nothing
+    is written unless the whole report serializes."""
     if fmt == "json":
         data = report_json_bytes(report)
     elif fmt == "csv":

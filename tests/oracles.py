@@ -27,6 +27,9 @@ tuple arithmetic and the prefix classes as (mass, k); the reduced
 products of `multiply_rn_exponent` and `multiply_cocycle_exponents` and
 the Word representatives of `word_prefix_classes`, `word_rn_integral`
 and `word_kl_coefficient` must give the same values and the same errors.
+It keeps proximality's walks as a lengths array and makes the rows as
+they are read; the tuple of ProximalityRows built step by step here, with
+each mass exact from its own Fraction, must give the same rows.
 The last helpers are small checks that only the tests use: kernel
 membership, generator cycle types, the uniform stationary law of a
 finite action and the Radon-Nikodym bound M(g).
@@ -39,6 +42,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from gwel.boundary import ProximalityRow, pushed_prefix_mass_exact
 from gwel.errors import ConvergenceError, CosetLimitError, ParameterError, RankMismatchError
 from gwel.measures import convolve_power
 from gwel.quotients import (
@@ -508,6 +512,28 @@ def dense_l2_distance(space, p, q):
 def indent2_json(obj):
     """The report layout: the standard library's indent-2 JSON encoder."""
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+
+
+def proximality_rows(d, n, k, seed, trials):
+    """The rows of proximality_sim(d, n, k, seed, trials) as one tuple:
+    trial i walks on the picks of Generator(Philox(child_i)), child_i the
+    i-th spawn of SeedSequence(seed), reduced with a letter stack; each
+    row's mass is the float of its exact pushed mass, None below k."""
+    letters = alphabet(d)
+    rows = []
+    for t, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        picks = np.random.Generator(np.random.Philox(child)).integers(0, 2 * d, size=n)
+        stack = []
+        for j, pick in enumerate(picks.tolist(), 1):
+            l = letters[pick]
+            if stack and stack[-1] == -l:
+                stack.pop()
+            else:
+                stack.append(l)
+            length = len(stack)
+            mass = float(pushed_prefix_mass_exact(d, length, k)) if length >= k else None
+            rows.append(ProximalityRow(t, j, length, mass, length == k))
+    return tuple(rows)
 
 
 def drift_loop(d, n, trials, seed):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gwel.boundary import (
+    ProximalityRow,
     _cocycle_exponents,
     _lcp,
     _prefix_classes,
@@ -26,6 +27,7 @@ from gwel.measures import Distribution, srw
 from gwel.words import FreeGroup, alphabet, parse_word, reduce_letters, sphere
 from oracles import (
     multiply_cocycle_exponents,
+    proximality_rows,
     multiply_rn_exponent,
     rn_bound,
     sphere_boundary_entropy_coefficient,
@@ -314,3 +316,21 @@ def test_proximality_sim_concentrates():
             assert row.shallow == (row.length == 3)
     for m in report.final_masses():
         assert m is not None and m >= 0.999
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_proximality_rows_match_the_row_oracle(d, k):
+    for trials, steps in ((1, 1), (60, 7), (2, 500), (13, 41)):
+        reports = {}
+        for seed in (0, 7):
+            want = proximality_rows(d, steps, k, seed, trials)
+            report = reports[seed] = proximality_sim(d, steps, k, seed, trials=trials)
+            assert len(report.rows) == len(want)
+            assert report.rows == want
+            assert all(type(row) is ProximalityRow for row in report.rows)
+            assert (report.rows[0], report.rows[-1], report.rows[1:4]) == (want[0], want[-1], want[1:4])
+            assert report.final_masses() == [want[t * steps + steps - 1].mass for t in range(trials)]
+            again = proximality_sim(d, steps, k, seed, trials=trials)
+            assert again == report and hash(again) == hash(report)
+        assert reports[0] != reports[7]

@@ -1,17 +1,20 @@
 import hashlib
 import json
+import math
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from oracles import brute_kernel_sphere_counts
 
 from gwel.cli import main
-from gwel.errors import ConvergenceError
+from gwel.errors import ConvergenceError, ResourceGuardError
 from gwel.parsing import parse_quotient_spec
 from gwel.quotients import AbelianRep
-from gwel.reports import printable
+from gwel.reports import check_power_digits, printable
+from gwel.words import ball_size, sphere_size
 
 LIMIT = sys.get_int_max_str_digits()
 
@@ -146,6 +149,41 @@ def test_proximality_rows(capsysbinary):
     )
     assert len(obj["series"]["rows"]) == 36
     assert obj["summary"]["final_mass_min"] > 0.9
+
+
+# sha256 of the benchmark's proximality reports (bench seeds 1 and 2), as
+# written from whole rows before the writer went chunk by chunk
+PROXIMALITY_DIGESTS = {
+    (266717575, "json"): "e3b90b360ddc4492ea468821ab35bbea441bcf49f2d90bd7313d98d5796f5acb",
+    (266717575, "csv"): "2cb88802351357a5105f7b920248ed3a88527ca75bc1a02249844e472d85ce5c",
+    (2165107085, "json"): "11bb2939467ac76d5fc39a3f57f008ed7cd974663629a69f3cb21ee048b67d70",
+    (2165107085, "csv"): "a485cabab19e053ef047660e9e6446fc401546079d3e9380b8300d8b09843891",
+}
+
+
+@pytest.mark.parametrize("seed, fmt", sorted(PROXIMALITY_DIGESTS))
+def test_proximality_report_bytes_are_unchanged(seed, fmt, tmp_path):
+    out = tmp_path / f"report.{fmt}"
+    argv = ["proximality", "--steps", "500", "--trials", "60", "--seed", str(seed)]
+    assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PROXIMALITY_DIGESTS[seed, fmt]
+
+
+def test_proximality_report_memory_is_a_small_multiple_of_its_bytes(tmp_path):
+    # rows, cleaned rows and the text are never all held at once: the
+    # peak is the encoded chunks plus their one join, about 2.5 times
+    # the report here (6.8 times when every row was held three ways)
+    out = tmp_path / "report.json"
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code = main(["proximality", "--steps", "500", "--trials", "60", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 3 * out.stat().st_size
+    assert time.perf_counter() - start < 2.0
 
 
 def test_lattice_experiment(tmp_path, capsysbinary):
@@ -422,6 +460,51 @@ def test_growth_digit_guard_trips_before_the_series(fmt, capsys):
     n = next(n for n in range(10**5) if 2 * 3**n - 1 >= top)
     assert main(["growth", "--steps", str(n), "--format", fmt]) == 3
     assert printable(2 * 3 ** (n - 1) - 1) < top
+
+
+@pytest.mark.parametrize("argv", [["growth"], ["cogrowth", "--quotient", "trivial"]])
+def test_digit_guard_refuses_a_huge_radius_without_its_power(argv, capsys):
+    start = time.perf_counter()
+    assert main([*argv, "--steps", "10000000"]) == 3
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: report integer has over {LIMIT} digits; lower --steps\n"
+
+
+def largest_printable(size, d):
+    """The largest radius n whose size(d, n) has at most LIMIT digits."""
+    n = int(LIMIT / math.log10(2 * d - 1)) - 3
+    while size(d, n + 1) < 10**LIMIT:
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("d", [2, 3, 26])
+def test_digit_guard_leaves_the_last_printable_radii_to_the_exact_check(d):
+    for size in (ball_size, sphere_size):
+        n = largest_printable(size, d)
+        for m in range(n - 2, n + 6):
+            try:
+                check_power_digits(2 * d - 1, m)
+            except ResourceGuardError:
+                assert m > n  # it refuses only counts past the limit
+            else:
+                assert m <= n + 3  # and refuses them within a digit or so
+            if m <= n:
+                assert printable(size(d, m)) == size(d, m)
+            else:
+                with pytest.raises(ResourceGuardError):
+                    printable(size(d, m))
+
+
+def test_largest_printable_radius_exits_0(tmp_path, capsys):
+    out = str(tmp_path / "report.json")
+    for verb, size in ((["growth"], ball_size), (["cogrowth", "--quotient", "trivial"], sphere_size)):
+        n = largest_printable(size, 26)
+        assert main([*verb, "--rank", "26", "--steps", str(n), "--out", out]) == 0
+        assert main([*verb, "--rank", "26", "--steps", str(n + 1), "--out", out]) == 3
+    assert capsys.readouterr().err.count("digits; lower --steps\n") == 2
 
 
 def test_memory_error_maps_to_exit_3(capsys, monkeypatch):

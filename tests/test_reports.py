@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,8 +9,8 @@ import pytest
 from oracles import indent2_json
 from test_golden_reports import CASES
 
-from gwel import cli
-from gwel.errors import ConvergenceError
+from gwel import cli, reports
+from gwel.errors import ConvergenceError, ResourceGuardError
 from gwel.reports import (
     TOOL_VERSION,
     Report,
@@ -158,3 +159,62 @@ def test_non_finite_cell_in_any_row_shape_is_an_error(bad):
         report.series["rows"] = rows
         with pytest.raises(ConvergenceError, match="non-finite"):
             report_json_bytes(report)
+
+
+SEAM = 'row end "],\n  [" and "],\n      [" in a cell, quotes \\" and non-ASCII: \u00e9\u2211'
+SEAM_ROWS = [
+    [1, 0.1 * 3, SEAM, True, None],
+    [2**64 + 1, -(2**63) - 1, False, -0.0, 0.0],
+    [3, Fraction(-7, 3), 1e-7, None, SEAM],  # the Fraction takes the recursive path
+    [4, np.float64(2 / 3), 2**70, 2.5, True],  # so does the numpy float
+    [5, 0.1 * 3, None, "x", False],
+]
+
+
+def seam_report(n):
+    rows = [SEAM_ROWS[i % len(SEAM_ROWS)] for i in range(n)]
+    return Report(
+        command="seams",
+        params={"rows": n},
+        seed=1,
+        series={"columns": ["a", "b", "c", "d", "e"], "rows": rows},
+        summary={"cells": [v for row in rows for v in row][: 2 * n], "rows": tuple(rows)},
+    )
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_chunked_writer_matches_the_oracle_at_every_seam(chunk, monkeypatch):
+    monkeypatch.setattr(reports, "_ROW_CHUNK", chunk)
+    for n in sorted({0, 1, chunk - 1, chunk, chunk + 1, 2 * len(SEAM_ROWS) + 1}):
+        report = seam_report(n)
+        assert report_json_bytes(report) == oracle_bytes(report), n
+    args = cli.build_parser().parse_args(["proximality", "--steps", "7", "--trials", "2"])
+    report = cli._HANDLERS["proximality"](args)
+    assert report_json_bytes(report) == oracle_bytes(report)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64("-inf")])
+def test_non_finite_cell_in_the_last_chunk_is_an_error(bad, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(reports, "_ROW_CHUNK", 2)
+    rows = [[i, 0.5] for i in range(4)] + [[4, bad]]
+    report = Report("growth", {}, None, {"columns": ["n", "x"], "rows": rows}, {})
+    monkeypatch.setitem(cli._HANDLERS, "growth", lambda args: report)
+    for fmt, write in (("json", report_json_bytes), ("csv", report_csv_bytes)):
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            write(report)
+        out = tmp_path / f"report.{fmt}"
+        assert cli.main(["growth", "--format", fmt, "--out", str(out)]) == 4
+        assert not out.exists()
+        assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("chunk", [1, 4096])
+def test_integer_past_the_digit_limit_in_a_flat_row_is_a_guard_error(chunk, monkeypatch):
+    monkeypatch.setattr(reports, "_ROW_CHUNK", chunk)
+    huge = 10 ** sys.get_int_max_str_digits()
+    # a column of ints only, and a column that mixes ints with floats
+    for rows in ([[1, 0.5], [-huge, "x"]], [[1, 0.5], [2, huge]]):
+        report = Report("growth", {}, None, {"columns": ["n", "x"], "rows": rows}, {})
+        for write in (report_json_bytes, report_csv_bytes):
+            with pytest.raises(ResourceGuardError, match="digits; lower --steps"):
+                write(report)
