@@ -43,9 +43,15 @@ the same group changes the last bits of the floats.  Both builders fix
 it.  Coset enumeration follows one definition sequence (relators and
 letters in the given order, the smaller coset surviving a coincidence),
 and `tests/oracles.py::hlt_coset_table` keeps the original loop that
-every table and error is checked against.  The closure numbers elements
-by first occurrence in breadth-first (element, letter) order, checked
-against the tuple-by-tuple `tests/oracles.py::tuple_closure_rows`.
+every table and error is checked against.  HLT cannot complete on an
+infinite quotient, so a presentation proved infinite before it starts
+raises the cap's error at once: by infinite abelianization, as a free
+product of cyclic groups, or by a subgroup of small index with infinite
+abelianization.  The scan of a relator u^k at a coset gamma u, where
+gamma's own scan already closed the loop, is skipped; no definition
+changes.  The closure numbers elements by first occurrence in
+breadth-first (element, letter) order, checked against the
+tuple-by-tuple `tests/oracles.py::tuple_closure_rows`.
 
 Every quotient here has critical exponent log(2d-1): a finite quotient's
 kernel has finite index, and Z^d is amenable (Grigorchuk 1980; Cohen, J.
@@ -65,7 +71,7 @@ import math
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, count, takewhile
+from itertools import accumulate, count, groupby, permutations, product, takewhile
 
 import numpy as np
 
@@ -335,20 +341,120 @@ def _validate_relators(d: int, relators) -> list[list[int]]:
     return rels
 
 
-def _check_abelianization(d: int, rels: list[list[int]]) -> None:
-    """Raise CosetLimitError at once if the relators' exponent sums have
-    rank < d over Q (integer elimination): the quotient then maps onto Z."""
-    rows = [[sum(1 - 2 * (c & 1) for c in w if c >> 1 == i) for i in range(d)] for w in rels]
+def _rank(rows: list[list[int]]) -> int:
+    """Rank over Q of an integer matrix given by its rows, by elimination
+    that keeps every entry an integer."""
     rank = 0
-    for j in range(d):
+    for j in range(len(rows[0]) if rows else 0):
         pivot = next((row for row in rows if row[j]), None)
         if pivot:
-            rows = [[pivot[j] * x - row[j] * y for x, y in zip(row, pivot)]
+            rows = [[pivot[j] * x - row[j] * y for x, y in zip(row, pivot)] if row[j] else row
                     for row in rows if row is not pivot]
             rank += 1
+    return rank
+
+
+def _check_abelianization(d: int, rels: list[list[int]]) -> None:
+    """Raise CosetLimitError at once if the relators' exponent sums have
+    rank < d over Q: the quotient then maps onto Z."""
+    rank = _rank([[sum(1 - 2 * (c & 1) for c in w if c >> 1 == i) for i in range(d)]
+                  for w in rels])
     if rank < d:
         raise CosetLimitError(f"the relators' exponent sums have rank {rank} < {d}, "
                               "so the quotient maps onto Z and is infinite")
+
+
+def _free_product_of_cyclics(d: int, rels: list[list[int]]) -> bool:
+    """True when every relator is a power of one generator and at least two
+    generators have exponent gcd other than 1: the quotient is then a free
+    product of cyclic groups with two nontrivial factors, so infinite."""
+    gcds = [0] * d
+    for w in rels:
+        if any(c >> 1 != w[0] >> 1 for c in w):
+            return False
+        gcds[w[0] >> 1] = math.gcd(gcds[w[0] >> 1], len(w))
+    return sum(g != 1 for g in gcds) >= 2
+
+
+# (n!)^d permutation tuples times the relator letters, summed over the
+# degrees n tried: degree 4 at rank 2 for up to 32 letters, a few ms
+_LOW_INDEX_WORK = 20_000
+
+
+def _cycle_powers(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """perm^0, perm^1, ..., perm^(k-1), where k is the order of perm."""
+    out = [tuple(range(len(perm)))]
+    while (nxt := tuple(perm[x] for x in out[-1])) != out[0]:
+        out.append(nxt)
+    return out
+
+
+def _low_index_degree(d: int, rels: list[list[int]]) -> int:
+    """The least n in 2..N for which the quotient acts transitively on n
+    points with a point stabilizer H of infinite abelianization, or 0.
+
+    H has index n and is infinite, so the quotient is infinite.  By
+    Reidemeister-Schreier (Sims, Computation with Finitely Presented
+    Groups, 1994), the abelianization of H has free rank (d-1)n+1 less the
+    rank of the relator loops: the exponent sums over the dn edges (point,
+    generator) of the action graph of every relator read from every point.
+    At n = 1 this is `_check_abelianization`.  Every d-tuple of
+    permutations is tried, each generator's among those that satisfy the
+    relators in that generator alone.  N is the largest degree whose (n!)^d
+    tuples times the relator letters, summed from n = 2, fit in
+    `_LOW_INDEX_WORK`: it depends on d and the relator length only.
+    """
+    length = sum(map(len, rels))
+    spent = accumulate(math.factorial(n) ** d * length for n in count(2))
+    top = 1 + sum(1 for _ in takewhile(lambda w: w <= _LOW_INDEX_WORK, spent))
+    # a relator as runs (generator, signed exponent), and the generators it names
+    runs = [[(c >> 1, (1 - 2 * (c & 1)) * len(list(g))) for c, g in groupby(w)] for w in rels]
+    names = [{g for g, _ in r} for r in runs]
+    mixed = [r for r, s in zip(runs, names) if len(s) > 1]
+
+    def fixes(powers, r, points) -> bool:
+        """Whether relator r acts trivially; powers[g] is _cycle_powers of
+        generator g's permutation (a dict for a relator in g alone)."""
+        for x in points:
+            y = x
+            for g, e in r:
+                pw = powers[g]
+                y = pw[e % len(pw)][y]
+            if y != x:
+                return False
+        return True
+
+    for n in range(2, top + 1):
+        points = range(n)
+        perms = list(map(_cycle_powers, permutations(points)))
+        cands = [[pw for pw in perms
+                  if all(fixes({g: pw}, r, points) for r, s in zip(runs, names) if s == {g})]
+                 for g in range(d)]
+        for powers in product(*cands):
+            if not all(fixes(powers, r, points) for r in mixed):
+                continue
+            gens = [pw[1 % len(pw)] for pw in powers]
+            orbit = {0}
+            for _ in range(n - 1):
+                orbit |= {gen[x] for gen in gens for x in orbit}
+            if len(orbit) < n:
+                continue
+            loops = []
+            for w in rels:
+                for start in points:
+                    row, x = [0] * (d * n), start
+                    for c in w:
+                        g = c >> 1
+                        if c & 1:  # back along the edge (x g^-1, g)
+                            x = powers[g][-1][x]
+                            row[g * n + x] -= 1
+                        else:
+                            row[g * n + x] += 1
+                            x = gens[g][x]
+                    loops.append(row)
+            if _rank(loops) < (d - 1) * n + 1:
+                return n
+    return 0
 
 
 def _coset_limit_message(max_cosets: int) -> str:
@@ -365,6 +471,11 @@ def _check_cap(name: str, cap: int) -> None:
                              "quotient any verb can use (set by --max-cosets)")
 
 
+def _root_length(w: list[int]) -> int:
+    """The length of the shortest u with w = u^k."""
+    return next(m for m in range(1, len(w) + 1) if len(w) % m == 0 and w == w[:m] * (len(w) // m))
+
+
 def coset_enumerate(d: int, relators, max_cosets: int = DEFAULT_MAX_COSETS) -> PermRep:
     """Todd-Coxeter enumeration of the quotient presented by the relators.
 
@@ -374,9 +485,24 @@ def coset_enumerate(d: int, relators, max_cosets: int = DEFAULT_MAX_COSETS) -> P
     undefined entry until the scan closes; then fill the rest of alpha's
     row column by column.  A closing scan's deduction is recorded in both
     table directions at once; coincidences are processed to completion as
-    they appear, with the smaller coset number surviving.  The cap counts
+    they appear, with the smaller coset number surviving.  The scan of a
+    relator w = u^k (k > 1) at alpha is skipped when alpha u^-1 is defined
+    and below alpha: that coset's own scan of w closed the loop through
+    alpha, and coincidence processing never drops an entry of a live
+    coset, so the skipped scan would neither define, deduce nor merge.
+    The check costs |u| lookups where the scan costs k|u|.  The cap counts
     rows ever defined; exceeding it raises CosetLimitError, the normal
     outcome for an infinite quotient.
+
+    After the rank, cap, relator and empty-list checks,
+    `_check_abelianization` refuses a quotient that maps onto Z, with its
+    own message (the oracle makes the same check).  Then
+    `_free_product_of_cyclics` (two nontrivial cyclic free factors) or
+    `_low_index_degree` (a subgroup of index 2..N with infinite
+    abelianization) may prove the quotient infinite; HLT could then only
+    stop at the cap, so the cap's error is raised before it starts.  An
+    infinite quotient that neither proves, such as the (2, 3, 7) triangle
+    group, still runs to the cap.
 
     This definition sequence is fixed, because the table's numbering is
     part of the report contract (see the module docstring).  The loop is
@@ -390,6 +516,8 @@ def coset_enumerate(d: int, relators, max_cosets: int = DEFAULT_MAX_COSETS) -> P
     if not rels:  # the quotient is F_d itself, which no cap can hold
         raise CosetLimitError(_coset_limit_message(max_cosets))
     _check_abelianization(d, rels)
+    if _free_product_of_cyclics(d, rels) or _low_index_degree(d, rels):
+        raise CosetLimitError(_coset_limit_message(max_cosets))
     ncols = 2 * d
 
     # one list per column, so a coset costs a pointer per column
@@ -435,14 +563,31 @@ def coset_enumerate(d: int, relators, max_cosets: int = DEFAULT_MAX_COSETS) -> P
                     table[col ^ 1][nu] = mu
 
     # each relator w as the columns w[i] and the inverse columns w[i] ^ 1,
-    # which the backward half of a scan reads from the end
-    scans = [([table[c] for c in w], [table[c ^ 1] for c in w], len(w) - 1) for w in rels]
+    # which the backward half of a scan reads from the end; for w = u^k
+    # with k > 1, also the columns of u^-1
+    scans = [([table[c] for c in w], [table[c ^ 1] for c in w], len(w) - 1,
+              [table[c ^ 1] for c in reversed(w[:root])] if root < len(w) else ())
+             for w, root in zip(rels, map(_root_length, rels))]
     fills = [(table[c], table[c ^ 1]) for c in range(ncols)]
     n = 1  # rows ever defined, len(p)
     alpha = 0
     while alpha < n:
         if p[alpha] == alpha:  # alpha is live: p[i] <= i, so rep(alpha) == alpha
-            for fwd, bwd, last in scans:
+            for fwd, bwd, last, u_inverse in scans:
+                if u_inverse:
+                    # alpha = gamma u for a gamma < alpha, live because live
+                    # rows point at live cosets: gamma's scan closed the loop
+                    # gamma u^k = gamma through alpha, and coincidences keep
+                    # every entry of a live coset, so the scan at alpha
+                    # would neither define, deduce nor merge
+                    gamma = alpha
+                    for column in u_inverse:
+                        gamma = column[gamma]
+                        if gamma is None:
+                            break
+                    else:
+                        if gamma < alpha:
+                            continue
                 f, i, b, j = alpha, 0, alpha, last
                 while True:
                     while i <= j:

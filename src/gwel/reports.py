@@ -241,10 +241,51 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+# `_csv_cell` of a cell of each exact scalar type it can never reject
+_CSV_TEXT = {
+    float: "{:.12g}".format,
+    int: str,
+    str: str,
+    bool: "01".__getitem__,
+    type(None): lambda v: "",
+}
+
+
+def _csv_column(col: tuple) -> list[str] | None:
+    """`_csv_cell` of every cell of one column, by exact-type tests; None
+    when a cell is not a scalar of an exact type, or is a non-finite float
+    or an int past _clean's bound, which `_csv_cell` must see in row order."""
+    kinds = set(map(type, col))
+    if not _SCALAR_TYPES.issuperset(kinds):
+        return None
+    if float in kinds and not all(map(math.isfinite, col if len(kinds) == 1 else
+                                      [v for v in col if type(v) is float])):
+        return None
+    if int in kinds:
+        ints = col if len(kinds) == 1 else [v for v in col if type(v) is int]
+        if max(ints) >= _INT_CAP or min(ints) <= -_INT_CAP:
+            return None
+    if len(kinds) == 1:
+        return list(map(_CSV_TEXT[kinds.pop()], col))
+    return [_CSV_TEXT[type(v)](v) for v in col]
+
+
+def _csv_chunk_text(rows: list) -> str:
+    """The CSV lines of one chunk of rows: column by column when the rows
+    are lists or tuples of one nonzero width whose every column
+    `_csv_column` formats, else cell by cell."""
+    tuples = all(isinstance(row, (list, tuple)) for row in rows)
+    if tuples and len(set(map(len, rows))) == 1 and rows[0]:
+        cols = [_csv_column(col) for col in zip(*rows)]
+        if None not in cols:
+            return "\n".join(map(",".join, zip(*cols))) + "\n"
+    return "".join([",".join(map(_csv_cell, row)) + "\n" for row in rows])
+
+
 def _csv_parts(report: Report):
     yield ",".join(str(c) for c in report.series.get("columns", [])) + "\n"
     for chunk in _chunks(report.series.get("rows", [])):
-        yield "".join([",".join(map(_csv_cell, row)) + "\n" for row in chunk])
+        yield _csv_chunk_text(chunk)
 
 
 def report_csv_bytes(report: Report) -> bytes:

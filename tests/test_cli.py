@@ -347,13 +347,23 @@ def test_infinite_abelianization_exits_at_once(relators, capsys):
     assert err.count("\n") == 1 and "maps onto Z" in err
 
 
-@pytest.mark.parametrize("relators", ["aaa, bbb, ababab", "aa, bbb", "aa, bb"])
+# the last, the (2, 3, 7) triangle group, has no certificate and runs to the cap
+@pytest.mark.parametrize("relators", ["aaa, bbb, ababab", "aa, bbb", "aa, bb",
+                                      "aa, bbb, ababababababab"])
 def test_finite_abelianization_still_reaches_the_coset_cap(relators, capsys):
     # infinite quotients whose abelianization is finite
     argv = ["cogrowth", "--quotient", f"relators: {relators}", "--max-cosets", "1000"]
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err == "error: coset limit exceeded (max_cosets=1000); raise --max-cosets\n"
+
+
+def test_certified_infinite_quotient_exits_at_once_at_the_default_cap(capsys):
+    start = time.perf_counter()
+    assert main(["cogrowth", "--quotient", "relators: aaa, bbb, ababab"]) == 3
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err == "error: coset limit exceeded (max_cosets=1000000); raise --max-cosets\n"
 
 
 def test_walk_entropy_work_guard(tmp_path, capsys):

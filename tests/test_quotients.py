@@ -81,6 +81,20 @@ def enumeration_outcome(build, d, relators, max_cosets):
         return type(exc), str(exc)
 
 
+# a triangle group (index 3), PSL(2, Z) = Z/2 * Z/3 and Z/2 * Z/2 * Z/2
+CERTIFIED = [
+    (2, rels("aaa", "bbb", "ababab")),
+    (2, rels("aa", "bbb")),
+    (3, rels("aa", "bb", "cc", rank=3)),
+]
+# Z/30 x Z/3, the dihedral group of order 12 and the (2, 3, 6) triangle group
+POWERS = [
+    (2, rels("a" * 30, "bbb", "abAB")),
+    (2, rels("aa", "bb", "ab" * 6)),
+    (2, rels("aa", "bbb", "ab" * 6)),
+]
+
+
 def test_coset_enumeration_matches_the_hlt_oracle():
     # the same definition sequence gives the same table, numbering
     # included, and the same error at every cap
@@ -89,6 +103,9 @@ def test_coset_enumeration_matches_the_hlt_oracle():
     # b (and c) only inside relators: both of their columns are still
     # empty when the fill step reaches a coset, so its order sets the numbering
     cases += [(2, rels("aaa", "abba"), 10**6), (3, rels("bbb", "BCCB", "a", rank=3), 10**6)]
+    # infinite quotients refused by a certificate before enumeration, and
+    # proper powers whose closed scans are skipped, at every cap
+    cases += [(d, relators, cap) for d, relators in CERTIFIED + POWERS for cap in (1, 7, 300, 3000)]
     for d, relators, cap in cases:
         want = enumeration_outcome(hlt_coset_table, d, relators, cap)
         assert enumeration_outcome(coset_enumerate, d, relators, cap) == want, (relators, cap)
@@ -111,6 +128,59 @@ def test_benchmark_presentations_match_the_hlt_oracle(texts, cap, size):
         assert want == (CosetLimitError, message)
     else:
         assert len(want) == size * 4 * 8
+
+
+def certified(d, relators):
+    columns = quotients._validate_relators(d, relators)
+    return quotients._free_product_of_cyclics(d, columns) or quotients._low_index_degree(d, columns)
+
+
+def test_certified_presentations_never_complete():
+    # a certificate proves the quotient infinite, so no presentation it
+    # refuses may be one whose enumeration completes
+    outcomes = {"certified": 0, "completed": 0}
+    for d, relators in relator_corpus(15, 450):
+        try:
+            hlt_coset_table(d, relators, 2000)
+        except CosetLimitError as exc:
+            # the cap, not the abelianization: a certificate has work to do
+            if str(exc).startswith("coset limit"):
+                outcomes["certified"] += certified(d, relators)
+        except ParameterError:
+            pass  # a relator reduces to the identity
+        else:
+            assert not certified(d, relators), relators
+            outcomes["completed"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_low_index_certificate():
+    def degree(*texts):
+        return quotients._low_index_degree(2, quotients._validate_relators(2, rels(*texts)))
+
+    # (3, 3, 3): its translation subgroup Z^2 has index 3
+    assert degree("aaa", "bbb", "ababab") == 3
+    # the infinite dihedral group: its index-2 subgroup is Z
+    assert degree("aa", "bb") == 2
+    # (2, 3, 7) is perfect and has no subgroup of index 2 to 6, so no
+    # certificate is found and its enumeration runs to the cap
+    assert degree("aa", "bbb", "ab" * 7) == 0
+    assert not certified(2, rels("aa", "bbb", "ab" * 7))
+    # finite quotients have no infinite subgroup
+    for texts, _ in KNOWN_ORDERS:
+        assert degree(*texts) == 0, texts
+
+
+def test_free_product_certificate():
+    def free_product(*texts, rank=2):
+        columns = quotients._validate_relators(rank, rels(*texts, rank=rank))
+        return quotients._free_product_of_cyclics(rank, columns)
+
+    assert free_product("aa", "bbb")
+    assert free_product("aaaa", "aaaaaa", "bbbbbbbbb")  # Z/2 * Z/9
+    assert free_product("aa", "bb", "c", rank=3)
+    assert not free_product("aaaa", "aaaaaaa", "bbb")  # a dies: Z/3
+    assert not free_product("aa", "bb", "abab")  # the Klein group
 
 
 def test_builders_bound_the_cap_from_above():

@@ -193,6 +193,29 @@ def test_chunked_writer_matches_the_oracle_at_every_seam(chunk, monkeypatch):
     assert report_json_bytes(report) == oracle_bytes(report)
 
 
+def cell_csv_bytes(report):
+    """The CSV bytes with every cell through `_csv_cell`, one row at a time."""
+    lines = [",".join(map(str, report.series["columns"]))]
+    lines += [",".join(map(reports._csv_cell, row)) for row in report.series["rows"]]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
+def test_csv_columns_match_the_cell_by_cell_writer(chunk, monkeypatch):
+    # chunks of exact scalars are formatted column by column; a Fraction,
+    # a numpy float or a row of another width sends its chunk cell by cell
+    monkeypatch.setattr(reports, "_ROW_CHUNK", chunk)
+    wide = [row + [1e300 * i, -2 * i, "s", i % 3 == 0, i if i % 2 else None] for i, row in
+            enumerate([[1, 0.5], [-0.0, 2**64], [3, 1e-7]] * 3)]
+    cases = [seam_report(n) for n in range(2 * len(SEAM_ROWS) + 2)]
+    cases += [*tricky_reports(), sample_report()]
+    cases.append(Report("wide", {}, None, {"columns": list("abcdefg"), "rows": wide}, {}))
+    args = cli.build_parser().parse_args(["proximality", "--steps", "7", "--trials", "2"])
+    cases.append(cli._HANDLERS["proximality"](args))
+    for report in cases:
+        assert report_csv_bytes(report) == cell_csv_bytes(report), report.command
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64("-inf")])
 def test_non_finite_cell_in_the_last_chunk_is_an_error(bad, monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(reports, "_ROW_CHUNK", 2)
