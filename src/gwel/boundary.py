@@ -15,11 +15,9 @@ for the symmetric walk.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count, repeat
-from operator import eq, neg
+from operator import neg
 from typing import NamedTuple
 
 import numpy as np
@@ -138,8 +136,8 @@ def boundary_entropy(d: int, mu: Distribution) -> float:
     return float(boundary_entropy_coefficient(d, mu)) * math.log(2 * d - 1)
 
 
-# rows trials x steps of proximality: 10^6 take about 4.3 s and 204 MB
-# peak RSS as a JSON report on a 2-core x86 box
+# rows trials x steps of proximality: 10^6 take 1.2-1.8 s and 130 MB peak
+# RSS as a JSON report (1.1-1.6 s and 65 MB as CSV) on a 2-core x86 box
 PROXIMALITY_ROW_BUDGET = 10**6
 
 
@@ -153,52 +151,12 @@ class ProximalityRow(NamedTuple):
     shallow: bool
 
 
-class ProximalityRows(Sequence):
-    """The rows of a ProximalityReport, trial by trial and step by step,
-    made from its columns as they are read: len, iteration, indexing and
-    == work as on the tuple of rows, which is never built."""
-
-    __slots__ = ("_report",)
-
-    def __init__(self, report: ProximalityReport):
-        self._report = report
-
-    def __len__(self) -> int:
-        return self._report.lengths.size
-
-    def _rows(self, t: int, first: int, lengths: list[int]):
-        k, mass = self._report.prefix_depth, self._report.masses.__getitem__
-        # tuple.__new__ fills each row from its zip tuple with no Python call
-        return map(
-            tuple.__new__,
-            repeat(ProximalityRow),
-            zip(repeat(t), count(first), lengths, map(mass, lengths), map(k.__eq__, lengths)),
-        )
-
-    def __iter__(self):
-        return chain.from_iterable(
-            self._rows(t, 1, lengths.tolist()) for t, lengths in enumerate(self._report.lengths)
-        )
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(len(self))[i]))
-        t, j = divmod(range(len(self))[i], self._report.steps)
-        return next(self._rows(t, j + 1, [int(self._report.lengths[t, j])]))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-
 @dataclass(frozen=True, eq=False)
 class ProximalityReport:
     """`trials` walks of `steps` steps, held as columns: `lengths[t, j-1]`
     is |w_j| in trial t (a read-only int32 array) and `masses[L]` the
-    pushed prefix mass at length L, None below the prefix depth.  `rows`
-    gives them as ProximalityRows; reports are equal when their
-    parameters and lengths are."""
+    pushed prefix mass at length L, None below the prefix depth.  Reports
+    are equal when their parameters and lengths are."""
 
     rank: int
     steps: int
@@ -209,8 +167,13 @@ class ProximalityReport:
     masses: tuple[float | None, ...]
 
     @property
-    def rows(self) -> ProximalityRows:
-        return ProximalityRows(self)
+    def rows(self) -> tuple[ProximalityRow, ...]:
+        """Every row, trial by trial and step by step, as library API; the
+        CLI writes the columns instead."""
+        k, masses = self.prefix_depth, self.masses
+        return tuple(ProximalityRow(t, j, length, masses[length], length == k)
+                     for t, walk in enumerate(self.lengths.tolist())
+                     for j, length in enumerate(walk, 1))
 
     def _key(self):
         return (self.rank, self.steps, self.prefix_depth, self.seed, self.trials,
@@ -297,7 +260,6 @@ def proximality_sim(
 __all__ = [
     "ProximalityReport",
     "ProximalityRow",
-    "ProximalityRows",
     "boundary_entropy",
     "boundary_entropy_coefficient",
     "cocycle_check",

@@ -20,9 +20,11 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import boundary, entropy, growth, lattice, measures, parsing, quotients
 from .errors import GwelError, ParameterError, ResourceGuardError
-from .reports import Report, check_power_digits, emit_report, printable
+from .reports import Column, Report, Table, check_power_digits, emit_report, printable
 from .words import ball_size, sphere_size
 
 DEFAULT_SEED = 0xD0DD5  # documented default master seed
@@ -146,9 +148,11 @@ def _quotient_rep(args):
     return parsing.parse_quotient_spec(args.quotient, args.rank, max_cosets=args.max_cosets)
 
 
-def _entropy_series_payload(series: entropy.EntropySeries):
-    rows = [[k, h, hn, inc] for k, h, hn, inc in series.rows()]
-    return {"columns": ["n", "H", "H_over_n", "increment"], "rows": rows}
+def _table(spec: str, rows) -> Table:
+    """A series table from row tuples; `spec` lists name:kind per column."""
+    names = [item.split(":") for item in spec.split()]
+    cols = list(zip(*rows)) or [()] * len(names)
+    return Table({name: Column(kind, col) for (name, kind), col in zip(names, cols)})
 
 
 def _cmd_walk_entropy(args) -> Report:
@@ -172,7 +176,8 @@ def _cmd_walk_entropy(args) -> Report:
         command="walk-entropy",
         params=params,
         seed=args.seed,
-        series=_entropy_series_payload(series),
+        series=_table("n:int H:float H_over_n:float increment:float", zip(
+            series.steps(), series.values, series.h_over_n(), series.increments())),
         summary=summary,
     )
 
@@ -193,10 +198,8 @@ def _cmd_drift(args) -> Report:
         command="drift",
         params={"rank": d, "steps": args.steps, "trials": args.trials},
         seed=args.seed,
-        series={
-            "columns": ["steps", "estimate", "stderr"],
-            "rows": [[est.steps, est.estimate, est.stderr]],
-        },
+        series=_table("steps:int estimate:float stderr:float",
+                      [(est.steps, est.estimate, est.stderr)]),
         summary=summary,
     )
 
@@ -210,12 +213,11 @@ def _cmd_growth(args) -> Report:
         check_power_digits(2 * d - 1, args.steps)
         printable(ball_size(d, args.steps))
     series = growth.ball_counts(d, args.steps)
-    rows = [[n, c, r] for n, c, r in series.rows()]
     return Report(
         command="growth",
         params={"rank": d, "steps": args.steps},
         seed=args.seed,
-        series={"columns": ["n", "count", "log_count_over_n"], "rows": rows},
+        series=_table("n:int count:int log_count_over_n:float", series.rows()),
         summary={
             "count_normalization": "ball",
             "growth_rate_exact": math.log(2 * d - 1),
@@ -244,13 +246,12 @@ def _cmd_cogrowth(args) -> Report:
         )
     series = growth.GrowthSeries(d, "kernel", counts)
     delta, delta_method = rep.critical_exponent()
-    rows = [[n, c, r] for n, c, r in series.rows()]
     bound = growth.half_growth_bound(d)
     return Report(
         command="cogrowth",
         params=params,
         seed=args.seed,
-        series={"columns": ["n", "count", "log_count_over_n"], "rows": rows},
+        series=_table("n:int count:int log_count_over_n:float", series.rows()),
         summary={
             "count_normalization": "kernel-sphere",
             "quotient": parsing.describe_quotient_spec(rep),
@@ -267,22 +268,12 @@ def _cmd_gap_check(args) -> Report:
     d = args.rank
     rep = _quotient_rep(args)
     rpt = entropy.entropy_gap_check(d, rep, args.steps)
-    rows = [
-        [r.k, r.h_free, r.h_quotient, r.gap, r.gap_over_k,
-         r.coset_bound, r.log_ball_k, r.log_ball_2k]
-        for r in rpt.rows
-    ]
     return Report(
         command="gap-check",
         params={"rank": d, "steps": args.steps, "quotient": args.quotient},
         seed=args.seed,
-        series={
-            "columns": [
-                "k", "h_free", "h_quotient", "gap", "gap_over_k",
-                "coset_bound", "log_ball_k", "log_ball_2k",
-            ],
-            "rows": rows,
-        },
+        series=_table("k:int h_free:float h_quotient:float gap:float gap_over_k:float "
+                      "coset_bound:float log_ball_k:float log_ball_2k:float", rpt.rows),
         summary={
             "quotient": rpt.quotient,
             "h_rw_exact": rpt.h_rw,
@@ -308,10 +299,8 @@ def _cmd_guivarch(args) -> Report:
         command="guivarch",
         params={"rank": d, "steps": args.steps, "trials": args.trials},
         seed=args.seed,
-        series={
-            "columns": ["h_exact", "drift_estimate", "v_exact", "product", "residual"],
-            "rows": [[chk.h, chk.drift, chk.v, chk.product, chk.residual]],
-        },
+        series=_table("h_exact:float drift_estimate:float v_exact:float product:float "
+                      "residual:float", [(chk.h, chk.drift, chk.v, chk.product, chk.residual)]),
         summary={
             "h_exact": h,
             "v_exact": v,
@@ -335,7 +324,7 @@ def _cmd_theorem_a(args) -> Report:
         command="theorem-a",
         params={"rank": d},
         seed=args.seed,
-        series={"columns": ["d", "bound"], "rows": [[d, bound]]},
+        series=_table("d:int bound:float", [(d, bound)]),
         summary={
             "bound": bound,
             "coefficient_of_h_rw": Fraction(d - 2, 2 * d - 2),
@@ -351,16 +340,15 @@ def _cmd_boundary_entropy(args) -> Report:
     mu = measures.srw(d)
     coeff = boundary.boundary_entropy_coefficient(d, mu)
     h = float(coeff) * math.log(2 * d - 1)  # boundary_entropy(d, mu) without a second sum
-    rows = []
-    for g in sorted(mu.support(), key=lambda w: w.sort_key()):
-        c = boundary.kl_coefficient(d, g)
-        rows.append([str(g), float(c), float(c) * math.log(2 * d - 1)])
+    coeffs = [(str(g), float(boundary.kl_coefficient(d, g)))
+              for g in sorted(mu.support(), key=lambda w: w.sort_key())]
     h_rw = entropy.exact_free_entropy(d)
     return Report(
         command="boundary-entropy",
         params={"rank": d},
         seed=args.seed,
-        series={"columns": ["generator", "kl_coefficient", "kl_nats"], "rows": rows},
+        series=_table("generator:str kl_coefficient:float kl_nats:float",
+                      [(g, c, c * math.log(2 * d - 1)) for g, c in coeffs]),
         summary={
             "h_nats": h,
             "coefficient": coeff,
@@ -379,6 +367,11 @@ def _cmd_proximality(args) -> Report:
         d, args.steps, args.prefix_depth, args.seed, trials=args.trials
     )
     finals = [m for m in rpt.final_masses() if m is not None]
+    # length, mass and shallow are codes into per-length values: the writer
+    # formats each length's three cells once
+    lengths, by_length = rpt.lengths.reshape(-1), range(len(rpt.masses))
+    shallow = [length == args.prefix_depth for length in by_length]
+    trial, step = np.indices(rpt.lengths.shape, dtype=np.int32).reshape(2, -1)
     return Report(
         command="proximality",
         params={
@@ -388,10 +381,13 @@ def _cmd_proximality(args) -> Report:
             "trials": args.trials,
         },
         seed=args.seed,
-        series={
-            "columns": ["trial", "step", "length", "mass", "shallow"],
-            "rows": rpt.rows,  # made as the writer reads them
-        },
+        series=Table({
+            "trial": Column("int", trial),
+            "step": Column("int", np.add(step, 1, out=step)),
+            "length": Column("code", lengths, Column("int", by_length)),
+            "mass": Column("code", lengths, Column("float", rpt.masses)),
+            "shallow": Column("code", lengths, Column("bool", shallow)),
+        }),
         summary={
             "final_mass_min": min(finals) if finals else None,
             "final_mass_max": max(finals) if finals else None,
@@ -412,19 +408,14 @@ def _cmd_lattice_experiment(args) -> Report:
     rpt = lattice.monotone_chain_limit(
         cfg.space, cfg.chain, cfg.direction, action=cfg.action
     )
-    rows = []
-    for i, part in enumerate(cfg.chain):
-        func = rpt.functionals[i] if rpt.functionals is not None else None
-        rows.append([i, part.n_blocks, rpt.distances[i], func])
+    funcs = rpt.functionals if rpt.functionals is not None else [None] * len(cfg.chain)
+    rows = zip(range(len(cfg.chain)), [p.n_blocks for p in cfg.chain], rpt.distances, funcs)
     return Report(
         command="lattice-experiment",
         params={"config": args.config, "direction": cfg.direction,
                 "points": cfg.space.m},
         seed=args.seed,
-        series={
-            "columns": ["step", "blocks", "l2_to_limit", "functional"],
-            "rows": rows,
-        },
+        series=_table("step:int blocks:int l2_to_limit:float functional:float", rows),
         summary={
             "limit_blocks": rpt.limit.n_blocks,
             "stabilized_at": rpt.stabilized_at,

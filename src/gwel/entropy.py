@@ -7,7 +7,8 @@ tail.  Quotient entropies, entropy rates and critical exponents come from
 the quotient rep's own exact algorithms (see `gwel.quotients`).  Drift is
 Monte Carlo with one counter-based Philox stream per trial, spawned from
 the seed; the spawned keys come from one array pass of SeedSequence's
-hash, and each walk's length from one cumulative sum of its down steps.
+hash, and each walk's length from Lindley's recursion on its down steps,
+read 8 at a time from byte tables.
 The gap checker assembles, per step count, the entropy difference, the
 exact coset-decomposition bound, and kernel ball counts at radius k and
 2k; the last two come from the quotient rep's `gap_counts`.
@@ -19,6 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,13 +59,6 @@ class EntropySeries:
             out.append(h - prev)
             prev = h
         return out
-
-    def rows(self) -> list[tuple[int, float, float, float]]:
-        incs = self.increments()
-        return [
-            (k, h, h / k, inc)
-            for k, h, inc in zip(self.steps(), self.values, incs)
-        ]
 
     def last_increments(self, count: int = 5) -> list[float]:
         return self.increments()[-count:]
@@ -205,6 +200,48 @@ def _raw_threshold(p: float) -> np.uint64:
     return np.uint64(math.ceil(p * 2**53) << 11)
 
 
+# per byte of 8 steps, the first in the top bit and a 1 for a down step:
+# its down count, and min over i = 0..8 of floor(i/2) - (downs in its first
+# i); built in Python, since numpy calls here fault in about 0.4 MB of
+# numpy's code pages at import in every run, drift or not
+_BYTE_DOWNS = np.array([bin(b).count("1") for b in range(256)], dtype=np.int32)
+_BYTE_LOW = np.array([min(i // 2 - bin(b >> 8 - i).count("1") for i in range(9))
+                      for b in range(256)], dtype=np.int32)
+
+
+def _walk_lengths(d: int, n: int, trials: int, seed: int) -> np.ndarray:
+    """|w_n| of every trial of `drift_mc(d, n, trials, seed)`, as int64."""
+    keys = _philox_spawn_keys(seed, trials)
+    threshold = _raw_threshold(1.0 / (2 * d))
+    bitgen = np.random.Philox(0)
+    zero = np.zeros(4, dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": zero, "key": keys[0]},
+        "buffer": zero,
+        "buffer_pos": 4,  # empty
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    block = max(1, _DRIFT_CHUNK // n)  # trials per pass
+    is_down = np.empty((min(block, trials), n), dtype=bool)
+    quads = 4 * np.arange((n + 7) // 8, dtype=np.int32)  # floor(k/2) at byte m's start
+    r = np.empty(trials, dtype=np.int64)
+    for lo in range(0, trials, block):
+        hi = min(lo + block, trials)
+        for i in range(lo, hi):
+            state["state"]["key"] = keys[i]
+            bitgen.state = state
+            np.less(bitgen.random_raw(n), threshold, out=is_down[i - lo])
+        packed = np.packbits(is_down[: hi - lo], axis=1)
+        downs = _BYTE_DOWNS[packed]
+        c = np.cumsum(downs, axis=1, dtype=np.int32)  # C at each byte's end
+        # W at each byte's start, 4m - (c - downs), plus the byte's low
+        low = (quads + downs + _BYTE_LOW[packed] - c).min(axis=1)
+        r[lo:hi] = n - 2 * c[:, -1].astype(np.int64) - 2 * low
+    return r
+
+
 def drift_mc(d: int, n: int, trials: int, seed: int) -> DriftEstimate:
     """Monte Carlo estimate of |w_n|/n with standard error.
 
@@ -221,8 +258,12 @@ def drift_mc(d: int, n: int, trials: int, seed: int) -> DriftEstimate:
     `_raw_threshold(1/(2d))`.  |w_j| has the parity of j, so the
     reflection |w_(j+1)| = ||w_j| + s_j| for the step s_j = +-1 is
     max(|w_j| + s_j, (j+1) mod 2).  Unrolled (Lindley's recursion), with
-    C_k the down steps among the first k:
-    |w_n| = n - 2 C_n - 2 min_{0<=k<=n} (floor(k/2) - C_k).
+    C_k the down steps among the first k and W_k = floor(k/2) - C_k:
+    |w_n| = n - 2 C_n - 2 min_{0<=k<=n} W_k.  The steps are packed 8 to a
+    byte, and 256-entry tables give each byte's down count and its lowest
+    W less the W at its start, so C and the minimum need one cumulative
+    sum over n/8 bytes.  The zero bits that pad a short last byte are up
+    steps past n, where W only rises: they change neither.
     """
     if d < 2:
         raise ParameterError(f"rank must be >= 2, got {d}")
@@ -237,35 +278,7 @@ def drift_mc(d: int, n: int, trials: int, seed: int) -> DriftEstimate:
             f"drift needs trials x steps random draws, over the budget of "
             f"{DRIFT_WORK_BUDGET}; lower --trials or --steps"
         )
-    keys = _philox_spawn_keys(seed, trials)
-    threshold = _raw_threshold(1.0 / (2 * d))
-    bitgen = np.random.Philox(0)
-    zero = np.zeros(4, dtype=np.uint64)
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": zero, "key": keys[0]},
-        "buffer": zero,
-        "buffer_pos": 4,  # empty
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    block = max(1, _DRIFT_CHUNK // n)  # trials per pass
-    is_down = np.empty((min(block, trials), n), dtype=bool)
-    cum = np.empty(is_down.shape, dtype=np.int32)
-    half = np.arange(1, n + 1, dtype=np.int32) // 2
-    r = np.empty(trials, dtype=np.int64)
-    for lo in range(0, trials, block):
-        hi = min(lo + block, trials)
-        for i in range(lo, hi):
-            state["state"]["key"] = keys[i]
-            bitgen.state = state
-            np.less(bitgen.random_raw(n), threshold, out=is_down[i - lo])
-        c = np.cumsum(is_down[: hi - lo], axis=1, dtype=np.int32, out=cum[: hi - lo])
-        downs = c[:, -1].astype(np.int64)
-        np.subtract(half, c, out=c)
-        # the k = 1 term, -C_1, is <= 0, the k = 0 term
-        r[lo:hi] = n - 2 * downs - 2 * c.min(axis=1)
-    vals = r / n
+    vals = _walk_lengths(d, n, trials, seed) / n
     estimate = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(trials))
     return DriftEstimate(estimate, stderr, trials, n, seed)
@@ -315,8 +328,7 @@ def theorem_a_bound(d: int) -> float:
     return float(theorem_a_coefficient(d)) * math.log(2 * d - 1)
 
 
-@dataclass(frozen=True)
-class GapRow:
+class GapRow(NamedTuple):
     k: int
     h_free: float
     h_quotient: float

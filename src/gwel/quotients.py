@@ -72,6 +72,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, count, groupby, permutations, product, takewhile
+from operator import eq
 
 import numpy as np
 
@@ -398,11 +399,13 @@ def _low_index_degree(d: int, rels: list[list[int]]) -> int:
     Groups, 1994), the abelianization of H has free rank (d-1)n+1 less the
     rank of the relator loops: the exponent sums over the dn edges (point,
     generator) of the action graph of every relator read from every point.
-    At n = 1 this is `_check_abelianization`.  Every d-tuple of
-    permutations is tried, each generator's among those that satisfy the
-    relators in that generator alone.  N is the largest degree whose (n!)^d
-    tuples times the relator letters, summed from n = 2, fit in
-    `_LOW_INDEX_WORK`: it depends on d and the relator length only.
+    At n = 1 this is `_check_abelianization`.  Conjugate tuples have
+    conjugate stabilizers, so the first generator's permutation is one per
+    cycle type (told by the fixed points of its powers), the others' all
+    n!, each among those that satisfy the relators in that generator
+    alone.  N is the largest degree whose (n!)^d tuples times the relator
+    letters, summed from n = 2, fit in `_LOW_INDEX_WORK`: it depends on d
+    and the relator length only.
     """
     length = sum(map(len, rels))
     spent = accumulate(math.factorial(n) ** d * length for n in count(2))
@@ -427,7 +430,8 @@ def _low_index_degree(d: int, rels: list[list[int]]) -> int:
     for n in range(2, top + 1):
         points = range(n)
         perms = list(map(_cycle_powers, permutations(points)))
-        cands = [[pw for pw in perms
+        types = {tuple(sum(map(eq, p, points)) for p in pw): pw for pw in perms}
+        cands = [[pw for pw in (perms if g else types.values())
                   if all(fixes({g: pw}, r, points) for r, s in zip(runs, names) if s == {g})]
                  for g in range(d)]
         for powers in product(*cands):

@@ -9,20 +9,19 @@ nats and every report says so.
 The JSON text is the layout of `json.dumps(report_to_object(report),
 sort_keys=True, indent=2)`, byte for byte, but written here: with
 `indent` set the standard library falls back to its pure-Python
-encoder.  The writer cleans and lays out a list `_ROW_CHUNK` items at a
-time, so a Sequence that makes its rows as they are read, such as
-proximality's, is never held whole.  A chunk of scalars, or of rows of
-one nonzero width holding scalars, is cleaned column by column with
-exact-type tests and no call per cell, and goes through the C encoder
-in one call, with the newline and indent in its item separator; any
-other chunk takes the recursive layout item by item.  The encoded
-chunks are joined once into the report's bytes, so a report of 10^6
-rows is never held as rows, cleaned rows and text at the same time.
-CSV goes through the same chunks.
+encoder.  A report's series is a `Table` of named columns, each of a
+kind the writer formats without looking at its cells.  JSON and CSV
+rows are made `_ROW_CHUNK` at a time, a column at a time; a code column
+with few values for its rows formats each value once.  A plain-dict
+series of scalar columns is written as a Table; params, summary,
+warnings and any other series take the recursive layout.  Text is
+encoded into one buffer as it is made, so a report of 10^6 rows is held
+once, as bytes, and never as rows.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
@@ -30,6 +29,8 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from . import __version__
 from .errors import ConvergenceError, GwelError, ParameterError, ResourceGuardError
@@ -37,12 +38,46 @@ from .errors import ConvergenceError, GwelError, ParameterError, ResourceGuardEr
 TOOL_VERSION = f"gwel {__version__}"
 
 
+class Column(NamedTuple):
+    """`kind` is "int", "float" (float or None), "bool", "str", "any" (of
+    those kinds) or "code"; `data` a list, range or 1-D numpy array.  A
+    code column's cells are those of `values` at its codes: a column of
+    another kind whose data is a list, tuple or range."""
+
+    kind: str
+    data: Sequence
+    values: Column | None = None
+
+
+@dataclass(frozen=True)
+class Table:
+    """A report's series: columns of one length by name, in order."""
+
+    columns: dict[str, Column]
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())).data) if self.columns else 0
+
+    def rows(self) -> list[list]:
+        """The cells row by row, codes looked up."""
+        return [list(row) for row in zip(*map(_cells, self.columns.values()))]
+
+
+def _list(data) -> list:
+    return data.tolist() if hasattr(data, "tolist") else list(data)
+
+
+def _cells(col: Column, lo: int = 0, hi: int | None = None) -> list:
+    data = _list(col.data[lo:hi])
+    return list(map(col.values.data.__getitem__, data)) if col.kind == "code" else data
+
+
 @dataclass
 class Report:
     command: str
     params: dict
     seed: int | None
-    series: dict  # {"columns": [names], "rows": a Sequence of [scalar or None, ...]}
+    series: Table | dict  # or a dict {"columns": [...], "rows": [...]}
     summary: dict
     warnings: list = field(default_factory=list)
 
@@ -57,6 +92,10 @@ def _digit_limit() -> int:
 
 def _too_long(limit: int) -> ResourceGuardError:
     return ResourceGuardError(f"report integer has over {limit} digits; lower --steps")
+
+
+def _non_finite() -> ConvergenceError:
+    return ConvergenceError("report holds a non-finite number (NaN or inf)")
 
 
 def printable(v: int) -> int:
@@ -79,31 +118,22 @@ def check_power_digits(q: int, n: int) -> None:
 
 
 def _is_list(obj) -> bool:
-    # a report's lazy rows are a Sequence; strings are not lists
+    # a lazy Sequence of rows is a list; strings are not
     return isinstance(obj, Sequence) and not isinstance(obj, (str, bytes, bytearray))
 
 
 def _clean(obj):
-    # exact types first: they are nearly every cell, and numpy floats,
-    # which subclass float, take the isinstance ladder below
-    cls = type(obj)
-    if cls is float:
-        return _sig(obj)
-    if cls is int:
-        # 1920 bits stay under any digit limit Python accepts (0 or >= 640)
-        return obj if obj.bit_length() <= 1920 else printable(obj)
-    if cls is list:
-        return [_clean(v) for v in obj]
-    if isinstance(obj, bool) or obj is None:
+    if isinstance(obj, (bool, str)) or obj is None:
         return obj
     if isinstance(obj, float):
         return _sig(obj)
     if isinstance(obj, int):
+        # 1920 bits stay under any digit limit Python accepts (0 or >= 640)
         return obj if obj.bit_length() <= 1920 else printable(obj)
     if isinstance(obj, Fraction):
         return {"num": obj.numerator, "den": obj.denominator}
-    if isinstance(obj, str):
-        return obj
+    if isinstance(obj, Table):
+        return _clean({"columns": list(obj.columns), "rows": obj.rows()})
     if isinstance(obj, dict):
         return {str(k): _clean(v) for k, v in obj.items()}
     if _is_list(obj):
@@ -111,12 +141,34 @@ def _clean(obj):
     return str(obj)
 
 
+_KINDS = {int: "int", bool: "bool", str: "str", float: "float", type(None): "float"}
+
+
+def _as_table(series):
+    """A dict series whose cells are all exact ints, bools, strs, floats or
+    None as a Table, which the writer formats a column at a time (a column
+    of mixed kinds cell by cell); any other series as it is."""
+    if not isinstance(series, dict) or series.keys() != {"columns", "rows"}:
+        return series
+    names, rows = series["columns"], series["rows"]
+    if not (_is_list(names) and names and all(type(n) is str for n in names)
+            and len(set(names)) == len(names) and _is_list(rows) and rows
+            and all(isinstance(row, (list, tuple)) and len(row) == len(names) for row in rows)):
+        return series
+    cols = list(zip(*rows))
+    kinds = [set(map(_KINDS.get, map(type, col))) for col in cols]
+    if any(None in kind for kind in kinds):
+        return series
+    return Table({name: Column(kind.pop() if len(kind) == 1 else "any", col)
+                  for name, col, kind in zip(names, cols, kinds)})
+
+
 def _fields(report: Report) -> dict:
     return {
         "command": report.command,
         "params": report.params,
         "seed": report.seed,
-        "series": report.series,
+        "series": _as_table(report.series),
         "summary": report.summary,
         "warnings": [str(w) for w in report.warnings],
         "tool_version": TOOL_VERSION,
@@ -128,76 +180,76 @@ def report_to_object(report: Report) -> dict:
     return _clean(_fields(report))
 
 
-_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
-_ROW_CHUNK = 4096  # list items cleaned and encoded per encoder call
+_ROW_CHUNK = 1024  # table rows formatted per chunk
 _INT_CAP = 1 << 1920  # _clean's bound: smaller ints skip printable
 
 
-def _encode(obj, sep: str = ",") -> str:
-    """One call to the C encoder; NaN and inf raise ValueError.  It is
-    given scalars and lists of scalars or of rows of scalars, which hold
-    no cycle to check."""
-    return json.dumps(obj, separators=(sep, ": "), allow_nan=False, check_circular=False)
+def _encode(obj) -> str:
+    """A scalar or {num, den} pair by the C encoder; NaN and inf raise ValueError."""
+    return json.dumps(obj, separators=(",", ": "), allow_nan=False)
 
 
-def _chunks(items):
-    """Lists of `_ROW_CHUNK` consecutive items, the last one shorter."""
-    it = iter(items)
-    while chunk := list(itertools.islice(it, _ROW_CHUNK)):
-        yield chunk
+def _texts(kind: str, vals: list, as_json: bool) -> list[str]:
+    """The JSON or CSV text of each cell of a column of a scalar kind."""
+    if kind == "int":
+        if vals and (max(vals) >= _INT_CAP or min(vals) <= -_INT_CAP):
+            for v in vals:
+                printable(v)
+        return list(map(str, vals))
+    if kind == "float":
+        if not all(v is None or math.isfinite(v) for v in vals):
+            raise _non_finite()
+        if as_json:
+            return ["null" if v is None else repr(_sig(v)) for v in vals]
+        return ["" if v is None else f"{v:.12g}" for v in vals]
+    if kind == "any":  # exact scalars of several kinds
+        return [_texts(_KINDS[type(v)], [v], as_json)[0] for v in vals]
+    if kind == "bool":
+        no, yes = ("false", "true") if as_json else ("0", "1")
+        return [yes if v else no for v in vals]
+    return list(map(encode_basestring_ascii if as_json else str, vals))  # json.dumps of a str
 
 
-def _clean_cells(cells: list, width: int) -> bool:
-    """Clean `cells`, scalars in rows of `width`, in place column by
-    column: exact-type tests, a digit check only for a column whose ints
-    pass _clean's bound, one rounding per distinct float.  False, with
-    nothing changed, when a cell is not a scalar of an exact type (a
-    numpy float, a Fraction, a list): its chunk takes the recursive
-    layout, which cleans it item by item."""
-    cols = [cells[i::width] for i in range(width)]
-    col_kinds = [set(map(type, col)) for col in cols]
-    if not _SCALAR_TYPES.issuperset(itertools.chain.from_iterable(col_kinds)):
-        return False
-    for i, (col, kinds) in enumerate(zip(cols, col_kinds)):
-        if int in kinds:
-            ints = col if len(kinds) == 1 else [v for v in col if type(v) is int]
-            if max(ints) >= _INT_CAP or min(ints) <= -_INT_CAP:
-                for v in ints:
-                    printable(v)
-        if float in kinds:
-            # one rounding per distinct nonzero float; a zero keeps its sign
-            sig = {v: _sig(v) for v in {v for v in col if type(v) is float and v}}
-            cells[i::width] = [sig[v] if type(v) is float and v else v for v in col]
-    return True
+def _row_texts(table: Table, sep: str, as_json: bool):
+    """The text of each row of `table`, its cells joined by `sep`, in
+    lists of `_ROW_CHUNK` rows."""
+    cols = list(table.columns.values())
+    kinds = [col.values.kind if col.kind == "code" else col.kind for col in cols]
+    # a code column with few values for its rows formats each value once;
+    # any other column formats its cells a chunk at a time
+    texts = [_texts(kind, _cells(col.values), as_json)
+             if col.kind == "code" and 8 * len(col.values.data) <= len(table) else None
+             for col, kind in zip(cols, kinds)]
+    for lo in range(0, len(table), _ROW_CHUNK):
+        hi = lo + _ROW_CHUNK
+        yield list(map(sep.join, zip(*[
+            _texts(kind, _cells(col, lo, hi), as_json) if text is None
+            else list(map(text.__getitem__, _list(col.data[lo:hi])))
+            for col, kind, text in zip(cols, kinds, texts)
+        ])))
 
 
-def _chunk_text(items: list, ind: str) -> str:
-    """The items of one chunk of a list, each on its own line at the
-    level whose newline and indent are `ind`, joined by commas: one
-    encoder call when they are all scalars, or all rows of one nonzero
-    width holding scalars, else one recursive layout per item."""
-    kinds = set(map(type, items))
-    if kinds <= _SCALAR_TYPES:
-        if _clean_cells(items, 1):
-            return ind + _encode(items, "," + ind)[1:-1]
-    elif all(issubclass(k, (list, tuple)) for k in kinds):
-        widths = set(map(len, items))
-        width = widths.pop() if len(widths) == 1 else 0
-        cells = list(itertools.chain.from_iterable(items)) if width else []
-        if width and _clean_cells(cells, width):
-            # encoded string cells never hold a raw newline, so
-            # "],<newline><cell indent>[" occurs only between rows
-            cell = ind + "  "
-            rows = list(zip(*[iter(cells)] * width))
-            body = _encode(rows, "," + cell)[2:-2].replace(f"],{cell}[", f"{ind}],{ind}[{cell}")
-            return f"{ind}[{cell}{body}{ind}]"
-    return ",".join(ind + "".join(_parts(v, ind)) for v in items)
+def _table_parts(table: Table, pad: str):
+    """The layout of {"columns": [...], "rows": [[...], ...]} for `table`."""
+    ind, row, cell = pad + "  ", pad + "    ", pad + "      "
+    yield f'{{{ind}"columns": '
+    yield from _parts(list(table.columns), ind)
+    yield f',{ind}"rows": '
+    start, between = f"[{row}[{cell}", f"{row}],{row}[{cell}"
+    for rows in _row_texts(table, "," + cell, True):
+        yield start + between.join(rows)
+        start = between
+    yield f"{row}]{ind}]{pad}}}" if len(table) else f"[]{pad}}}"
 
 
 def _parts(obj, pad: str = "\n"):
     """The text of `_clean(obj)` as `json.dumps(_clean(obj),
     sort_keys=True, indent=2)` lays it out at the nesting level whose
-    newline and indent are `pad`, in parts: one per chunk of a list."""
+    newline and indent are `pad`, in parts: a table's rows a chunk at a
+    time."""
+    if isinstance(obj, Table):
+        yield from _table_parts(obj, pad)
+        return
     if not isinstance(obj, dict) and not _is_list(obj):
         obj = _clean(obj)  # a scalar, or a Fraction's {num, den}
         if not isinstance(obj, dict):
@@ -214,17 +266,26 @@ def _parts(obj, pad: str = "\n"):
         yield pad + "}" if obj else "{}"
         return
     sep = "["
-    for chunk in _chunks(obj):
-        yield sep + _chunk_text(chunk, ind)
+    for v in obj:
+        yield sep + ind
+        yield from _parts(v, ind)
         sep = ","
     yield pad + "]" if sep == "," else "[]"
 
 
+def _join(parts) -> bytes:
+    """The parts encoded into one buffer as they come."""
+    buf = io.BytesIO()
+    for part in parts:
+        buf.write(part.encode())
+    return buf.getvalue()
+
+
 def report_json_bytes(report: Report) -> bytes:
     try:
-        return b"".join(map(str.encode, itertools.chain(_parts(_fields(report)), ["\n"])))
+        return _join(itertools.chain(_parts(_fields(report)), ["\n"]))
     except ValueError:
-        raise ConvergenceError("report holds a non-finite number (NaN or inf)") from None
+        raise _non_finite() from None
 
 
 def _csv_cell(v) -> str:
@@ -234,62 +295,26 @@ def _csv_cell(v) -> str:
         return "1" if v else "0"
     if isinstance(v, float):
         if not math.isfinite(v):
-            raise ConvergenceError("report holds a non-finite number (NaN or inf)")
+            raise _non_finite()
         return f"{v:.12g}"
     if isinstance(v, int):
         return str(printable(v))  # trips before a slow int-to-str conversion
     return str(v)
 
 
-# `_csv_cell` of a cell of each exact scalar type it can never reject
-_CSV_TEXT = {
-    float: "{:.12g}".format,
-    int: str,
-    str: str,
-    bool: "01".__getitem__,
-    type(None): lambda v: "",
-}
-
-
-def _csv_column(col: tuple) -> list[str] | None:
-    """`_csv_cell` of every cell of one column, by exact-type tests; None
-    when a cell is not a scalar of an exact type, or is a non-finite float
-    or an int past _clean's bound, which `_csv_cell` must see in row order."""
-    kinds = set(map(type, col))
-    if not _SCALAR_TYPES.issuperset(kinds):
-        return None
-    if float in kinds and not all(map(math.isfinite, col if len(kinds) == 1 else
-                                      [v for v in col if type(v) is float])):
-        return None
-    if int in kinds:
-        ints = col if len(kinds) == 1 else [v for v in col if type(v) is int]
-        if max(ints) >= _INT_CAP or min(ints) <= -_INT_CAP:
-            return None
-    if len(kinds) == 1:
-        return list(map(_CSV_TEXT[kinds.pop()], col))
-    return [_CSV_TEXT[type(v)](v) for v in col]
-
-
-def _csv_chunk_text(rows: list) -> str:
-    """The CSV lines of one chunk of rows: column by column when the rows
-    are lists or tuples of one nonzero width whose every column
-    `_csv_column` formats, else cell by cell."""
-    tuples = all(isinstance(row, (list, tuple)) for row in rows)
-    if tuples and len(set(map(len, rows))) == 1 and rows[0]:
-        cols = [_csv_column(col) for col in zip(*rows)]
-        if None not in cols:
-            return "\n".join(map(",".join, zip(*cols))) + "\n"
-    return "".join([",".join(map(_csv_cell, row)) + "\n" for row in rows])
-
-
-def _csv_parts(report: Report):
-    yield ",".join(str(c) for c in report.series.get("columns", [])) + "\n"
-    for chunk in _chunks(report.series.get("rows", [])):
-        yield _csv_chunk_text(chunk)
+def _csv_parts(series):
+    if isinstance(series, Table):
+        yield ",".join(series.columns) + "\n"
+        for rows in _row_texts(series, ",", False):
+            yield "\n".join(rows) + "\n"
+        return
+    yield ",".join(str(c) for c in series.get("columns", [])) + "\n"
+    for row in series.get("rows", []):
+        yield ",".join(map(_csv_cell, row)) + "\n"
 
 
 def report_csv_bytes(report: Report) -> bytes:
-    return b"".join(map(str.encode, _csv_parts(report)))
+    return _join(_csv_parts(_as_table(report.series)))
 
 
 def emit_report(report: Report, fmt: str = "json", out: str | None = None) -> bytes:
@@ -314,8 +339,10 @@ def emit_report(report: Report, fmt: str = "json", out: str | None = None) -> by
 
 
 __all__ = [
+    "Column",
     "Report",
     "TOOL_VERSION",
+    "Table",
     "emit_report",
     "printable",
     "report_csv_bytes",

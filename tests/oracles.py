@@ -15,21 +15,27 @@ last letter) dict DP on Z^d and the depth-first walk over every reduced
 word here must give the same tables, errors and counts.
 It runs the free-group radial entropy chain on arrays and cuts the
 negligible tail of each sum; the scalar loop here must give the same
-floats bit for bit.  It writes the indent-2 JSON layout itself and
-hashes the Philox keys of all drift trials at once; the standard
+floats bit for bit.  It writes the indent-2 JSON layout itself a table
+column at a time, hashes the Philox keys of all drift trials at once and
+reads each walk's length from byte tables of 8 steps; the standard
 library's pure-Python indent-2 encoder and the per-trial SeedSequence,
-Generator and step loop here must give the same bytes and floats.  It
-takes gap-check's coset bound from the quotient rep's kernel sphere
-pass; the word convolution pushed through the projection here must give
-the same bound.  It takes each Radon-Nikodym exponent as
+Generator and step loop here must give the same bytes, floats and
+lengths.  It takes gap-check's coset bound from the quotient rep's
+kernel sphere pass; the word convolution pushed through the projection
+here must give the same bound.  It takes each Radon-Nikodym exponent as
 2 lcp(g, w) - |g| from letter tuples, the cocycle's three exponents from
 tuple arithmetic and the prefix classes as (mass, k); the reduced
 products of `multiply_rn_exponent` and `multiply_cocycle_exponents` and
 the Word representatives of `word_prefix_classes`, `word_rn_integral`
 and `word_kl_coefficient` must give the same values and the same errors.
-It keeps proximality's walks as a lengths array and makes the rows as
-they are read; the tuple of ProximalityRows built step by step here, with
-each mass exact from its own Fraction, must give the same rows.
+It keeps the lengths of the proximality walks as an array, from which
+`ProximalityReport.rows` builds ProximalityRow tuples (library API: the
+CLI writes the lengths as codes into per-length masses); the tuple of
+rows built here one walk and one letter at a time, with each mass exact
+from its own Fraction, must give the same rows.
+It tries the first generator's permutation of a low-index action from
+one per cycle type; the search here over every tuple must find the same
+least degree.
 The last helpers are small checks that only the tests use: kernel
 membership, generator cycle types, the uniform stationary law of a
 finite action and the Radon-Nikodym bound M(g).
@@ -39,9 +45,11 @@ import json
 import math
 from collections import deque
 from fractions import Fraction
+from itertools import accumulate, count, groupby, permutations, product, takewhile
 
 import numpy as np
 
+from gwel import quotients
 from gwel.boundary import ProximalityRow, pushed_prefix_mass_exact
 from gwel.errors import ConvergenceError, CosetLimitError, ParameterError, RankMismatchError
 from gwel.measures import convolve_power
@@ -205,6 +213,66 @@ def hlt_coset_table(d, relators, max_cosets=DEFAULT_MAX_COSETS):
     out = PermRep(d, rows)
     _check_relators(out._array(), rels)
     return out
+
+
+def all_tuples_low_index_degree(d, rels):
+    """`quotients._low_index_degree` as first written: every d-tuple of
+    permutations of n points is tried, each generator's among those that
+    satisfy the relators in that generator alone, for the same degrees
+    2..N.  Conjugate tuples share a verdict, so the production search,
+    which takes the first generator's permutation from one per cycle
+    type, must return the same least degree."""
+    length = sum(map(len, rels))
+    spent = accumulate(math.factorial(n) ** d * length for n in count(2))
+    top = 1 + sum(1 for _ in takewhile(lambda w: w <= quotients._LOW_INDEX_WORK, spent))
+    # a relator as runs (generator, signed exponent), and the generators it names
+    runs = [[(c >> 1, (1 - 2 * (c & 1)) * len(list(g))) for c, g in groupby(w)] for w in rels]
+    names = [{g for g, _ in r} for r in runs]
+    mixed = [r for r, s in zip(runs, names) if len(s) > 1]
+
+    def fixes(powers, r, points) -> bool:
+        """Whether relator r acts trivially; powers[g] is the cycle powers
+        of generator g's permutation (a dict for a relator in g alone)."""
+        for x in points:
+            y = x
+            for g, e in r:
+                pw = powers[g]
+                y = pw[e % len(pw)][y]
+            if y != x:
+                return False
+        return True
+
+    for n in range(2, top + 1):
+        points = range(n)
+        perms = list(map(quotients._cycle_powers, permutations(points)))
+        cands = [[pw for pw in perms
+                  if all(fixes({g: pw}, r, points) for r, s in zip(runs, names) if s == {g})]
+                 for g in range(d)]
+        for powers in product(*cands):
+            if not all(fixes(powers, r, points) for r in mixed):
+                continue
+            gens = [pw[1 % len(pw)] for pw in powers]
+            orbit = {0}
+            for _ in range(n - 1):
+                orbit |= {gen[x] for gen in gens for x in orbit}
+            if len(orbit) < n:
+                continue
+            loops = []
+            for w in rels:
+                for start in points:
+                    row, x = [0] * (d * n), start
+                    for c in w:
+                        g = c >> 1
+                        if c & 1:  # back along the edge (x g^-1, g)
+                            x = powers[g][-1][x]
+                            row[g * n + x] -= 1
+                        else:
+                            row[g * n + x] += 1
+                            x = gens[g][x]
+                    loops.append(row)
+            if quotients._rank(loops) < (d - 1) * n + 1:
+                return n
+    return 0
 
 
 def transfer_sphere_counts(rep, n):
@@ -537,10 +605,11 @@ def proximality_rows(d, n, k, seed, trials):
 
 
 def drift_loop(d, n, trials, seed):
-    """(estimate, stderr) of |w_n|/n over trials walks: trial i steps
-    down where Generator(Philox(child_i)).random(n) < 1/(2d), child_i the
-    i-th spawn of SeedSequence(seed), and the radius is stepped with its
-    reflection at 0 one step at a time across all trials."""
+    """(estimate, stderr, lengths) of |w_n|/n over trials walks, lengths
+    the int64 |w_n| of each: trial i steps down where
+    Generator(Philox(child_i)).random(n) < 1/(2d), child_i the i-th spawn
+    of SeedSequence(seed), and the radius is stepped with its reflection
+    at 0 one step at a time across all trials."""
     children = np.random.SeedSequence(seed).spawn(trials)
     down = 1.0 / (2 * d)
     steps = np.empty((trials, n), dtype=np.int8)
@@ -552,7 +621,7 @@ def drift_loop(d, n, trials, seed):
     for j in range(n):
         r = np.abs(r + by_step[j])
     vals = r / n
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials)), r
 
 
 def convolution_coset_bound(mu, rep, k):

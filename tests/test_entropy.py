@@ -185,7 +185,29 @@ def test_raw_threshold_is_exactly_random_below_p(p):
 )
 def test_drift_mc_equals_per_trial_loop(d, n, trials, seed):
     est = drift_mc(d, n, trials, seed)
-    assert (est.estimate, est.stderr) == drift_loop(d, n, trials, seed)
+    assert (est.estimate, est.stderr) == drift_loop(d, n, trials, seed)[:2]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 2000])
+def test_drift_lengths_equal_the_step_loop(d, n, monkeypatch):
+    # 5 trials per block: 12 trials span two full blocks and a short one;
+    # n = 7, 9 and 17 end in a short byte, padded with up steps
+    monkeypatch.setattr(entropy, "_DRIFT_CHUNK", 5 * n + 3)
+    for seed in (0, 2**64 + 5):
+        lengths = entropy._walk_lengths(d, n, 12, seed)
+        want = drift_loop(d, n, 12, seed)[2]
+        assert lengths.dtype == np.int64 and np.array_equal(lengths, want), seed
+
+
+def test_byte_tables_match_an_eight_step_scan():
+    for byte in range(256):
+        bits = [byte >> (7 - i) & 1 for i in range(8)]  # the first step is the top bit
+        prefix = [0]
+        for down in bits:
+            prefix.append(prefix[-1] + down)
+        assert entropy._BYTE_DOWNS[byte] == prefix[8], byte
+        assert entropy._BYTE_LOW[byte] == min(i // 2 - prefix[i] for i in range(9)), byte
 
 
 def test_guivarch_check():

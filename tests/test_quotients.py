@@ -14,6 +14,7 @@ from gwel.quotients import (
 )
 from gwel.words import alphabet, letter_key, parse_word, reduce_letters, sphere
 from oracles import (
+    all_tuples_low_index_degree,
     cycle_types,
     hlt_coset_table,
     in_kernel,
@@ -169,6 +170,27 @@ def test_low_index_certificate():
     # finite quotients have no infinite subgroup
     for texts, _ in KNOWN_ORDERS:
         assert degree(*texts) == 0, texts
+
+
+def test_cycle_type_search_matches_the_all_tuples_oracle():
+    # one first permutation per cycle type finds the least degree that
+    # every tuple finds, certified or not
+    presentations = [(2, rels(*texts)) for texts, _ in KNOWN_ORDERS] + CERTIFIED + POWERS
+    presentations += [(2, rels("aaa", "abba")), (3, rels("bbb", "BCCB", "a", rank=3))]
+    presentations += [(2, rels("a" * 100, "b" * 100, "abAB")), (2, rels("aa", "bb", "abab"))]
+    presentations += [(2, rels("aa", "bb")), (2, rels("aa", "bbb", "ab" * 7))]  # (2, 3, 7)
+    presentations += [(2, rels("aa", "bbb", "ab" * 8))]  # (2, 3, 8)
+    presentations += list(relator_corpus(12, 45)) + list(relator_corpus(15, 450))
+    degrees = []
+    for d, relators in presentations:
+        try:
+            columns = quotients._validate_relators(d, relators)
+        except ParameterError:
+            continue  # a relator reduces to the identity
+        degree = quotients._low_index_degree(d, columns)
+        assert degree == all_tuples_low_index_degree(d, columns), relators
+        degrees.append(degree)
+    assert set(degrees) == {0, 2, 3, 4}, sorted(set(degrees))
 
 
 def test_free_product_certificate():

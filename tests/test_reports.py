@@ -194,9 +194,13 @@ def test_chunked_writer_matches_the_oracle_at_every_seam(chunk, monkeypatch):
 
 
 def cell_csv_bytes(report):
-    """The CSV bytes with every cell through `_csv_cell`, one row at a time."""
-    lines = [",".join(map(str, report.series["columns"]))]
-    lines += [",".join(map(reports._csv_cell, row)) for row in report.series["rows"]]
+    """The CSV bytes with every cell through `_csv_cell`, one row at a time;
+    a Table's rows are its cells with the codes looked up."""
+    series = report.series
+    if isinstance(series, reports.Table):
+        series = {"columns": list(series.columns), "rows": series.rows()}
+    lines = [",".join(map(str, series["columns"]))]
+    lines += [",".join(map(reports._csv_cell, row)) for row in series["rows"]]
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -241,3 +245,67 @@ def test_integer_past_the_digit_limit_in_a_flat_row_is_a_guard_error(chunk, monk
         for write in (report_json_bytes, report_csv_bytes):
             with pytest.raises(ResourceGuardError, match="digits; lower --steps"):
                 write(report)
+
+
+def table_report(n):
+    """A Table of n rows with a column of every kind and code columns on
+    two or three values (from 24 rows on, each value is formatted once);
+    cells cycle through -0.0, None, escapes and big ints, and through
+    every kind in the "any" column."""
+    floats = [None, -0.0, 0.1 * 3, 1e-7, 0.0, np.float64(2 / 3)]
+    codes = np.arange(n, dtype=np.int32) % 3
+    return Report(
+        command="table",
+        params={"rows": n},
+        seed=3,
+        series=reports.Table({
+            "i": reports.Column("int", [(-1) ** i * 2 ** (i % 70) for i in range(n)]),
+            "x": reports.Column("float", [floats[i % len(floats)] for i in range(n)]),
+            "s": reports.Column("str", [(SEAM, "", ",")[i % 3] for i in range(n)]),
+            "b": reports.Column("bool", np.arange(n) % 4 == 1),
+            "L": reports.Column("code", codes, reports.Column("int", range(3))),
+            "m": reports.Column("code", codes, reports.Column("float", [None, -0.0, 1 / 3])),
+            "f": reports.Column("code", codes, reports.Column("bool", [True, False, True])),
+            "g": reports.Column("code", np.arange(n) % 2, reports.Column("str", ['q"', SEAM])),
+            "a": reports.Column("any", [(7, None, SEAM, False, 0.1 * 3, -0.0)[i % 6] for i in range(n)]),
+        }),
+        summary={"n": n},
+    )
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
+def test_table_writer_matches_both_oracles(chunk, monkeypatch):
+    monkeypatch.setattr(reports, "_ROW_CHUNK", chunk)
+    cases = [table_report(n) for n in sorted({0, 1, 2, chunk - 1, chunk, chunk + 1, 13, 40})]
+    cases.append(Report("no-columns", {}, None, reports.Table({}), {}))
+    for report in cases:
+        assert report_json_bytes(report) == oracle_bytes(report), report.params
+        assert report_csv_bytes(report) == cell_csv_bytes(report), report.params
+    one = json.loads(report_json_bytes(table_report(2)))
+    assert one["series"]["rows"][1] == [-2, -0.0, "", True, 1, -0.0, False, SEAM, None]
+    assert str(one["series"]["rows"][1][1]) == "-0.0"
+
+
+def bad_tables():
+    huge = 10 ** sys.get_int_max_str_digits()
+    codes = np.zeros(3, dtype=np.int32)
+    for bad in (float("nan"), float("inf"), np.float64("-inf")):
+        yield 4, {"x": reports.Column("float", [0.5, None, bad])}
+        yield 4, {"m": reports.Column("code", codes, reports.Column("float", [bad]))}
+        yield 4, {"a": reports.Column("any", [1, None, float(bad)])}
+    yield 3, {"n": reports.Column("int", [1, -huge, 2])}
+    yield 3, {"L": reports.Column("code", codes, reports.Column("int", [huge]))}
+    yield 3, {"a": reports.Column("any", ["s", huge, None])}
+
+
+@pytest.mark.parametrize("code, columns", list(bad_tables()))
+def test_table_that_cannot_be_written_leaves_no_output(code, columns, monkeypatch, tmp_path, capsys):
+    report = Report("growth", {}, None, reports.Table({"k": reports.Column("int", [1, 2, 3]), **columns}), {})
+    monkeypatch.setitem(cli._HANDLERS, "growth", lambda args: report)
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"report.{fmt}"
+        assert cli.main(["growth", "--format", fmt, "--out", str(out)]) == code
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert ("non-finite" if code == 4 else "digits; lower --steps") in err
