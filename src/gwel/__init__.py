@@ -12,7 +12,6 @@ from .boundary import (
     boundary_entropy,
     boundary_entropy_coefficient,
     cocycle_check,
-    cylinder_mass_exact,
     proximality_sim,
     rn_exponent,
     rn_integral,
@@ -36,20 +35,18 @@ from .errors import (
     ParseError,
     ResourceGuardError,
 )
-from .growth import ball_counts, grigorchuk_delta, sphere_counts
+from .growth import ball_counts, grigorchuk_delta
 from .lattice import (
     FiniteAction,
     FiniteSpace,
     Partition,
-    chain_rule_check,
     entropy_functional,
-    invariant_closure,
     join,
     l2_distance,
     meet,
     monotone_chain_limit,
 )
-from .measures import Distribution, convolve, convolve_power, shannon_entropy, srw
+from .measures import Distribution, srw
 from .parsing import parse_lattice_config, parse_quotient_spec
 from .quotients import (
     AbelianRep,
@@ -80,12 +77,8 @@ __all__ = [
     "ball_size",
     "boundary_entropy",
     "boundary_entropy_coefficient",
-    "chain_rule_check",
     "cocycle_check",
-    "convolve",
-    "convolve_power",
     "coset_enumerate",
-    "cylinder_mass_exact",
     "drift_mc",
     "entropy_functional",
     "entropy_gap_check",
@@ -94,7 +87,6 @@ __all__ = [
     "from_point_permutations",
     "grigorchuk_delta",
     "guivarch_check",
-    "invariant_closure",
     "join",
     "l2_distance",
     "meet",
@@ -107,9 +99,7 @@ __all__ = [
     "radial_entropy_exact",
     "rn_exponent",
     "rn_integral",
-    "shannon_entropy",
     "sphere",
-    "sphere_counts",
     "sphere_size",
     "srw",
     "theorem_a_bound",

@@ -27,15 +27,6 @@ from .measures import Distribution
 from .words import FreeGroup, Word, alphabet
 
 
-def cylinder_mass_exact(d: int, w: Word) -> Fraction:
-    """nu(C_w) = (1/(2d)) * (2d-1)^-(|w|-1), exact."""
-    if w.rank != d:
-        raise RankMismatchError(f"word rank {w.rank} differs from {d}")
-    if len(w) < 1:
-        raise ParameterError("cylinder prefix must be nonempty")
-    return Fraction(1, 2 * d * (2 * d - 1) ** (len(w) - 1))
-
-
 def _lcp(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     """Length of the longest common prefix of two letter tuples."""
     k, m = 0, min(len(a), len(b))
@@ -55,10 +46,6 @@ def rn_exponent(d: int, g: Word, w: Word) -> int:
             f"cylinder depth {len(w)} too shallow for |g| = {len(g)}"
         )
     return 2 * _lcp(g.letters, w.letters) - len(g)
-
-
-def rn_derivative_exact(d: int, g: Word, w: Word) -> Fraction:
-    return Fraction(2 * d - 1) ** rn_exponent(d, g, w)
 
 
 def _cocycle_exponents(d: int, g: Word, h: Word, w: Word) -> tuple[int, int, int]:
@@ -155,8 +142,9 @@ class ProximalityRow(NamedTuple):
 class ProximalityReport:
     """`trials` walks of `steps` steps, held as columns: `lengths[t, j-1]`
     is |w_j| in trial t (a read-only int32 array) and `masses[L]` the
-    pushed prefix mass at length L, None below the prefix depth.  Reports
-    are equal when their parameters and lengths are."""
+    pushed prefix mass at length L, for L up to the longest walk, None
+    below the prefix depth.  Reports are equal when their parameters and
+    lengths are."""
 
     rank: int
     steps: int
@@ -248,7 +236,7 @@ def proximality_sim(
     # lengths move by one from 0: these are the masses of the lengths visited;
     # the masses rise to 1, so once one rounds to 1.0 every longer one does
     top = int(walks.max())
-    mass_at = [None] * k
+    mass_at = [None] * min(k, top + 1)
     for length in range(k, top + 1):
         mass_at.append(float(pushed_prefix_mass_exact(d, length, k)))
         if mass_at[-1] == 1.0:
@@ -263,11 +251,9 @@ __all__ = [
     "boundary_entropy",
     "boundary_entropy_coefficient",
     "cocycle_check",
-    "cylinder_mass_exact",
     "kl_coefficient",
     "proximality_sim",
     "pushed_prefix_mass_exact",
-    "rn_derivative_exact",
     "rn_exponent",
     "rn_integral",
 ]

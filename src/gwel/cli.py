@@ -25,7 +25,7 @@ import numpy as np
 from . import boundary, entropy, growth, lattice, measures, parsing, quotients
 from .errors import GwelError, ParameterError, ResourceGuardError
 from .reports import Column, Report, Table, check_power_digits, emit_report, printable
-from .words import ball_size, sphere_size
+from .words import LETTERS, ball_size, sphere_size
 
 DEFAULT_SEED = 0xD0DD5  # documented default master seed
 
@@ -337,6 +337,10 @@ def _cmd_theorem_a(args) -> Report:
 
 def _cmd_boundary_entropy(args) -> Report:
     d = args.rank
+    if d > len(LETTERS):  # the series names each generator by its letter
+        raise ParameterError(
+            f"--rank {d} is too large: words use the 26 letters a-z (--rank <= 26)"
+        )
     mu = measures.srw(d)
     coeff = boundary.boundary_entropy_coefficient(d, mu)
     h = float(coeff) * math.log(2 * d - 1)  # boundary_entropy(d, mu) without a second sum

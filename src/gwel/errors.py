@@ -18,10 +18,6 @@ class RankMismatchError(ParameterError):
     pass
 
 
-class ContextMismatchError(ParameterError):
-    pass
-
-
 class DistributionError(ParameterError):
     pass
 

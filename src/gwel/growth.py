@@ -1,6 +1,6 @@
 """Growth of F_d and of kernels of quotient maps.
 
-Only closed forms live here: exact sphere and ball counts of F_d,
+Only closed forms live here: exact ball counts of F_d,
 Grigorchuk's critical exponent from a spectral radius, and the
 half-growth floor.  The quotient rep counts its kernel's spheres, by one
 non-backtracking recurrence for every family (Grigorchuk's cogrowth
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .words import ball_size, sphere_size
+from .words import ball_size
 
 KERNEL_WORK_BUDGET = 5 * 10**7
 
@@ -25,11 +25,11 @@ class GrowthSeries:
     """Exact counts c_0..c_n with a tag saying what is being counted."""
 
     rank: int
-    kind: str  # "ball" | "sphere" | "kernel"
+    kind: str  # "ball" | "kernel"
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        if self.kind not in ("ball", "sphere", "kernel"):
+        if self.kind not in ("ball", "kernel"):
             raise ParameterError(f"unknown series kind {self.kind!r}")
         if any(c < 0 for c in self.counts):
             raise ParameterError("counts must be nonnegative")
@@ -58,15 +58,6 @@ def ball_counts(d: int, n: int) -> GrowthSeries:
     if n < 0:
         raise ParameterError("radius must be >= 0")
     return GrowthSeries(d, "ball", tuple(ball_size(d, k) for k in range(n + 1)))
-
-
-def sphere_counts(d: int, n: int) -> GrowthSeries:
-    """Exact |S(k)| for k <= n."""
-    if d < 2:
-        raise ParameterError(f"rank must be >= 2, got {d}")
-    if n < 0:
-        raise ParameterError("radius must be >= 0")
-    return GrowthSeries(d, "sphere", tuple(sphere_size(d, k) for k in range(n + 1)))
 
 
 def grigorchuk_delta(rho: float, d: int) -> float:
@@ -108,5 +99,4 @@ __all__ = [
     "ball_counts",
     "grigorchuk_delta",
     "half_growth_bound",
-    "sphere_counts",
 ]

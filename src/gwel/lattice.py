@@ -262,21 +262,6 @@ class FiniteAction:
         )
 
 
-def invariant_closure(action: FiniteAction, p: Partition) -> Partition:
-    """Finest partition coarser than p whose blocks the generators
-    permute; iterated meet with generator translates until stable."""
-    if p.m != action.m:
-        raise ParameterError("partition does not match the action")
-    current = p
-    while True:
-        merged = current
-        for g in range(1, action.n_gens + 1):
-            merged = meet(merged, action.translate(merged, g))
-        if merged == current:
-            return current
-        current = merged
-
-
 def _image_blocks(action: FiniteAction, p: Partition, letters) -> list[int]:
     """Block of g.B for each block B of an invariant p, g a letter
     sequence; block ids run in order of first point, so each block's
@@ -311,48 +296,6 @@ def entropy_functional(action: FiniteAction, space: FiniteSpace, p: Partition) -
     if -1e-12 < val < 0.0:
         val = 0.0
     return val
-
-
-def chain_rule_check(
-    action: FiniteAction,
-    space: FiniteSpace,
-    p: Partition,
-    q: Partition,
-    g,
-    tol: float = 1e-12,
-) -> bool:
-    """Fiber-times-base factorization of weight ratios at q-granularity.
-
-    For nested invariant partitions p <= q (q finer) and a group element
-    g (a signed letter or a sequence of them), checks at every point x
-    with q-block B_q and p-block B_p:
-
-        lam_q(g.B_q)/lam_q(B_q)
-          = [ (lam_q(g.B_q)/lam_p(g.B_p)) / (lam_q(B_q)/lam_p(B_p)) ]
-            * [ lam_p(g.B_p)/lam_p(B_p) ]
-
-    With q discrete this is the pointwise derivative factorization.
-    """
-    if space.m != action.m:
-        raise ParameterError("space does not match the action")
-    if not q.refines(p):
-        raise ParameterError("partitions are not nested (q must refine p)")
-    for part in (p, q):
-        if not action.is_invariant(part):
-            raise ParameterError("partition is not invariant under the action")
-    letters = (g,) if isinstance(g, int) else tuple(g)
-    wq = _block_weights(space.weights, q)
-    wp = _block_weights(space.weights, p)
-    img_q = _image_blocks(action, q, letters)
-    img_p = _image_blocks(action, p, letters)
-    for x in range(action.m):
-        bq, bp = q.block_of[x], p.block_of[x]
-        lhs = wq[img_q[bq]] / wq[bq]
-        base = wp[img_p[bp]] / wp[bp]
-        fiber = (wq[img_q[bq]] / wp[img_p[bp]]) / (wq[bq] / wp[bp])
-        if abs(lhs - fiber * base) > tol * abs(lhs):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -441,9 +384,7 @@ __all__ = [
     "FiniteAction",
     "FiniteSpace",
     "Partition",
-    "chain_rule_check",
     "entropy_functional",
-    "invariant_closure",
     "join",
     "l2_distance",
     "meet",

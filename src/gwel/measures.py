@@ -1,12 +1,10 @@
 """Finitely supported probability measures on the free group F_d.
 
-The context of a distribution is a `FreeGroup`, whose identity /
-multiply / invert / validate_element give the group law on words; laws
-on a quotient come from the quotient rep's own methods.  Probabilities
-are doubles; entropy sums go through math.fsum.  Alongside the float
-channel a distribution may carry exact rational masses (srw and point
-masses do), which the boundary calculus consumes; convolution drops the
-exact channel because rational arithmetic blows up in convolution powers.
+The context of a distribution is a `FreeGroup`, which validates its
+support; laws on a quotient come from the quotient rep's own methods.
+Probabilities are doubles.  Alongside the float channel a distribution
+may carry exact rational masses (srw does), which the boundary calculus
+consumes.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import ContextMismatchError, DistributionError
+from .errors import DistributionError
 from .words import FreeGroup, Word, alphabet
 
 MASS_TOL = 1e-12
@@ -23,7 +21,7 @@ MASS_TOL = 1e-12
 class Distribution:
     """Sparse probability measure: context plus element -> mass > 0."""
 
-    __slots__ = ("context", "probs", "exact", "_pow_cache")
+    __slots__ = ("context", "probs", "exact")
 
     def __init__(self, context, probs, exact=None):
         clean = {}
@@ -48,7 +46,6 @@ class Distribution:
             if sum(exact.values()) != 1:
                 raise DistributionError("exact masses do not sum to 1")
         self.exact = exact
-        self._pow_cache = None
 
     def prob(self, g) -> float:
         return self.probs.get(g, 0.0)
@@ -70,11 +67,6 @@ class Distribution:
         return [(g, Fraction(p)) for g, p in self.probs.items()]
 
 
-def point_mass(context, g) -> Distribution:
-    context.validate_element(g)
-    return Distribution(context, {g: 1.0}, exact={g: Fraction(1)})
-
-
 def srw(d: int) -> Distribution:
     """Uniform mass 1/(2d) on the 2d length-one words of F_d."""
     if d < 2:
@@ -91,54 +83,8 @@ def srw(d: int) -> Distribution:
     return Distribution(ctx, probs, exact=exact)
 
 
-def convolve(mu: Distribution, nu: Distribution) -> Distribution:
-    """(mu*nu)(x) = sum over g.h = x of mu(g) nu(h).
-
-    Iterates the smaller support on the outside; accumulation order is the
-    deterministic support order of the operands.
-    """
-    if mu.context != nu.context:
-        raise ContextMismatchError(
-            f"context mismatch: {mu.context!r} vs {nu.context!r}"
-        )
-    ctx = mu.context
-    out: dict = {}
-    if len(mu) <= len(nu):
-        for g, pg in mu.items():
-            for h, ph in nu.items():
-                x = ctx.multiply(g, h)
-                out[x] = out.get(x, 0.0) + pg * ph
-    else:
-        for h, ph in nu.items():
-            for g, pg in mu.items():
-                x = ctx.multiply(g, h)
-                out[x] = out.get(x, 0.0) + pg * ph
-    return Distribution(ctx, out)
-
-
-def convolve_power(mu: Distribution, n: int) -> Distribution:
-    """mu^n by repeated convolution; powers are cached on mu."""
-    if n < 0:
-        raise DistributionError("negative convolution power")
-    if mu._pow_cache is None:
-        mu._pow_cache = [point_mass(mu.context, mu.context.identity)]
-    cache = mu._pow_cache
-    while len(cache) <= n:
-        cache.append(convolve(cache[-1], mu))
-    return cache[n]
-
-
-def shannon_entropy(mu: Distribution) -> float:
-    """-sum p log p in nats, compensated summation."""
-    return math.fsum(-p * math.log(p) for p in mu.probs.values())
-
-
 __all__ = [
     "Distribution",
     "MASS_TOL",
-    "convolve",
-    "convolve_power",
-    "point_mass",
-    "shannon_entropy",
     "srw",
 ]

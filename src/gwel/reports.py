@@ -6,17 +6,15 @@ matter how the computation was scheduled.  Exact integers stay
 integers; rationals are {num, den} pairs; all entropy values are in
 nats and every report says so.
 
-The JSON text is the layout of `json.dumps(report_to_object(report),
-sort_keys=True, indent=2)`, byte for byte, but written here: with
-`indent` set the standard library falls back to its pure-Python
-encoder.  A report's series is a `Table` of named columns, each of a
-kind the writer formats without looking at its cells.  JSON and CSV
-rows are made `_ROW_CHUNK` at a time, a column at a time; a code column
-with few values for its rows formats each value once.  A plain-dict
-series of scalar columns is written as a Table; params, summary,
-warnings and any other series take the recursive layout.  Text is
-encoded into one buffer as it is made, so a report of 10^6 rows is held
-once, as bytes, and never as rows.
+The JSON text is the layout of `json.dumps(..., sort_keys=True,
+indent=2)`, byte for byte, but written here: with `indent` set the
+standard library falls back to its pure-Python encoder.  A report's
+series is a `Table` of named columns, each of a kind the writer formats
+without looking at its cells.  JSON and CSV rows are made `_ROW_CHUNK`
+at a time, a column at a time; a code column with few values for its
+rows formats each value once.  Params, summary and warnings take the
+recursive layout.  Text is encoded into one buffer as it is made, so a
+report of 10^6 rows is held once, as bytes, and never as rows.
 """
 
 from __future__ import annotations
@@ -39,10 +37,10 @@ TOOL_VERSION = f"gwel {__version__}"
 
 
 class Column(NamedTuple):
-    """`kind` is "int", "float" (float or None), "bool", "str", "any" (of
-    those kinds) or "code"; `data` a list, range or 1-D numpy array.  A
-    code column's cells are those of `values` at its codes: a column of
-    another kind whose data is a list, tuple or range."""
+    """`kind` is "int", "float" (float or None), "bool", "str" or "code";
+    `data` a list, range or 1-D numpy array.  A code column's cells are
+    those of `values` at its codes: a column of another kind whose data
+    is a list, tuple or range."""
 
     kind: str
     data: Sequence
@@ -57,10 +55,6 @@ class Table:
 
     def __len__(self) -> int:
         return len(next(iter(self.columns.values())).data) if self.columns else 0
-
-    def rows(self) -> list[list]:
-        """The cells row by row, codes looked up."""
-        return [list(row) for row in zip(*map(_cells, self.columns.values()))]
 
 
 def _list(data) -> list:
@@ -77,7 +71,7 @@ class Report:
     command: str
     params: dict
     seed: int | None
-    series: Table | dict  # or a dict {"columns": [...], "rows": [...]}
+    series: Table
     summary: dict
     warnings: list = field(default_factory=list)
 
@@ -118,11 +112,12 @@ def check_power_digits(q: int, n: int) -> None:
 
 
 def _is_list(obj) -> bool:
-    # a lazy Sequence of rows is a list; strings are not
+    # a list or tuple of params, summary or warnings; strings are not
     return isinstance(obj, Sequence) and not isinstance(obj, (str, bytes, bytearray))
 
 
 def _clean(obj):
+    """A scalar as the JSON value it is written as; a Fraction as {num, den}."""
     if isinstance(obj, (bool, str)) or obj is None:
         return obj
     if isinstance(obj, float):
@@ -132,35 +127,7 @@ def _clean(obj):
         return obj if obj.bit_length() <= 1920 else printable(obj)
     if isinstance(obj, Fraction):
         return {"num": obj.numerator, "den": obj.denominator}
-    if isinstance(obj, Table):
-        return _clean({"columns": list(obj.columns), "rows": obj.rows()})
-    if isinstance(obj, dict):
-        return {str(k): _clean(v) for k, v in obj.items()}
-    if _is_list(obj):
-        return [_clean(v) for v in obj]
     return str(obj)
-
-
-_KINDS = {int: "int", bool: "bool", str: "str", float: "float", type(None): "float"}
-
-
-def _as_table(series):
-    """A dict series whose cells are all exact ints, bools, strs, floats or
-    None as a Table, which the writer formats a column at a time (a column
-    of mixed kinds cell by cell); any other series as it is."""
-    if not isinstance(series, dict) or series.keys() != {"columns", "rows"}:
-        return series
-    names, rows = series["columns"], series["rows"]
-    if not (_is_list(names) and names and all(type(n) is str for n in names)
-            and len(set(names)) == len(names) and _is_list(rows) and rows
-            and all(isinstance(row, (list, tuple)) and len(row) == len(names) for row in rows)):
-        return series
-    cols = list(zip(*rows))
-    kinds = [set(map(_KINDS.get, map(type, col))) for col in cols]
-    if any(None in kind for kind in kinds):
-        return series
-    return Table({name: Column(kind.pop() if len(kind) == 1 else "any", col)
-                  for name, col, kind in zip(names, cols, kinds)})
 
 
 def _fields(report: Report) -> dict:
@@ -168,16 +135,12 @@ def _fields(report: Report) -> dict:
         "command": report.command,
         "params": report.params,
         "seed": report.seed,
-        "series": _as_table(report.series),
+        "series": report.series,
         "summary": report.summary,
         "warnings": [str(w) for w in report.warnings],
         "tool_version": TOOL_VERSION,
         "units": "nats",
     }
-
-
-def report_to_object(report: Report) -> dict:
-    return _clean(_fields(report))
 
 
 _ROW_CHUNK = 1024  # table rows formatted per chunk
@@ -202,8 +165,6 @@ def _texts(kind: str, vals: list, as_json: bool) -> list[str]:
         if as_json:
             return ["null" if v is None else repr(_sig(v)) for v in vals]
         return ["" if v is None else f"{v:.12g}" for v in vals]
-    if kind == "any":  # exact scalars of several kinds
-        return [_texts(_KINDS[type(v)], [v], as_json)[0] for v in vals]
     if kind == "bool":
         no, yes = ("false", "true") if as_json else ("0", "1")
         return [yes if v else no for v in vals]
@@ -243,10 +204,10 @@ def _table_parts(table: Table, pad: str):
 
 
 def _parts(obj, pad: str = "\n"):
-    """The text of `_clean(obj)` as `json.dumps(_clean(obj),
-    sort_keys=True, indent=2)` lays it out at the nesting level whose
-    newline and indent are `pad`, in parts: a table's rows a chunk at a
-    time."""
+    """The text of `obj` as `json.dumps(..., sort_keys=True, indent=2)`
+    lays it out, its scalars through `_clean` and a table as {"columns",
+    "rows"}, at the nesting level whose newline and indent are `pad`, in
+    parts: a table's rows a chunk at a time."""
     if isinstance(obj, Table):
         yield from _table_parts(obj, pad)
         return
@@ -288,33 +249,14 @@ def report_json_bytes(report: Report) -> bytes:
         raise _non_finite() from None
 
 
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise _non_finite()
-        return f"{v:.12g}"
-    if isinstance(v, int):
-        return str(printable(v))  # trips before a slow int-to-str conversion
-    return str(v)
-
-
-def _csv_parts(series):
-    if isinstance(series, Table):
-        yield ",".join(series.columns) + "\n"
-        for rows in _row_texts(series, ",", False):
-            yield "\n".join(rows) + "\n"
-        return
-    yield ",".join(str(c) for c in series.get("columns", [])) + "\n"
-    for row in series.get("rows", []):
-        yield ",".join(map(_csv_cell, row)) + "\n"
+def _csv_parts(table: Table):
+    yield ",".join(table.columns) + "\n"
+    for rows in _row_texts(table, ",", False):
+        yield "\n".join(rows) + "\n"
 
 
 def report_csv_bytes(report: Report) -> bytes:
-    return _join(_csv_parts(_as_table(report.series)))
+    return _join(_csv_parts(report.series))
 
 
 def emit_report(report: Report, fmt: str = "json", out: str | None = None) -> bytes:
@@ -347,5 +289,4 @@ __all__ = [
     "printable",
     "report_csv_bytes",
     "report_json_bytes",
-    "report_to_object",
 ]

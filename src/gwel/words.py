@@ -213,19 +213,14 @@ def format_word(w: Word) -> str:
 
 @dataclass(frozen=True, slots=True)
 class FreeGroup:
-    """Group context for distributions supported on free-group words."""
+    """Context of a distribution on F_d: its rank, identity and the
+    check that an element is a word of that rank."""
 
     rank: int
 
     @property
     def identity(self) -> Word:
         return Word((), self.rank)
-
-    def multiply(self, a: Word, b: Word) -> Word:
-        return multiply(a, b)
-
-    def invert(self, a: Word) -> Word:
-        return a.inverse()
 
     def validate_element(self, a) -> None:
         if not isinstance(a, Word) or a.rank != self.rank:

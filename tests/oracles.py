@@ -39,20 +39,39 @@ least degree.
 The last helpers are small checks that only the tests use: kernel
 membership, generator cycle types, the uniform stationary law of a
 finite action and the Radon-Nikodym bound M(g).
+Reference computations that no verb needs: convolution of
+distributions on words and its powers (the recent ones cached), point
+masses and Shannon entropy; the sphere counts of F_d, counted word by
+word; the cylinder mass nu(C_w) and the derivative (2d-1)^e on C_w, e
+from a reduced product; the invariant closure of a partition and the
+fiber-times-base chain rule of weight ratios.  The writer lays out a
+report's series table a column at a time; `report_to_object` cleans
+the report recursively into the plain object, the table's rows as lists
+with the codes looked up, whose standard indent-2 JSON must give the
+same bytes, and `csv_cell` writes the CSV one cell at a time.
 """
 
 import json
 import math
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, count, groupby, permutations, product, takewhile
+from typing import NamedTuple
 
 import numpy as np
 
-from gwel import quotients
+from gwel import quotients, reports
 from gwel.boundary import ProximalityRow, pushed_prefix_mass_exact
-from gwel.errors import ConvergenceError, CosetLimitError, ParameterError, RankMismatchError
-from gwel.measures import convolve_power
+from gwel.errors import (
+    ConvergenceError,
+    CosetLimitError,
+    DistributionError,
+    ParameterError,
+    RankMismatchError,
+)
+from gwel.lattice import _block_weights, _image_blocks, meet
+from gwel.measures import Distribution
 from gwel.quotients import (
     DEFAULT_MAX_COSETS,
     PermRep,
@@ -683,7 +702,7 @@ def rn_bound(mu, g, n_max=16):
     whose convolution power charges the element."""
     ctx = mu.context
     ctx.validate_element(g)
-    ginv = ctx.invert(g)
+    ginv = g.inverse()
     p_fwd = p_inv = None
     for n in range(n_max + 1):
         power = convolve_power(mu, n)
@@ -700,3 +719,151 @@ def rn_bound(mu, g, n_max=16):
     raise NotReachedError(
         f"element not reached within n_max={n_max} convolution powers"
     )
+
+
+class ContextMismatchError(ParameterError):
+    pass
+
+
+def point_mass(context, g):
+    context.validate_element(g)
+    return Distribution(context, {g: 1.0}, exact={g: Fraction(1)})
+
+
+def convolve(mu, nu):
+    """(mu*nu)(x) = sum over g.h = x of mu(g) nu(h), the smaller support
+    on the outside; the exact channel is dropped."""
+    if mu.context != nu.context:
+        raise ContextMismatchError(f"context mismatch: {mu.context!r} vs {nu.context!r}")
+    out = {}
+    if len(mu) <= len(nu):
+        pairs = ((g, pg, h, ph) for g, pg in mu.items() for h, ph in nu.items())
+    else:
+        pairs = ((g, pg, h, ph) for h, ph in nu.items() for g, pg in mu.items())
+    for g, pg, h, ph in pairs:
+        x = multiply(g, h)
+        out[x] = out.get(x, 0.0) + pg * ph
+    return Distribution(mu.context, out)
+
+
+@lru_cache(maxsize=32)
+def convolve_power(mu, n):
+    """mu^n by repeated convolution; recent powers are cached."""
+    if n < 0:
+        raise DistributionError("negative convolution power")
+    if n == 0:
+        return point_mass(mu.context, mu.context.identity)
+    return convolve(convolve_power(mu, n - 1), mu)
+
+
+def shannon_entropy(mu):
+    """-sum p log p in nats, compensated summation."""
+    return math.fsum(-p * math.log(p) for p in mu.probs.values())
+
+
+class SphereCounts(NamedTuple):
+    counts: tuple
+
+
+def sphere_counts(d, n):
+    """|S(k)| for k <= n, counted word by word."""
+    return SphereCounts(tuple(sum(1 for _ in sphere(d, k)) for k in range(n + 1)))
+
+
+def cylinder_mass_exact(d, w):
+    """nu(C_w) = (1/(2d)) * (2d-1)^-(|w|-1), exact."""
+    if w.rank != d:
+        raise RankMismatchError(f"word rank {w.rank} differs from {d}")
+    if len(w) < 1:
+        raise ParameterError("cylinder prefix must be nonempty")
+    return Fraction(1, 2 * d * (2 * d - 1) ** (len(w) - 1))
+
+
+def rn_derivative_exact(d, g, w):
+    """d(g nu)/d nu on C_w, |w| >= |g| + 1: (2d-1)^e by a reduced product."""
+    return Fraction(2 * d - 1) ** multiply_rn_exponent(d, g, w)
+
+
+def invariant_closure(action, p):
+    """Finest partition coarser than p whose blocks the generators
+    permute; iterated meet with generator translates until stable."""
+    if p.m != action.m:
+        raise ParameterError("partition does not match the action")
+    current = p
+    while True:
+        merged = current
+        for g in range(1, action.n_gens + 1):
+            merged = meet(merged, action.translate(merged, g))
+        if merged == current:
+            return current
+        current = merged
+
+
+def chain_rule_check(action, space, p, q, g, tol=1e-12):
+    """Fiber-times-base factorization of weight ratios at q-granularity.
+
+    For nested invariant partitions p <= q (q finer) and a group element
+    g (a signed letter or a sequence of them), checks at every point x
+    with q-block B_q and p-block B_p:
+
+        lam_q(g.B_q)/lam_q(B_q)
+          = [ (lam_q(g.B_q)/lam_p(g.B_p)) / (lam_q(B_q)/lam_p(B_p)) ]
+            * [ lam_p(g.B_p)/lam_p(B_p) ]
+
+    With q discrete this is the pointwise derivative factorization.
+    """
+    if space.m != action.m:
+        raise ParameterError("space does not match the action")
+    if not q.refines(p):
+        raise ParameterError("partitions are not nested (q must refine p)")
+    for part in (p, q):
+        if not action.is_invariant(part):
+            raise ParameterError("partition is not invariant under the action")
+    letters = (g,) if isinstance(g, int) else tuple(g)
+    wq = _block_weights(space.weights, q)
+    wp = _block_weights(space.weights, p)
+    img_q = _image_blocks(action, q, letters)
+    img_p = _image_blocks(action, p, letters)
+    for x in range(action.m):
+        bq, bp = q.block_of[x], p.block_of[x]
+        lhs = wq[img_q[bq]] / wq[bq]
+        base = wp[img_p[bp]] / wp[bp]
+        fiber = (wq[img_q[bq]] / wp[img_p[bp]]) / (wq[bq] / wp[bp])
+        if abs(lhs - fiber * base) > tol * abs(lhs):
+            return False
+    return True
+
+
+def table_rows(table):
+    """A series table's cells row by row, codes looked up."""
+    return [list(row) for row in zip(*map(reports._cells, table.columns.values()))]
+
+
+def _clean_object(obj):
+    if isinstance(obj, reports.Table):
+        return _clean_object({"columns": list(obj.columns), "rows": table_rows(obj)})
+    if isinstance(obj, dict):
+        return {str(k): _clean_object(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_clean_object(v) for v in obj]
+    return reports._clean(obj)
+
+
+def report_to_object(report):
+    """The report as plain JSON values, its series as {"columns", "rows"}."""
+    return _clean_object(reports._fields(report))
+
+
+def csv_cell(v):
+    """The CSV text of one series cell."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise reports._non_finite()
+        return f"{v:.12g}"
+    if isinstance(v, int):
+        return str(reports.printable(v))
+    return str(v)

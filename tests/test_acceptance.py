@@ -20,10 +20,13 @@ from conftest import ACCEPTANCE_LINES
 from oracles import (
     brute_kernel_sphere_counts,
     cond_expect_matrix,
+    convolve_power,
     grid_entropies,
+    invariant_closure,
     multiply_rn_exponent,
     power_iteration_exponent,
     rn_bound,
+    shannon_entropy,
     sphere_rn_integral,
 )
 from gwel.boundary import (
@@ -48,14 +51,13 @@ from gwel.lattice import (
     FiniteSpace,
     Partition,
     entropy_functional,
-    invariant_closure,
     join,
     l2_distance,
     meet,
     monotone_chain_limit,
     random_weights,
 )
-from gwel.measures import convolve_power, shannon_entropy, srw
+from gwel.measures import srw
 from gwel.quotients import AbelianRep, TrivialRep, coset_enumerate, from_point_permutations
 from gwel.words import alphabet, ball_size, parse_word, reduce_letters, sphere
 

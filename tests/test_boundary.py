@@ -13,11 +13,9 @@ from gwel.boundary import (
     boundary_entropy,
     boundary_entropy_coefficient,
     cocycle_check,
-    cylinder_mass_exact,
     kl_coefficient,
     proximality_sim,
     pushed_prefix_mass_exact,
-    rn_derivative_exact,
     rn_exponent,
     rn_integral,
 )
@@ -26,10 +24,12 @@ from gwel.errors import ParameterError, RankMismatchError
 from gwel.measures import Distribution, srw
 from gwel.words import FreeGroup, alphabet, parse_word, reduce_letters, sphere
 from oracles import (
+    cylinder_mass_exact,
     multiply_cocycle_exponents,
     proximality_rows,
     multiply_rn_exponent,
     rn_bound,
+    rn_derivative_exact,
     sphere_boundary_entropy_coefficient,
     sphere_kl_coefficient,
     sphere_rn_integral,

@@ -169,6 +169,26 @@ def test_proximality_report_bytes_are_unchanged(seed, fmt, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PROXIMALITY_DIGESTS[seed, fmt]
 
 
+def test_proximality_masses_end_at_the_longest_walk(tmp_path, monkeypatch):
+    # a prefix depth past every walk costs no mass per unreached length
+    from gwel import boundary
+
+    made = []
+    sim = boundary.proximality_sim
+
+    def keep(*args, **kwargs):
+        made.append(sim(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(boundary, "proximality_sim", keep)
+    out = tmp_path / "report.json"
+    argv = ["proximality", "--prefix-depth", "1000000000", "--steps", "5", "--trials", "2"]
+    assert main([*argv, "--out", str(out)]) == 0
+    (rpt,) = made
+    assert len(rpt.masses) == rpt.lengths.max() + 1
+    assert json.loads(out.read_bytes())["summary"]["skipped_rows"] == 10
+
+
 def test_proximality_report_memory_is_a_small_multiple_of_its_bytes(tmp_path):
     # rows, cleaned rows and the text are never all held at once: the
     # peak is the encoded chunks plus their one join, about 2.5 times
@@ -184,6 +204,19 @@ def test_proximality_report_memory_is_a_small_multiple_of_its_bytes(tmp_path):
     assert code == 0
     assert peak < 3 * out.stat().st_size
     assert time.perf_counter() - start < 2.0
+
+
+def test_boundary_entropy_refuses_a_large_rank_before_building_the_walk(capsys, monkeypatch):
+    from gwel import measures
+
+    def no_walk(d):
+        raise AssertionError(f"srw({d}) built for a rank with no letters")
+
+    monkeypatch.setattr(measures, "srw", no_walk)
+    assert main(["boundary-entropy", "--rank", "1000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--rank" in err and "26 letters" in err
 
 
 def test_lattice_experiment(tmp_path, capsysbinary):
@@ -412,10 +445,10 @@ def test_convergence_maps_to_exit_4(capsys, monkeypatch):
 
 def test_nan_report_maps_to_exit_4(capsys, monkeypatch):
     import gwel.cli as cli
-    from gwel.reports import Report
+    from gwel.reports import Report, Table
 
     def nan_report(args):
-        return Report("growth", {}, None, {"columns": [], "rows": []}, {"x": float("nan")})
+        return Report("growth", {}, None, Table({}), {"x": float("nan")})
 
     monkeypatch.setitem(cli._HANDLERS, "growth", nan_report)
     assert main(["growth"]) == 4
@@ -430,7 +463,7 @@ def test_non_finite_cell_maps_to_exit_4_in_every_format(fmt, capsys, monkeypatch
     from gwel.reports import Report
 
     def inf_report(args):
-        series = {"columns": ["a", "b"], "rows": [[1, float("nan")], [2, float("inf")]]}
+        series = cli._table("a:int b:float", [(1, float("nan")), (2, float("inf"))])
         return Report("growth", {}, None, series, {})
 
     monkeypatch.setitem(cli._HANDLERS, "growth", inf_report)

@@ -4,7 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import convolution_coset_bound, drift_loop, radial_entropy_loop
+from oracles import (
+    convolution_coset_bound,
+    convolve_power,
+    drift_loop,
+    radial_entropy_loop,
+    shannon_entropy,
+)
 
 from gwel import entropy
 from gwel.entropy import (
@@ -18,7 +24,7 @@ from gwel.entropy import (
     theorem_a_bound,
     theorem_a_coefficient,
 )
-from gwel.measures import convolve_power, shannon_entropy, srw
+from gwel.measures import srw
 from gwel.quotients import (
     AbelianRep,
     TrivialRep,
@@ -263,7 +269,7 @@ def test_coset_bound_matches_word_convolution():
     s6 = from_point_permutations(2, {1: (1, 2, 3, 4, 5, 0), 2: (1, 0, 2, 3, 4, 5)})
     cases = [(rep, 9) for rep in (klein, s3, q8, s6, TrivialRep(2), AbelianRep(2))]
     cases.append((TrivialRep(3), 6))
-    mus = {2: srw(2), 3: srw(3)}  # each caches its convolution powers
+    mus = {2: srw(2), 3: srw(3)}  # convolve_power caches the powers of each
     for rep, n in cases:
         spheres, bounds = rep.gap_counts(n, entropy.BALL_WORK_BUDGET)
         assert len(spheres) == 2 * n + 1 and len(bounds) == n

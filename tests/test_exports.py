@@ -37,3 +37,29 @@ def test_readme_library_example_runs():
     printed = out.getvalue().splitlines()
     assert printed[:2] == comments[:2] == ["4", "[1, 0, 4, 0, 60]"]
     assert float(printed[2]) == pytest.approx(math.log(3) / 2, abs=1e-15)
+
+
+def _callers_text() -> str:
+    """src/gwel and bench/ without the export lists, and the README's
+    python block: the places a public name is called from."""
+    root = Path(__file__).parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    texts = re.findall(r"```python\n(.*?)```", readme, re.S)
+    for path in [*sorted((root / "src" / "gwel").glob("*.py")), *sorted((root / "bench").glob("*.py"))]:
+        text = path.read_text(encoding="utf-8")
+        text = re.sub(r"^__all__ = \[.*?\]", "", text, flags=re.S | re.M)
+        if path.name == "__init__.py":  # the package's re-exports
+            text = re.sub(r"^from \.\w+ import (\(.*?\)|.*?$)", "", text, flags=re.S | re.M)
+        texts.append(text)
+    return "\n".join(texts)
+
+
+def test_every_exported_name_has_a_caller():
+    # a public name the CLI, the benchmark and the README never name
+    # belongs with the oracles in tests/
+    text = _callers_text()
+    uncalled = [
+        name for name in gwel.__all__
+        if not re.search(rf"^(?!\s*(?:def|class) {name}\b).*\b{name}\b", text, re.M)
+    ]
+    assert uncalled == []

@@ -8,6 +8,7 @@ from oracles import (
     brute_kernel_sphere_counts,
     in_kernel,
     power_iteration_exponent,
+    sphere_counts,
 )
 
 from gwel.errors import ParameterError
@@ -16,7 +17,6 @@ from gwel.growth import (
     ball_counts,
     grigorchuk_delta,
     half_growth_bound,
-    sphere_counts,
 )
 from gwel.quotients import (
     AbelianRep,

@@ -9,16 +9,20 @@ from gwel.lattice import (
     FiniteAction,
     FiniteSpace,
     Partition,
-    chain_rule_check,
     entropy_functional,
-    invariant_closure,
     join,
     l2_distance,
     meet,
     monotone_chain_limit,
     random_weights,
 )
-from oracles import cond_expect_matrix, dense_l2_distance, solve_stationary
+from oracles import (
+    chain_rule_check,
+    cond_expect_matrix,
+    dense_l2_distance,
+    invariant_closure,
+    solve_stationary,
+)
 
 
 def all_partitions(m):

@@ -4,26 +4,26 @@ from fractions import Fraction
 
 import pytest
 
-from gwel.errors import ContextMismatchError, DistributionError
-from gwel.measures import (
-    Distribution,
+from gwel.errors import DistributionError
+from gwel.measures import Distribution, srw
+from gwel.words import FreeGroup, alphabet, identity, multiply, parse_word, reduce_letters
+from oracles import (
+    ContextMismatchError,
+    NotReachedError,
     convolve,
     convolve_power,
     point_mass,
+    rn_bound,
     shannon_entropy,
-    srw,
 )
-from gwel.words import FreeGroup, alphabet, identity, parse_word, reduce_letters
-from oracles import NotReachedError, rn_bound
 
 
 def brute_convolve(mu, nu):
     # direct double sum, no sparsity tricks
-    G = mu.context
     out = {}
     for g, p in mu.items():
         for h, q in nu.items():
-            gh = G.multiply(g, h)
+            gh = multiply(g, h)
             out[gh] = out.get(gh, 0.0) + p * q
     return out
 

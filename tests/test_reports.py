@@ -6,29 +6,29 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import indent2_json
+from oracles import csv_cell, indent2_json, report_to_object, table_rows
 from test_golden_reports import CASES
 
 from gwel import cli, reports
 from gwel.errors import ConvergenceError, ResourceGuardError
 from gwel.reports import (
     TOOL_VERSION,
+    Column,
     Report,
+    Table,
     report_csv_bytes,
     report_json_bytes,
-    report_to_object,
 )
 
+SAMPLE_ROWS = [(1, 1 / 3, True), (2, None, False)]
 
-def sample_report():
+
+def sample_report(rows=SAMPLE_ROWS):
     return Report(
         command="demo",
         params={"rank": 2, "steps": 3},
         seed=855509,
-        series={
-            "columns": ["n", "value", "flag"],
-            "rows": [[1, 1 / 3, True], [2, None, False]],
-        },
+        series=cli._table("n:int value:float flag:bool", rows),
         summary={
             "coefficient": Fraction(2, 6),
             "pi_ish": 3.14159265358979,
@@ -89,8 +89,7 @@ def test_non_finite_value_is_an_error(bad):
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_csv_cell_is_an_error(bad):
-    report = sample_report()
-    report.series["rows"].append([3, bad, False])
+    report = sample_report([*SAMPLE_ROWS, (3, bad, False)])
     with pytest.raises(ConvergenceError, match="non-finite"):
         report_csv_bytes(report)
     with pytest.raises(ConvergenceError, match="non-finite"):
@@ -115,22 +114,19 @@ def tricky_reports():
         command="empty",
         params={},
         seed=None,
-        series={"columns": [], "rows": []},
+        series=Table({}),
         summary={"empty_list": [], "empty_dict": {}},
     )
     yield Report(
         command="mixed",
         params={"nested": [[1, [2, []]], {"z": [], "a": {}}], tricky: tricky},
         seed=2**64 + 1,
-        series={
-            "columns": ["a", tricky],
-            "rows": [
-                [1, 2.5, tricky, True, None],
-                [2],
-                [3, Fraction(-7, 3), np.float64(0.1) * 3, 2**70],
-                [tricky, "],\n        [", False],
-            ],
-        },
+        series=Table({
+            "a": Column("int", [1, 2, 2**70, -(2**63) - 1]),
+            tricky: Column("str", [tricky, "", "],\n        [", tricky]),
+            "x": Column("float", [2.5, None, np.float64(0.1) * 3, -0.0]),
+            "flag": Column("bool", [True, False, True, False]),
+        }),
         summary={"flags": [True, None, False], "big": -(2**63) - 1, "x": np.float64(2 / 3)},
         warnings=[tricky],
     )
@@ -138,11 +134,9 @@ def tricky_reports():
         command="rows",
         params={"rank": 2},
         seed=0,
-        series={
-            "columns": ["n", "h", "s"],
-            # unequal lengths and string cells, all scalar: the one-call path
-            "rows": [[1, 0.5, "],\n      ["], [2, None], [3, 2**63, True, tricky]],
-        },
+        series=cli._table("n:int h:float s:str", [
+            (1, 0.5, "],\n      ["), (2, None, ""), (3, 2.0**63, tricky)
+        ]),
         summary={"row": [[1, 2], [3]], "single": [[None]]},
     )
 
@@ -154,20 +148,25 @@ def test_writer_matches_indent2_oracle_on_hand_built_reports(report):
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64("-inf")])
 def test_non_finite_cell_in_any_row_shape_is_an_error(bad):
-    for rows in ([[1, bad]], [[1, Fraction(1, 2), bad]], [[1, [bad]]]):
+    # alone, beside columns of other kinds, and among a code column's values
+    for series in (
+        cli._table("n:int x:float", [(1, bad)]),
+        cli._table("n:int s:str x:float", [(1, "s", bad)]),
+        Table({"m": Column("code", [0], Column("float", [bad]))}),
+    ):
         report = sample_report()
-        report.series["rows"] = rows
+        report.series = series
         with pytest.raises(ConvergenceError, match="non-finite"):
             report_json_bytes(report)
 
 
 SEAM = 'row end "],\n  [" and "],\n      [" in a cell, quotes \\" and non-ASCII: \u00e9\u2211'
 SEAM_ROWS = [
-    [1, 0.1 * 3, SEAM, True, None],
-    [2**64 + 1, -(2**63) - 1, False, -0.0, 0.0],
-    [3, Fraction(-7, 3), 1e-7, None, SEAM],  # the Fraction takes the recursive path
-    [4, np.float64(2 / 3), 2**70, 2.5, True],  # so does the numpy float
-    [5, 0.1 * 3, None, "x", False],
+    (1, 0.1 * 3, SEAM, True, None),
+    (2**64 + 1, -0.0, "", False, 0.0),
+    (-(2**63) - 1, 1e-7, SEAM, True, None),
+    (4, np.float64(2 / 3), "x", False, 2.5),
+    (2**70, None, "],\n        [", True, -0.0),
 ]
 
 
@@ -177,8 +176,12 @@ def seam_report(n):
         command="seams",
         params={"rows": n},
         seed=1,
-        series={"columns": ["a", "b", "c", "d", "e"], "rows": rows},
-        summary={"cells": [v for row in rows for v in row][: 2 * n], "rows": tuple(rows)},
+        series=cli._table("a:int b:float c:str d:bool e:float", rows),
+        summary={
+            "cells": [v for row in rows for v in row][: 2 * n],
+            "rows": tuple(rows),
+            "ratio": Fraction(-7, 3),
+        },
     )
 
 
@@ -194,26 +197,23 @@ def test_chunked_writer_matches_the_oracle_at_every_seam(chunk, monkeypatch):
 
 
 def cell_csv_bytes(report):
-    """The CSV bytes with every cell through `_csv_cell`, one row at a time;
-    a Table's rows are its cells with the codes looked up."""
-    series = report.series
-    if isinstance(series, reports.Table):
-        series = {"columns": list(series.columns), "rows": series.rows()}
-    lines = [",".join(map(str, series["columns"]))]
-    lines += [",".join(map(reports._csv_cell, row)) for row in series["rows"]]
+    """The CSV bytes with every cell through `csv_cell`, one row at a time,
+    codes looked up."""
+    lines = [",".join(report.series.columns)]
+    lines += [",".join(map(csv_cell, row)) for row in table_rows(report.series)]
     return ("\n".join(lines) + "\n").encode()
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
 def test_csv_columns_match_the_cell_by_cell_writer(chunk, monkeypatch):
-    # chunks of exact scalars are formatted column by column; a Fraction,
-    # a numpy float or a row of another width sends its chunk cell by cell
+    # the writer formats each chunk a column at a time, the oracle a cell at a time
     monkeypatch.setattr(reports, "_ROW_CHUNK", chunk)
-    wide = [row + [1e300 * i, -2 * i, "s", i % 3 == 0, i if i % 2 else None] for i, row in
-            enumerate([[1, 0.5], [-0.0, 2**64], [3, 1e-7]] * 3)]
+    wide = [row + (1e300 * i, -2 * i, "s", i % 3 == 0, i / 7 if i % 2 else None) for i, row in
+            enumerate([(1, 0.5), (2**64, -0.0), (3, 1e-7)] * 3)]
     cases = [seam_report(n) for n in range(2 * len(SEAM_ROWS) + 2)]
     cases += [*tricky_reports(), sample_report()]
-    cases.append(Report("wide", {}, None, {"columns": list("abcdefg"), "rows": wide}, {}))
+    wide_table = cli._table("a:int b:float c:float d:int e:str f:bool g:float", wide)
+    cases.append(Report("wide", {}, None, wide_table, {}))
     args = cli.build_parser().parse_args(["proximality", "--steps", "7", "--trials", "2"])
     cases.append(cli._HANDLERS["proximality"](args))
     for report in cases:
@@ -223,8 +223,8 @@ def test_csv_columns_match_the_cell_by_cell_writer(chunk, monkeypatch):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64("-inf")])
 def test_non_finite_cell_in_the_last_chunk_is_an_error(bad, monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(reports, "_ROW_CHUNK", 2)
-    rows = [[i, 0.5] for i in range(4)] + [[4, bad]]
-    report = Report("growth", {}, None, {"columns": ["n", "x"], "rows": rows}, {})
+    rows = [(i, 0.5) for i in range(4)] + [(4, bad)]
+    report = Report("growth", {}, None, cli._table("n:int x:float", rows), {})
     monkeypatch.setitem(cli._HANDLERS, "growth", lambda args: report)
     for fmt, write in (("json", report_json_bytes), ("csv", report_csv_bytes)):
         with pytest.raises(ConvergenceError, match="non-finite"):
@@ -239,9 +239,12 @@ def test_non_finite_cell_in_the_last_chunk_is_an_error(bad, monkeypatch, tmp_pat
 def test_integer_past_the_digit_limit_in_a_flat_row_is_a_guard_error(chunk, monkeypatch):
     monkeypatch.setattr(reports, "_ROW_CHUNK", chunk)
     huge = 10 ** sys.get_int_max_str_digits()
-    # a column of ints only, and a column that mixes ints with floats
-    for rows in ([[1, 0.5], [-huge, "x"]], [[1, 0.5], [2, huge]]):
-        report = Report("growth", {}, None, {"columns": ["n", "x"], "rows": rows}, {})
+    # an int column before a column of another kind, and after one
+    for series in (
+        cli._table("n:int x:str", [(1, "y"), (-huge, "x")]),
+        cli._table("x:float n:int", [(0.5, 1), (0.25, huge)]),
+    ):
+        report = Report("growth", {}, None, series, {})
         for write in (report_json_bytes, report_csv_bytes):
             with pytest.raises(ResourceGuardError, match="digits; lower --steps"):
                 write(report)
@@ -250,8 +253,7 @@ def test_integer_past_the_digit_limit_in_a_flat_row_is_a_guard_error(chunk, monk
 def table_report(n):
     """A Table of n rows with a column of every kind and code columns on
     two or three values (from 24 rows on, each value is formatted once);
-    cells cycle through -0.0, None, escapes and big ints, and through
-    every kind in the "any" column."""
+    cells cycle through -0.0, None, escapes and big ints."""
     floats = [None, -0.0, 0.1 * 3, 1e-7, 0.0, np.float64(2 / 3)]
     codes = np.arange(n, dtype=np.int32) % 3
     return Report(
@@ -267,7 +269,7 @@ def table_report(n):
             "m": reports.Column("code", codes, reports.Column("float", [None, -0.0, 1 / 3])),
             "f": reports.Column("code", codes, reports.Column("bool", [True, False, True])),
             "g": reports.Column("code", np.arange(n) % 2, reports.Column("str", ['q"', SEAM])),
-            "a": reports.Column("any", [(7, None, SEAM, False, 0.1 * 3, -0.0)[i % 6] for i in range(n)]),
+            "a": reports.Column("float", [(7.0, None, 0.1 * 3, -0.0)[i % 4] for i in range(n)]),
         }),
         summary={"n": n},
     )
@@ -292,10 +294,10 @@ def bad_tables():
     for bad in (float("nan"), float("inf"), np.float64("-inf")):
         yield 4, {"x": reports.Column("float", [0.5, None, bad])}
         yield 4, {"m": reports.Column("code", codes, reports.Column("float", [bad]))}
-        yield 4, {"a": reports.Column("any", [1, None, float(bad)])}
+        yield 4, {"a": reports.Column("float", np.array([1.0, 0.5, bad]))}
     yield 3, {"n": reports.Column("int", [1, -huge, 2])}
     yield 3, {"L": reports.Column("code", codes, reports.Column("int", [huge]))}
-    yield 3, {"a": reports.Column("any", ["s", huge, None])}
+    yield 3, {"r": reports.Column("int", range(huge, huge + 3))}
 
 
 @pytest.mark.parametrize("code, columns", list(bad_tables()))

@@ -239,6 +239,6 @@ def test_parse_errors_carry_positions():
 def test_free_group_wrapper():
     G = FreeGroup(2)
     a = parse_word("ab", 2)
-    assert G.multiply(a, G.invert(a)) == G.identity
+    assert multiply(a, a.inverse()) == G.identity
     with pytest.raises(RankMismatchError):
         G.validate_element(parse_word("c", 3))
