@@ -6,7 +6,7 @@ codes: 0 success, 2 parameter or parse error, 3 resource guard or out of
 memory, 4 non-convergence or a non-finite report value, 130 interrupted.
 Reports are deterministic: identical inputs give byte-identical JSON for
 any --threads value, so the thread cap, the output path, and the format
-are not echoed into the report body.  GWEL_THREADS overrides --threads.
+are not echoed into the report body.
 
 --threads is reserved, validated and then unused: the per-walk Philox
 draws of drift and proximality, its only candidates, measured no faster
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -60,7 +59,7 @@ def _add_common(sub, steps_default=None, trials_default=None):
         "--threads", type=int, default=1,
         help="reserved worker cap, validated but unused: the per-walk random "
         "draws measured no faster on two threads; results are byte-identical "
-        "for any value (GWEL_THREADS overrides)",
+        "for any value",
     )
     sub.add_argument(
         "--format", choices=("json", "csv"), default="json",
@@ -128,20 +127,6 @@ def build_parser() -> _Parser:
     p.add_argument("--config", required=True, help="flat key-value config file")
 
     return parser
-
-
-def _resolve_threads(args) -> int:
-    env = os.environ.get("GWEL_THREADS")
-    if env is not None:
-        try:
-            val = int(env)
-        except ValueError:
-            raise ParameterError(f"GWEL_THREADS must be an integer, got {env!r}") from None
-    else:
-        val = args.threads
-    if val < 1:
-        raise ParameterError("thread count must be >= 1")
-    return val
 
 
 def _quotient_rep(args):
@@ -452,7 +437,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
-        _resolve_threads(args)  # validated; all operations are deterministic
+        if args.threads < 1:  # validated but unused: every operation is serial
+            raise ParameterError("thread count must be >= 1")
         report = _HANDLERS[args.verb](args)
         emit_report(report, fmt=args.format, out=args.out)
     except GwelError as e:

@@ -190,13 +190,13 @@ def l2_distance(space: FiniteSpace, p: Partition, q: Partition) -> float:
 
 
 class FiniteAction:
-    """Group generators acting by permutations, with a step distribution
-    over signed generator letters (+i is generator i, -i its inverse).
-    The default step is uniform over all 2g signed letters."""
+    """Group generators acting by permutations, with the uniform step
+    distribution over the 2g signed generator letters (+i is generator
+    i, -i its inverse)."""
 
     __slots__ = ("perms", "inv_perms", "step")
 
-    def __init__(self, perms, step=None):
+    def __init__(self, perms):
         perms = tuple(tuple(p) for p in perms)
         if not perms:
             raise ParameterError("action needs at least one generator")
@@ -212,22 +212,8 @@ class FiniteAction:
                 q[x] = i
             inv.append(tuple(q))
         self.inv_perms = tuple(inv)
-        g = len(perms)
-        if step is None:
-            w = 1.0 / (2 * g)
-            step = []
-            for i in range(1, g + 1):
-                step.append((i, w))
-                step.append((-i, w))
-        step = tuple((int(l), float(w)) for l, w in step)
-        for l, w in step:
-            if l == 0 or abs(l) > g:
-                raise ParameterError(f"step letter {l} outside +-1..{g}")
-            if w < 0:
-                raise ParameterError("step weights must be nonnegative")
-        if abs(math.fsum(w for _, w in step) - 1.0) > WEIGHT_TOL:
-            raise ParameterError("step weights must sum to 1")
-        self.step = step
+        w = 1.0 / (2 * len(perms))
+        self.step = tuple((sign * i, w) for i in range(1, len(perms) + 1) for sign in (1, -1))
 
     @property
     def m(self) -> int:

@@ -7,6 +7,9 @@ Quotient spec grammar (one line):
     relators: aa, bb, abAB
     perm: a=(1 2)(3 4); b=(1 3)
 
+Cycle notation is read as tokens, each a run of ASCII digits or one
+non-space character.  Every number (cycle points, `points`, chain points,
+the `random:` seed) is ASCII digits, at most as many as int() converts.
 Parse errors carry 1-based character positions into the given text.
 The lattice config is flat key-value text, one directive per line:
 points, weights (uniform | random:SEED | comma list), action (cycle
@@ -17,6 +20,8 @@ notation as above), direction (increasing | decreasing), and one
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass
 
 from .errors import ParameterError, ParseError
@@ -58,98 +63,74 @@ def _parse_relator_body(body: str, offset: int, rank: int) -> list[Word]:
     return relators
 
 
+def _integer(token: str) -> int | None:
+    """`token`'s value if it is ASCII digits that int() converts, else None."""
+    try:
+        return int(token) if token.isascii() and token.isdigit() else None
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return None
+
+
+_TOKEN = re.compile(r"\s*([0-9]+|\S)")  # a run of ASCII digits or one other character
+
+
 def _parse_cycle_assignments(
     text: str, offset: int, max_letters: int
 ) -> dict[int, list[list[int]]]:
     """Parse `a=(1 2)(3 4); b=(1 3)` starting at `offset` (0-based) in
     the full input; returns generator index -> cycles of 1-based points."""
+    end = offset + len(text) + 1  # the end of the text closes the last assignment
+    tokens = ((m[1], offset + m.start(1) + 1) for m in _TOKEN.finditer(text))
+    tokens = itertools.chain(tokens, [(";", end)])
     out: dict[int, list[list[int]]] = {}
-    chunks = text.split(";")
-    at = 0
-    for idx, chunk in enumerate(chunks):
-        base = offset + at
-        at += len(chunk) + 1
-        if chunk.strip() == "":
-            if idx == len(chunks) - 1 and out:
-                continue  # allow a trailing semicolon
-            raise ParseError("empty generator assignment", position=base + 1)
-        i = 0
-        while i < len(chunk) and chunk[i].isspace():
-            i += 1
-        ch = chunk[i]
+    start = offset + 1  # where the current assignment begins
+    for tok, pos in tokens:
+        if tok == ";":
+            if pos == end and out:
+                break  # a trailing semicolon
+            raise ParseError("empty generator assignment", position=start)
+        ch = tok[0]
         if ch not in LETTERS:
-            raise ParseError(f"unknown letter {ch!r}", position=base + i + 1)
+            raise ParseError(f"unknown letter {ch!r}", position=pos)
         gen = LETTERS.index(ch) + 1
         if gen > max_letters:
-            raise ParseError(
-                f"letter {ch!r} exceeds rank {max_letters}", position=base + i + 1
-            )
+            raise ParseError(f"letter {ch!r} exceeds rank {max_letters}", position=pos)
         if gen in out:
-            raise ParseError(
-                f"generator {ch!r} assigned twice", position=base + i + 1
-            )
-        i += 1
-        while i < len(chunk) and chunk[i].isspace():
-            i += 1
-        if i >= len(chunk) or chunk[i] != "=":
-            raise ParseError(
-                f"expected '=' after generator {ch!r}", position=base + i + 1
-            )
-        i += 1
+            raise ParseError(f"generator {ch!r} assigned twice", position=pos)
+        tok, pos = next(tokens)
+        if tok != "=":
+            raise ParseError(f"expected '=' after generator {ch!r}", position=pos)
         cycles: list[list[int]] = []
         seen_points: set[int] = set()
-        while True:
-            while i < len(chunk) and chunk[i].isspace():
-                i += 1
-            if i >= len(chunk):
-                break
-            if chunk[i] != "(":
-                raise ParseError(
-                    f"malformed cycle: expected '(' not {chunk[i]!r}",
-                    position=base + i + 1,
-                )
-            i += 1
+        tok, pos = next(tokens)
+        while tok != ";":
+            if tok != "(":
+                raise ParseError(f"malformed cycle: expected '(' not {tok[0]!r}", position=pos)
             cycle: list[int] = []
-            while True:
-                while i < len(chunk) and chunk[i].isspace():
-                    i += 1
-                if i >= len(chunk):
-                    raise ParseError(
-                        "malformed cycle: missing ')'", position=base + i + 1
-                    )
-                if chunk[i] == ")":
-                    i += 1
-                    break
-                if not chunk[i].isdigit():
-                    raise ParseError(
-                        f"malformed cycle: unexpected {chunk[i]!r}",
-                        position=base + i + 1,
-                    )
-                j = i
-                while j < len(chunk) and chunk[j].isdigit():
-                    j += 1
-                point = int(chunk[i:j])
+            tok, pos = next(tokens)
+            while tok != ")":
+                if tok == ";":
+                    raise ParseError("malformed cycle: missing ')'", position=pos)
+                if not "0" <= tok[0] <= "9":
+                    raise ParseError(f"malformed cycle: unexpected {tok!r}", position=pos)
+                point = _integer(tok)
+                if point is None:
+                    raise ParseError(f"cycle point too long: {len(tok)} digits", position=pos)
                 if point < 1:
-                    raise ParseError(
-                        "cycle points are 1-based", position=base + i + 1
-                    )
+                    raise ParseError("cycle points are 1-based", position=pos)
                 if point in seen_points:
-                    raise ParseError(
-                        f"point {point} repeated in cycles", position=base + i + 1
-                    )
+                    raise ParseError(f"point {point} repeated in cycles", position=pos)
                 seen_points.add(point)
                 cycle.append(point)
-                i = j
+                tok, pos = next(tokens)
             if not cycle:
-                raise ParseError("empty cycle", position=base + i)
+                raise ParseError("empty cycle", position=pos)
             cycles.append(cycle)
+            tok, pos = next(tokens)
         if not cycles:
-            raise ParseError(
-                f"generator {ch!r} has no cycles", position=base + i + 1
-            )
+            raise ParseError(f"generator {ch!r} has no cycles", position=pos)
         out[gen] = cycles
-    if not out:
-        raise ParseError("empty permutation spec", position=offset + 1)
+        start = pos + 1
     return out
 
 
@@ -215,19 +196,13 @@ def _parse_partition_line(value: str, points: int, lineno: int) -> Partition:
     for b, block in enumerate(value.split("|")):
         for tok in block.split(","):
             tok = tok.strip()
-            if not tok.isdigit():
-                raise ParseError(
-                    f"line {lineno}: bad point {tok!r} in chain partition"
-                )
-            p = int(tok)
+            p = _integer(tok)
+            if p is None:
+                raise ParseError(f"line {lineno}: bad point {tok!r} in chain partition")
             if not 1 <= p <= points:
-                raise ParseError(
-                    f"line {lineno}: point {p} outside 1..{points}"
-                )
+                raise ParseError(f"line {lineno}: point {p} outside 1..{points}")
             if p in block_of:
-                raise ParseError(
-                    f"line {lineno}: point {p} appears in two blocks"
-                )
+                raise ParseError(f"line {lineno}: point {p} appears in two blocks")
             block_of[p] = b
     if len(block_of) < points:
         missing = next(p for p in range(1, points + 1) if p not in block_of)
@@ -253,9 +228,9 @@ def parse_lattice_config(text: str) -> LatticeConfig:
             key = parts[0]
             value = parts[1] if len(parts) > 1 else ""
             if key == "points":
-                if not value.isdigit() or int(value) < 1:
+                points = _integer(value)
+                if not points:
                     raise ParseError(f"line {lineno}: points must be a positive integer")
-                points = int(value)
             elif key == "weights":
                 weights_value, weights_line = value, lineno
             elif key == "action":
@@ -286,12 +261,10 @@ def parse_lattice_config(text: str) -> LatticeConfig:
     if weights_value is None or weights_value == "uniform":
         weights = FiniteSpace.uniform(points).weights
     elif weights_value.startswith("random:"):
-        seed_text = weights_value[len("random:") :].strip()
-        if not seed_text.isdigit():
-            raise ParseError(
-                f"line {weights_line}: random weights need an integer seed"
-            )
-        weights = random_weights(points, int(seed_text))
+        seed = _integer(weights_value[len("random:") :].strip())
+        if seed is None:
+            raise ParseError(f"line {weights_line}: random weights need an integer seed")
+        weights = random_weights(points, seed)
     else:
         vals = []
         for tok in weights_value.split(","):

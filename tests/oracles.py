@@ -49,6 +49,10 @@ report's series table a column at a time; `report_to_object` cleans
 the report recursively into the plain object, the table's rows as lists
 with the codes looked up, whose standard indent-2 JSON must give the
 same bytes, and `csv_cell` writes the CSV one cell at a time.
+The library reads cycle notation as a stream of tokens (digit runs and
+single characters); the scan here that walks the text a character at a
+time, skipping spaces by hand, must give the same cycles or the same
+error at the same position on ASCII text.
 """
 
 import json
@@ -68,6 +72,7 @@ from gwel.errors import (
     CosetLimitError,
     DistributionError,
     ParameterError,
+    ParseError,
     RankMismatchError,
 )
 from gwel.lattice import _block_weights, _image_blocks, meet
@@ -80,7 +85,7 @@ from gwel.quotients import (
     _coset_limit_message,
     _validate_relators,
 )
-from gwel.words import Word, alphabet, letter_key, multiply, sphere
+from gwel.words import LETTERS, Word, alphabet, letter_key, multiply, sphere
 
 
 def tuple_closure_rows(d, images):
@@ -867,3 +872,99 @@ def csv_cell(v):
     if isinstance(v, int):
         return str(reports.printable(v))
     return str(v)
+
+
+def charwise_cycle_assignments(
+    text: str, offset: int, max_letters: int
+) -> dict[int, list[list[int]]]:
+    """`a=(1 2)(3 4); b=(1 3)` read one character at a time from
+    `offset` (0-based) in the full input: generator index -> cycles of
+    1-based points, or the ParseError that the token reader must raise."""
+    out: dict[int, list[list[int]]] = {}
+    chunks = text.split(";")
+    at = 0
+    for idx, chunk in enumerate(chunks):
+        base = offset + at
+        at += len(chunk) + 1
+        if chunk.strip() == "":
+            if idx == len(chunks) - 1 and out:
+                continue  # allow a trailing semicolon
+            raise ParseError("empty generator assignment", position=base + 1)
+        i = 0
+        while i < len(chunk) and chunk[i].isspace():
+            i += 1
+        ch = chunk[i]
+        if ch not in LETTERS:
+            raise ParseError(f"unknown letter {ch!r}", position=base + i + 1)
+        gen = LETTERS.index(ch) + 1
+        if gen > max_letters:
+            raise ParseError(
+                f"letter {ch!r} exceeds rank {max_letters}", position=base + i + 1
+            )
+        if gen in out:
+            raise ParseError(
+                f"generator {ch!r} assigned twice", position=base + i + 1
+            )
+        i += 1
+        while i < len(chunk) and chunk[i].isspace():
+            i += 1
+        if i >= len(chunk) or chunk[i] != "=":
+            raise ParseError(
+                f"expected '=' after generator {ch!r}", position=base + i + 1
+            )
+        i += 1
+        cycles: list[list[int]] = []
+        seen_points: set[int] = set()
+        while True:
+            while i < len(chunk) and chunk[i].isspace():
+                i += 1
+            if i >= len(chunk):
+                break
+            if chunk[i] != "(":
+                raise ParseError(
+                    f"malformed cycle: expected '(' not {chunk[i]!r}",
+                    position=base + i + 1,
+                )
+            i += 1
+            cycle: list[int] = []
+            while True:
+                while i < len(chunk) and chunk[i].isspace():
+                    i += 1
+                if i >= len(chunk):
+                    raise ParseError(
+                        "malformed cycle: missing ')'", position=base + i + 1
+                    )
+                if chunk[i] == ")":
+                    i += 1
+                    break
+                if not chunk[i].isdigit():
+                    raise ParseError(
+                        f"malformed cycle: unexpected {chunk[i]!r}",
+                        position=base + i + 1,
+                    )
+                j = i
+                while j < len(chunk) and chunk[j].isdigit():
+                    j += 1
+                point = int(chunk[i:j])
+                if point < 1:
+                    raise ParseError(
+                        "cycle points are 1-based", position=base + i + 1
+                    )
+                if point in seen_points:
+                    raise ParseError(
+                        f"point {point} repeated in cycles", position=base + i + 1
+                    )
+                seen_points.add(point)
+                cycle.append(point)
+                i = j
+            if not cycle:
+                raise ParseError("empty cycle", position=base + i)
+            cycles.append(cycle)
+        if not cycles:
+            raise ParseError(
+                f"generator {ch!r} has no cycles", position=base + i + 1
+            )
+        out[gen] = cycles
+    if not out:
+        raise ParseError("empty permutation spec", position=offset + 1)
+    return out

@@ -64,7 +64,7 @@ def test_growth_csv(capsysbinary):
     assert lines[4].startswith("3,53,")
 
 
-def test_drift_deterministic_across_threads(capsysbinary, monkeypatch):
+def test_drift_deterministic_across_threads(capsysbinary):
     outs = []
     for threads in ("1", "4", "8"):
         code = main(
@@ -73,9 +73,6 @@ def test_drift_deterministic_across_threads(capsysbinary, monkeypatch):
         assert code == 0
         outs.append(capsysbinary.readouterr().out)
     assert outs[0] == outs[1] == outs[2]
-    monkeypatch.setenv("GWEL_THREADS", "6")
-    assert main(["drift", "--steps", "500", "--trials", "50"]) == 0
-    assert capsysbinary.readouterr().out == outs[0]
 
 
 def test_seed_changes_output(capsysbinary):
@@ -573,11 +570,9 @@ def test_keyboard_interrupt_maps_to_exit_130(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: interrupted\n"
 
 
-def test_bad_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("GWEL_THREADS", "zero?")
-    assert main(["growth"]) == 2
-    monkeypatch.setenv("GWEL_THREADS", "0")
-    assert main(["growth"]) == 2
+def test_zero_threads_is_refused(capsys):
+    assert main(["growth", "--threads", "0"]) == 2
+    assert capsys.readouterr().err == "error: thread count must be >= 1\n"
 
 
 def test_help_documents_seed(capsys):
@@ -585,6 +580,27 @@ def test_help_documents_seed(capsys):
         main(["drift", "--help"])
     assert e.value.code == 0
     assert "0xD0DD5" in capsys.readouterr().out
+
+
+# not ASCII, or past int()'s default limit of 4300 digits
+BAD_DIGITS = {"superscript": "\u00b2", "5000-digits": "9" * 5000}
+
+
+@pytest.mark.parametrize("digits", list(BAD_DIGITS))
+@pytest.mark.parametrize("line", ["perm: a=(1 {})", "points {}", "chain 1,{}", "weights random:{}"])
+def test_bad_integer_literal_exits_2_with_one_line(line, digits, tmp_path, capsys):
+    line = line.format(BAD_DIGITS[digits])
+    if line.startswith("perm:"):
+        argv = ["cogrowth", "--quotient", line]
+    else:
+        lines = {"points": "points 2", "direction": "direction increasing", "chain": "chain 1,2"}
+        lines[line.split()[0]] = line
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("\n".join(lines.values()) + "\n", encoding="utf-8")
+        argv = ["lattice-experiment", "--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 @pytest.mark.parametrize("rank", ["0", "1", "-3"])

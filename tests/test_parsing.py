@@ -1,3 +1,4 @@
+import random
 import time
 
 import numpy as np
@@ -5,9 +6,15 @@ import pytest
 
 from gwel.errors import CosetLimitError, ParseError
 from gwel.lattice import FiniteSpace, Partition
-from gwel.parsing import describe_quotient_spec, parse_lattice_config, parse_quotient_spec
+from gwel.parsing import (
+    _parse_cycle_assignments,
+    describe_quotient_spec,
+    parse_lattice_config,
+    parse_quotient_spec,
+)
 from gwel.quotients import DEFAULT_MAX_COSETS, AbelianRep, PermRep, TrivialRep, coset_enumerate
 from gwel.words import parse_word
+from oracles import charwise_cycle_assignments
 
 
 def test_fixed_specs():
@@ -141,3 +148,53 @@ def test_lattice_config_errors():
         with pytest.raises(ParseError) as e:
             parse_lattice_config(text)
         assert needle in str(e.value), text
+
+
+def _outcome(read, text, offset, rank):
+    try:
+        return read(text, offset, rank)
+    except ParseError as e:
+        return e.raw, e.position
+
+
+# letters in and out of rank, an inverse, every cycle-notation symbol,
+# space, tab and one junk character
+CYCLE_ALPHABET = "abcdzAB0123456789=(); \t!"
+
+
+def _cycle_text(rng):
+    """Random assignments, as often wrong as right, with up to two
+    characters inserted, deleted or replaced; or random characters, alone
+    or after a valid assignment."""
+    if rng.random() < 0.25:
+        head = rng.choice(("", "a=(1 2); "))
+        return head + "".join(rng.choices(CYCLE_ALPHABET, k=rng.randrange(12)))
+    text = list(";".join(
+        f"{g} =" + "".join(
+            f"({' '.join(map(str, rng.sample(range(13), rng.choice((0, 1, 2, 2, 3)))))})"
+            for _ in range(rng.choice((0, 1, 1, 2, 2)))
+        )
+        for g in rng.choice(("a", "ab", "ba", "abc", "aa", "az"))
+    ) + rng.choice(("", ";", " ; ")))
+    for _ in range(rng.randrange(3)):
+        i = rng.randrange(len(text) + 1)
+        text[i : i + rng.randrange(2)] = rng.choice(CYCLE_ALPHABET) * rng.randrange(2)
+    return "".join(text)
+
+
+def test_token_reader_matches_the_charwise_scan():
+    rng = random.Random(20260419)
+    for _ in range(12000):
+        text = _cycle_text(rng)
+        offset, rank = rng.choice((0, 5, 17)), rng.choice((1, 2, 3, 26))
+        expect = _outcome(charwise_cycle_assignments, text, offset, rank)
+        assert _outcome(_parse_cycle_assignments, text, offset, rank) == expect, text
+
+
+def test_cycle_points_read_ascii_digits_only():
+    with pytest.raises(ParseError) as e:
+        parse_quotient_spec("perm: a=(1 \u0661)", 2)  # an Arabic-Indic one
+    assert (e.value.raw, e.value.position) == ("malformed cycle: unexpected '\u0661'", 12)
+    with pytest.raises(ParseError) as e:
+        parse_quotient_spec("perm: a=(1 " + "9" * 5000 + ")", 2)
+    assert (e.value.raw, e.value.position) == ("cycle point too long: 5000 digits", 12)
