@@ -13,7 +13,6 @@ from .boundary import (
     boundary_entropy_coefficient,
     cocycle_check,
     proximality_sim,
-    rn_exponent,
     rn_integral,
 )
 from .entropy import (
@@ -55,7 +54,7 @@ from .quotients import (
     coset_enumerate,
     from_point_permutations,
 )
-from .words import FreeGroup, Word, ball_size, parse_word, sphere, sphere_size
+from .words import FreeGroup, Word, ball_size, parse_word, sphere_size
 
 __all__ = [
     "AbelianRep",
@@ -97,9 +96,7 @@ __all__ = [
     "proximality_sim",
     "quotient_entropy_dp",
     "radial_entropy_exact",
-    "rn_exponent",
     "rn_integral",
-    "sphere",
     "sphere_size",
     "srw",
     "theorem_a_bound",

@@ -4,11 +4,14 @@ The boundary of the tree carries the hitting measure nu with
 nu(C_w) = (1/(2d)) (2d-1)^-(|w|-1) on the cylinder of a reduced prefix
 w.  On a cylinder with |w| >= |g| + 1 the translate density d(g nu)/d nu
 is (2d-1)^e with e = |w| - |g^-1 w| = 2 lcp(g, w) - |g|, lcp the length
-of the longest common prefix: g^-1 w cancels exactly that prefix.  So an
-integral against g sums |g| + 1 classes k = lcp of exact mass instead of
-a sphere of words, and the cocycle check takes its three exponents from
-the letter tuples of g, h and w; nothing here builds a Word.  The
-entropy integrand is -log(d g^{-1}nu / d nu), orientation-independent
+of the longest common prefix: g^-1 w cancels exactly that prefix.  The
+cocycle check takes its three exponents from index scans of the letter
+tuples of g, h and w, building neither gh nor g^-1 w.  An integral
+against g sums the |g| + 1 classes k = lcp of exact mass, not a sphere
+of words: the density integral is one integer sum over one denominator,
+and the entropy integral, class k contributing |g| - 2k, has the closed
+form |g| - (1/d) sum_{j<|g|} (2d-1)^-j.  Nothing here builds a Word.
+The entropy integrand is -log(d g^{-1}nu / d nu), orientation-independent
 for the symmetric walk.
 """
 
@@ -17,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import neg
 from typing import NamedTuple
 
 import numpy as np
@@ -27,31 +29,13 @@ from .measures import Distribution
 from .words import FreeGroup, Word, alphabet
 
 
-def _lcp(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """Length of the longest common prefix of two letter tuples."""
-    k, m = 0, min(len(a), len(b))
-    while k < m and a[k] == b[k]:
-        k += 1
-    return k
-
-
-def rn_exponent(d: int, g: Word, w: Word) -> int:
-    """Integer e with d(g nu)/d nu = (2d-1)^e on C_w, namely
-    |w| - |reduce(g^-1 w)| = 2 lcp(g, w) - |g|.  Needs |w| >= |g| + 1 so
-    the derivative is constant on the cylinder."""
-    if g.rank != d or w.rank != d:
-        raise RankMismatchError("rank mismatch in derivative arguments")
-    if len(w) < len(g) + 1:
-        raise ParameterError(
-            f"cylinder depth {len(w)} too shallow for |g| = {len(g)}"
-        )
-    return 2 * _lcp(g.letters, w.letters) - len(g)
-
-
 def _cocycle_exponents(d: int, g: Word, h: Word, w: Word) -> tuple[int, int, int]:
-    """The exponents e(gh, w), e(g, w) and e(h, g^-1 w), from the letters
-    of gh reduced at the seam and of g^-1 w = inv(g[k:]) + w[k:], k =
-    lcp(g, w).  Every cylinder is deep enough: |g^-1 w| >= |w| - |g|."""
+    """The exponents e(gh, w), e(g, w) and e(h, g^-1 w) by index scans of
+    the letters a, b, v of g, h and w.  With j the cancellation at the
+    seam of gh = a[:|a|-j] + b[j:] and k = lcp(a, v), g^-1 w is -a[|a|-1],
+    ..., -a[k] followed by v[k:]; its first letters are those the seam
+    scan matched against b, so only v[k:] is scanned once b has passed
+    them.  Every cylinder is deep enough: |g^-1 w| >= |w| - |g|."""
     if len(w) < len(g) + len(h) + 1:
         raise ParameterError(
             f"cylinder depth {len(w)} too shallow for |g|+|h| = {len(g) + len(h)}"
@@ -61,13 +45,27 @@ def _cocycle_exponents(d: int, g: Word, h: Word, w: Word) -> tuple[int, int, int
     if g.rank != d or w.rank != d:
         raise RankMismatchError("rank mismatch in derivative arguments")
     a, b, v = g.letters, h.letters, w.letters
-    j, m = 0, min(len(a), len(b))
-    while j < m and a[-1 - j] == -b[j]:
+    n, m = len(a), len(b)
+    j, top = 0, min(n, m)
+    while j < top and a[n - 1 - j] == -b[j]:
         j += 1
-    gh = a[: len(a) - j] + b[j:]
-    k = _lcp(a, v)
-    ginv_w = tuple(map(neg, reversed(a[k:]))) + v[k:]
-    return 2 * _lcp(gh, v) - len(gh), 2 * k - len(a), 2 * _lcp(b, ginv_w) - len(b)
+    k = 0
+    while k < n and a[k] == v[k]:
+        k += 1
+    # lcp(gh, v): v leaves a[:n-j] at k, or follows it into b[j:]
+    p = k
+    if k >= n - j:
+        p, i = n - j, j
+        while i < m and b[i] == v[p]:
+            i += 1
+            p += 1
+    # lcp(h, g^-1 w): b[i] = -a[n-1-i] for i < j, so b leaves the inverted
+    # part at j, or follows it to its end and on into v[k:]
+    i = min(j, n - k)
+    if j >= n - k:
+        while i < m and b[i] == v[i + 2 * k - n]:
+            i += 1
+    return 2 * p - (n + m - 2 * j), 2 * k - n, 2 * i - m
 
 
 def cocycle_check(d: int, g: Word, h: Word, w: Word) -> bool:
@@ -77,29 +75,36 @@ def cocycle_check(d: int, g: Word, h: Word, w: Word) -> bool:
     return gh == first + second
 
 
-def _prefix_classes(d: int, g: Word):
-    """(nu-mass, k) of each class k = 0..|g| of S(|g|+1), the words sharing
-    a prefix of length exactly k with g.  The letter after that prefix is
-    neither g's next letter nor the inverse of the one before, so
-    (k > 0) + (k < |g|) letters are banned: the masses depend on |g| only."""
+def _check_rank(d: int, g: Word) -> None:
     if g.rank != d:
         raise RankMismatchError(f"word rank {g.rank} differs from {d}")
-    n, q = len(g), 2 * d - 1
-    for k in range(n + 1):
-        yield Fraction((2 * d - (k > 0) - (k < n)) * q ** (n - k), 2 * d * q**n), k
 
 
 def rn_integral(d: int, g: Word) -> Fraction:
-    """Integral of the translate density over the boundary; exactly 1."""
-    n, q = len(g), Fraction(2 * d - 1)
-    return sum(m * q ** (2 * k - n) for m, k in _prefix_classes(d, g))
+    """Integral of the translate density over the boundary; exactly 1.
+    Class k = 0..n of S(n+1), n = |g|, the words sharing a prefix of length
+    exactly k with g, has c_k = 2d - (k > 0) - (k < n) letters after that
+    prefix, mass c_k q^(n-k) / (2d q^n) with q = 2d - 1 and density
+    q^(2k-n), so the integral is sum_k c_k q^k / (2d q^n)."""
+    _check_rank(d, g)
+    n, q = len(g), 2 * d - 1
+    total, power = 0, 1
+    for k in range(n + 1):
+        total += (2 * d - (k > 0) - (k < n)) * power
+        power *= q
+    return Fraction(total, 2 * d * q**n)
 
 
 def _kl(d: int, g: Word) -> Fraction:
-    # |g w| - |w| = -rn_exponent(g^-1, w) = |g| - 2k on class k of g^-1,
-    # whose classes have the masses of g's
-    n = len(g)
-    return sum(m * (n - 2 * k) for m, k in _prefix_classes(d, g))
+    """n - (1/d) sum_{j<n} q^-j = n - (q^n - 1) / (d (q-1) q^(n-1)), with
+    n = |g| and q = 2d - 1."""
+    _check_rank(d, g)
+    n, q = len(g), 2 * d - 1
+    if n == 0:
+        return Fraction(0)
+    geometric = (q**n - 1) // (q - 1) if q > 1 else n  # sum_{j<n} q^j
+    scale = d * q ** (n - 1)
+    return Fraction(n * scale - geometric, scale)
 
 
 def kl_coefficient(d: int, g: Word) -> Fraction:
@@ -254,6 +259,5 @@ __all__ = [
     "kl_coefficient",
     "proximality_sim",
     "pushed_prefix_mass_exact",
-    "rn_exponent",
     "rn_integral",
 ]

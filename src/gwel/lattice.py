@@ -71,26 +71,8 @@ class Partition:
         return len(self.block_of)
 
     @classmethod
-    def discrete(cls, m: int) -> "Partition":
-        return cls(range(m))
-
-    @classmethod
     def trivial(cls, m: int) -> "Partition":
         return cls([0] * m)
-
-    @classmethod
-    def from_blocks(cls, blocks, m: int) -> "Partition":
-        assignment = [-1] * m
-        for i, block in enumerate(blocks):
-            for x in block:
-                if not 0 <= x < m:
-                    raise ParameterError(f"point {x} outside 0..{m - 1}")
-                if assignment[x] != -1:
-                    raise ParameterError(f"point {x} appears in two blocks")
-                assignment[x] = i
-        if -1 in assignment:
-            raise ParameterError(f"point {assignment.index(-1)} not covered")
-        return cls(assignment)
 
     def blocks(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.n_blocks)]

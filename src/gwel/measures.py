@@ -47,9 +47,6 @@ class Distribution:
                 raise DistributionError("exact masses do not sum to 1")
         self.exact = exact
 
-    def prob(self, g) -> float:
-        return self.probs.get(g, 0.0)
-
     def support(self):
         return list(self.probs)
 

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from dataclasses import dataclass
 
-from .errors import ParameterError, ParseError
+from .errors import ParameterError, ParseError, ResourceGuardError
 from .lattice import FiniteAction, FiniteSpace, Partition, random_weights
 from .quotients import (
     DEFAULT_MAX_COSETS,
@@ -32,6 +33,7 @@ from .quotients import (
     PermRep,
     QuotientRep,
     TrivialRep,
+    _check_cap,
     coset_enumerate,
     from_point_permutations,
 )
@@ -69,6 +71,23 @@ def _integer(token: str) -> int | None:
         return int(token) if token.isascii() and token.isdigit() else None
     except ValueError:  # more digits than sys.get_int_max_str_digits()
         return None
+
+
+def _quote(token: str) -> str:
+    """`token` quoted for a one-line message: whole up to 20 characters,
+    else its first 20 and its length."""
+    if len(token) <= 20:
+        return repr(token)
+    return f"{token[:20]!r}... ({len(token)} characters)"
+
+
+def _too_long(what: str, token: str) -> str | None:
+    """The message for a `what` of more ASCII digits than int() converts;
+    None for any other token."""
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if not (token.isascii() and token.isdigit() and 0 < limit < len(token)):
+        return None
+    return f"{what} has {len(token)} digits, more than int() converts ({limit})"
 
 
 _TOKEN = re.compile(r"\s*([0-9]+|\S)")  # a run of ASCII digits or one other character
@@ -146,7 +165,8 @@ def parse_quotient_spec(
     text: str, rank: int, max_cosets: int = DEFAULT_MAX_COSETS
 ) -> QuotientRep:
     """Parse a quotient spec into its rep; relator specs are enumerated
-    into cosets under `max_cosets`."""
+    into cosets under `max_cosets`, and a perm spec is charged rank x its
+    largest point against `max_cosets` before any image is built."""
     if rank < 2:
         raise ParameterError(f"rank must be >= 2, got {rank}")
     lead = len(text) - len(text.lstrip())
@@ -163,6 +183,13 @@ def parse_quotient_spec(
         colon = text.index("perm:") + len("perm:")
         cycles = _parse_cycle_assignments(text[colon:], colon, rank)
         m = max(p for cyc in cycles.values() for cycle in cyc for p in cycle)
+        # every generator image, and every closure row, is m points wide
+        _check_cap("max_elements", max_cosets)
+        if rank * m > max_cosets:
+            raise ResourceGuardError(
+                f"perm: point {m} sets {rank} generator images of {m} points, "
+                f"{rank * m} entries over max_cosets={max_cosets}; raise --max-cosets"
+            )
         images = {
             gen: _cycles_to_perm(cyc, m) for gen, cyc in cycles.items()
         }
@@ -198,7 +225,8 @@ def _parse_partition_line(value: str, points: int, lineno: int) -> Partition:
             tok = tok.strip()
             p = _integer(tok)
             if p is None:
-                raise ParseError(f"line {lineno}: bad point {tok!r} in chain partition")
+                why = _too_long("chain point", tok) or f"bad point {_quote(tok)} in chain partition"
+                raise ParseError(f"line {lineno}: {why}")
             if not 1 <= p <= points:
                 raise ParseError(f"line {lineno}: point {p} outside 1..{points}")
             if p in block_of:
@@ -230,7 +258,8 @@ def parse_lattice_config(text: str) -> LatticeConfig:
             if key == "points":
                 points = _integer(value)
                 if not points:
-                    raise ParseError(f"line {lineno}: points must be a positive integer")
+                    why = _too_long("points", value) or "points must be a positive integer"
+                    raise ParseError(f"line {lineno}: {why}")
             elif key == "weights":
                 weights_value, weights_line = value, lineno
             elif key == "action":
@@ -245,7 +274,7 @@ def parse_lattice_config(text: str) -> LatticeConfig:
             elif key == "chain":
                 chain_lines.append((lineno, value))
             else:
-                raise ParseError(f"line {lineno}: unknown directive {key!r}")
+                raise ParseError(f"line {lineno}: unknown directive {_quote(key)}")
         offset += len(raw_line) + 1
 
     if points is None:
@@ -261,9 +290,11 @@ def parse_lattice_config(text: str) -> LatticeConfig:
     if weights_value is None or weights_value == "uniform":
         weights = FiniteSpace.uniform(points).weights
     elif weights_value.startswith("random:"):
-        seed = _integer(weights_value[len("random:") :].strip())
+        token = weights_value[len("random:") :].strip()
+        seed = _integer(token)
         if seed is None:
-            raise ParseError(f"line {weights_line}: random weights need an integer seed")
+            why = _too_long("random seed", token) or "random weights need an integer seed"
+            raise ParseError(f"line {weights_line}: {why}")
         weights = random_weights(points, seed)
     else:
         vals = []
@@ -272,7 +303,7 @@ def parse_lattice_config(text: str) -> LatticeConfig:
                 vals.append(float(tok.strip()))
             except ValueError:
                 raise ParseError(
-                    f"line {weights_line}: bad weight {tok.strip()!r}"
+                    f"line {weights_line}: bad weight {_quote(tok.strip())}"
                 ) from None
         if len(vals) != points:
             raise ParseError(

@@ -6,14 +6,13 @@ lowercase for generators and uppercase for inverses; the empty string is
 the identity.  "abAB" is a b a^-1 b^-1.
 
 The canonical letter order interleaves each generator with its inverse,
-a < a^-1 < b < b^-1 < ..., which fixes the enumeration order of spheres
-and therefore the iteration order of everything downstream.
+a < a^-1 < b < b^-1 < ..., which fixes the order of `alphabet`, the
+columns of quotient tables and the order `Word.sort_key` gives words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import ParameterError, ParseError, RankMismatchError
 
@@ -76,9 +75,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __mul__(self, other: "Word") -> "Word":
-        return multiply(self, other)
-
     def __str__(self) -> str:
         return format_word(self)
 
@@ -101,10 +97,6 @@ def _word(letters: tuple[int, ...], rank: int) -> Word:
     return w
 
 
-def identity(rank: int) -> Word:
-    return reduce_letters((), rank)
-
-
 def reduce_letters(letters, rank: int) -> Word:
     """Freely reduce a letter sequence by a single stack scan."""
     _check_letters(letters, rank)
@@ -115,18 +107,6 @@ def reduce_letters(letters, rank: int) -> Word:
         else:
             stack.append(l)
     return _word(tuple(stack), rank)
-
-
-def multiply(w1: Word, w2: Word) -> Word:
-    """Reduced product.  Cancellation happens only at the seam."""
-    if w1.rank != w2.rank:
-        raise RankMismatchError(f"rank mismatch: {w1.rank} vs {w2.rank}")
-    a, b = w1.letters, w2.letters
-    k = 0
-    m = min(len(a), len(b))
-    while k < m and a[len(a) - 1 - k] == -b[k]:
-        k += 1
-    return _word(a[: len(a) - k] + b[k:], w1.rank)
 
 
 def cyclically_reduce(w: Word) -> Word:
@@ -153,29 +133,6 @@ def ball_size(d: int, n: int) -> int:
     if d == 1:
         return 2 * n + 1
     return (d * (2 * d - 1) ** n - 1) // (d - 1)
-
-
-def sphere(d: int, n: int) -> Iterator[Word]:
-    """All reduced words of length exactly n, in canonical order, lazily."""
-    if d < 2:
-        raise RankMismatchError(f"rank must be >= 2, got {d}")
-    if n < 0:
-        raise ValueError("radius must be >= 0")
-    letters = alphabet(d)
-    prefix: list[int] = []
-
-    def rec() -> Iterator[Word]:
-        if len(prefix) == n:
-            yield _word(tuple(prefix), d)
-            return
-        last = prefix[-1] if prefix else 0
-        for t in letters:
-            if t != -last:
-                prefix.append(t)
-                yield from rec()
-                prefix.pop()
-
-    yield from rec()
 
 
 def parse_word(text: str, rank: int) -> Word:
@@ -213,14 +170,10 @@ def format_word(w: Word) -> str:
 
 @dataclass(frozen=True, slots=True)
 class FreeGroup:
-    """Context of a distribution on F_d: its rank, identity and the
-    check that an element is a word of that rank."""
+    """Context of a distribution on F_d: its rank and the check that an
+    element is a word of that rank."""
 
     rank: int
-
-    @property
-    def identity(self) -> Word:
-        return Word((), self.rank)
 
     def validate_element(self, a) -> None:
         if not isinstance(a, Word) or a.rank != self.rank:

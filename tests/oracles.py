@@ -22,12 +22,15 @@ library's pure-Python indent-2 encoder and the per-trial SeedSequence,
 Generator and step loop here must give the same bytes, floats and
 lengths.  It takes gap-check's coset bound from the quotient rep's
 kernel sphere pass; the word convolution pushed through the projection
-here must give the same bound.  It takes each Radon-Nikodym exponent as
-2 lcp(g, w) - |g| from letter tuples, the cocycle's three exponents from
-tuple arithmetic and the prefix classes as (mass, k); the reduced
-products of `multiply_rn_exponent` and `multiply_cocycle_exponents` and
+here must give the same bound.  It takes the cocycle's three exponents
+from index scans of letter tuples, the density integral as one integer
+sum over the prefix classes and the entropy integral from its closed
+form; the reduced products of `multiply_rn_exponent` and
+`multiply_cocycle_exponents`, the Radon-Nikodym exponent 2 lcp(g, w) -
+|g| of `rn_exponent`, the one Fraction per class of `prefix_classes`,
 the Word representatives of `word_prefix_classes`, `word_rn_integral`
-and `word_kl_coefficient` must give the same values and the same errors.
+and `word_kl_coefficient`, and the sphere sums must give the same
+values and the same errors.
 It keeps the lengths of the proximality walks as an array, from which
 `ProximalityReport.rows` builds ProximalityRow tuples (library API: the
 CLI writes the lengths as codes into per-length masses); the tuple of
@@ -39,16 +42,20 @@ least degree.
 The last helpers are small checks that only the tests use: kernel
 membership, generator cycle types, the uniform stationary law of a
 finite action and the Radon-Nikodym bound M(g).
-Reference computations that no verb needs: convolution of
-distributions on words and its powers (the recent ones cached), point
-masses and Shannon entropy; the sphere counts of F_d, counted word by
-word; the cylinder mass nu(C_w) and the derivative (2d-1)^e on C_w, e
-from a reduced product; the invariant closure of a partition and the
-fiber-times-base chain rule of weight ratios.  The writer lays out a
-report's series table a column at a time; `report_to_object` cleans
-the report recursively into the plain object, the table's rows as lists
-with the codes looked up, whose standard indent-2 JSON must give the
-same bytes, and `csv_cell` writes the CSV one cell at a time.
+Reference computations that no verb needs: the identity, reduced
+products and spheres of F_d (each sphere's words built once per (d, n),
+and an element's product lengths against one once per element);
+convolution of distributions on words and its powers (the recent ones
+cached), point masses, the mass mu(g) and Shannon entropy; the sphere
+counts of F_d, counted word by word; the cylinder mass nu(C_w) and the
+derivative (2d-1)^e on C_w, e from a reduced product; the discrete
+partition, a partition from its blocks, the invariant closure of a
+partition and the fiber-times-base chain rule of weight ratios.  The
+writer lays out a report's series table a column at a time;
+`report_to_object` cleans the report recursively into the plain
+object, the table's rows as lists with the codes looked up, whose
+standard indent-2 JSON must give the same bytes, and `csv_cell` writes
+the CSV one cell at a time.
 The library reads cycle notation as a stream of tokens (digit runs and
 single characters); the scan here that walks the text a character at a
 time, skipping spaces by hand, must give the same cycles or the same
@@ -75,7 +82,7 @@ from gwel.errors import (
     ParseError,
     RankMismatchError,
 )
-from gwel.lattice import _block_weights, _image_blocks, meet
+from gwel.lattice import Partition, _block_weights, _image_blocks, meet
 from gwel.measures import Distribution
 from gwel.quotients import (
     DEFAULT_MAX_COSETS,
@@ -85,7 +92,7 @@ from gwel.quotients import (
     _coset_limit_message,
     _validate_relators,
 )
-from gwel.words import LETTERS, Word, alphabet, letter_key, multiply, sphere
+from gwel.words import LETTERS, Word, _word, alphabet, letter_key, reduce_letters
 
 
 def tuple_closure_rows(d, images):
@@ -497,6 +504,91 @@ def grid_entropies(n):
     return values
 
 
+def identity(rank):
+    """The empty word of F_rank."""
+    return reduce_letters((), rank)
+
+
+def multiply(w1, w2):
+    """Reduced product.  Cancellation happens only at the seam."""
+    if w1.rank != w2.rank:
+        raise RankMismatchError(f"rank mismatch: {w1.rank} vs {w2.rank}")
+    a, b = w1.letters, w2.letters
+    n, k = len(a), 0
+    m = min(n, len(b))
+    while k < m and a[n - 1 - k] == -b[k]:
+        k += 1
+    return _word(a[: n - k] + b[k:], w1.rank)
+
+
+def sphere(d, n):
+    """All reduced words of length exactly n, in canonical order, lazily."""
+    if d < 2:
+        raise RankMismatchError(f"rank must be >= 2, got {d}")
+    if n < 0:
+        raise ValueError("radius must be >= 0")
+    letters = alphabet(d)
+    prefix = []
+
+    def rec():
+        if len(prefix) == n:
+            yield _word(tuple(prefix), d)
+            return
+        last = prefix[-1] if prefix else 0
+        for t in letters:
+            if t != -last:
+                prefix.append(t)
+                yield from rec()
+                prefix.pop()
+
+    yield from rec()
+
+
+@lru_cache(maxsize=None)
+def sphere_words(d, n):
+    """The words of `sphere(d, n)`, built once per (d, n)."""
+    return tuple(sphere(d, n))
+
+
+@lru_cache(maxsize=None)
+def product_lengths(d, g, m):
+    """|g w| for each w in S(m) of F_d, from the reduced products, computed
+    once per (d, g, m): the density integral of g and the entropy integral
+    of g^-1 sum the same lengths."""
+    return tuple(len(multiply(g, w)) for w in sphere_words(d, m))
+
+
+def lcp(a, b):
+    """Length of the longest common prefix of two letter tuples."""
+    k, m = 0, min(len(a), len(b))
+    while k < m and a[k] == b[k]:
+        k += 1
+    return k
+
+
+def rn_exponent(d, g, w):
+    """Integer e with d(g nu)/d nu = (2d-1)^e on C_w, namely
+    |w| - |reduce(g^-1 w)| = 2 lcp(g, w) - |g|.  Needs |w| >= |g| + 1 so
+    the derivative is constant on the cylinder."""
+    if g.rank != d or w.rank != d:
+        raise RankMismatchError("rank mismatch in derivative arguments")
+    if len(w) < len(g) + 1:
+        raise ParameterError(f"cylinder depth {len(w)} too shallow for |g| = {len(g)}")
+    return 2 * lcp(g.letters, w.letters) - len(g)
+
+
+def prefix_classes(d, g):
+    """(nu-mass, k) of each class k = 0..|g| of S(|g|+1), the words sharing
+    a prefix of length exactly k with g.  The letter after that prefix is
+    neither g's next letter nor the inverse of the one before, so
+    (k > 0) + (k < |g|) letters are banned: the masses depend on |g| only."""
+    if g.rank != d:
+        raise RankMismatchError(f"word rank {g.rank} differs from {d}")
+    n, q = len(g), 2 * d - 1
+    for k in range(n + 1):
+        yield Fraction((2 * d - (k > 0) - (k < n)) * q ** (n - k), 2 * d * q**n), k
+
+
 def sphere_rn_integral(d, g):
     """Integral of d(g nu)/d nu, summed word by word over S(|g|+1): the
     density on C_w is (2d-1)^e with e = |w| - |g^-1 w|, and every
@@ -505,7 +597,7 @@ def sphere_rn_integral(d, g):
     q = 2 * d - 1
     ginv = g.inverse()
     # sum over w of q^e / (2d q^n), kept integral as q^(e + n) / (2d q^2n)
-    s = sum(q ** (2 * n + 1 - len(multiply(ginv, w))) for w in sphere(d, n + 1))
+    s = sum(q ** (2 * n + 1 - length) for length in product_lengths(d, ginv, n + 1))
     return Fraction(s, 2 * d * q ** (2 * n))
 
 
@@ -513,7 +605,8 @@ def sphere_kl_coefficient(d, g, m=None):
     """Coefficient of log(2d-1) in int -log(d g^-1 nu / d nu) d nu, summed
     word by word over S(m), m = |g| + 1 unless a deeper level is given."""
     m = len(g) + 1 if m is None else m
-    s = sum(len(multiply(g, w)) - m for w in sphere(d, m))
+    lengths = product_lengths(d, g, m)
+    s = sum(lengths) - m * len(lengths)
     return Fraction(s, 2 * d * (2 * d - 1) ** (m - 1))
 
 
@@ -712,11 +805,11 @@ def rn_bound(mu, g, n_max=16):
     for n in range(n_max + 1):
         power = convolve_power(mu, n)
         if p_fwd is None:
-            p = power.prob(g)
+            p = prob(power, g)
             if p > 0:
                 p_fwd = p
         if p_inv is None:
-            p = power.prob(ginv)
+            p = prob(power, ginv)
             if p > 0:
                 p_inv = p
         if p_fwd is not None and p_inv is not None:
@@ -728,6 +821,11 @@ def rn_bound(mu, g, n_max=16):
 
 class ContextMismatchError(ParameterError):
     pass
+
+
+def prob(mu, g):
+    """mu(g), 0 off the support."""
+    return mu.probs.get(g, 0.0)
 
 
 def point_mass(context, g):
@@ -757,7 +855,7 @@ def convolve_power(mu, n):
     if n < 0:
         raise DistributionError("negative convolution power")
     if n == 0:
-        return point_mass(mu.context, mu.context.identity)
+        return point_mass(mu.context, identity(mu.context.rank))
     return convolve(convolve_power(mu, n - 1), mu)
 
 
@@ -787,6 +885,27 @@ def cylinder_mass_exact(d, w):
 def rn_derivative_exact(d, g, w):
     """d(g nu)/d nu on C_w, |w| >= |g| + 1: (2d-1)^e by a reduced product."""
     return Fraction(2 * d - 1) ** multiply_rn_exponent(d, g, w)
+
+
+def discrete(m):
+    """The partition of {0..m-1} into points."""
+    return Partition(range(m))
+
+
+def from_blocks(blocks, m):
+    """The partition of {0..m-1} with the given blocks of 0-based points,
+    which must cover every point once."""
+    assignment = [-1] * m
+    for i, block in enumerate(blocks):
+        for x in block:
+            if not 0 <= x < m:
+                raise ParameterError(f"point {x} outside 0..{m - 1}")
+            if assignment[x] != -1:
+                raise ParameterError(f"point {x} appears in two blocks")
+            assignment[x] = i
+    if -1 in assignment:
+        raise ParameterError(f"point {assignment.index(-1)} not covered")
+    return Partition(assignment)
 
 
 def invariant_closure(action, p):

@@ -26,14 +26,15 @@ from oracles import (
     multiply_rn_exponent,
     power_iteration_exponent,
     rn_bound,
+    rn_exponent,
     shannon_entropy,
+    sphere,
     sphere_rn_integral,
 )
 from gwel.boundary import (
     boundary_entropy,
     cocycle_check,
     proximality_sim,
-    rn_exponent,
     rn_integral,
 )
 from gwel.cli import main
@@ -59,7 +60,7 @@ from gwel.lattice import (
 )
 from gwel.measures import srw
 from gwel.quotients import AbelianRep, TrivialRep, coset_enumerate, from_point_permutations
-from gwel.words import alphabet, ball_size, parse_word, reduce_letters, sphere
+from gwel.words import alphabet, ball_size, parse_word, reduce_letters
 
 SEED = 0xD0DD5
 SUITE_START = time.perf_counter()

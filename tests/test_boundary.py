@@ -8,28 +8,30 @@ import pytest
 from gwel.boundary import (
     ProximalityRow,
     _cocycle_exponents,
-    _lcp,
-    _prefix_classes,
     boundary_entropy,
     boundary_entropy_coefficient,
     cocycle_check,
     kl_coefficient,
     proximality_sim,
     pushed_prefix_mass_exact,
-    rn_exponent,
     rn_integral,
 )
 from gwel.entropy import exact_free_entropy
 from gwel.errors import ParameterError, RankMismatchError
 from gwel.measures import Distribution, srw
-from gwel.words import FreeGroup, alphabet, parse_word, reduce_letters, sphere
+from gwel.words import FreeGroup, Word, alphabet, parse_word, reduce_letters
 from oracles import (
     cylinder_mass_exact,
+    lcp,
+    multiply,
     multiply_cocycle_exponents,
-    proximality_rows,
     multiply_rn_exponent,
+    prefix_classes,
+    proximality_rows,
     rn_bound,
     rn_derivative_exact,
+    rn_exponent,
+    sphere,
     sphere_boundary_entropy_coefficient,
     sphere_kl_coefficient,
     sphere_rn_integral,
@@ -130,9 +132,32 @@ def test_rn_exponent_matches_the_product_oracle(d):
             assert got == [multiply_rn_exponent(d, g, w) for w in ws], g
 
 
+def cylinders(rng, d, g, h):
+    """Words w of depths |g|+|h|+1 and +2 that follow gh or g for each of
+    their prefix lengths and then go on at random.  Following gh past g's
+    kept letters takes lcp(gh, w) into h, and when the seam cancels a
+    part of g it also makes g^-1 w = inv(g[k:]) w[k:] follow h past its
+    inverted part; following all of g makes k = |g|."""
+    gh = multiply(g, h).letters
+    out = []
+    for depth in (len(g) + len(h) + 1, len(g) + len(h) + 2):
+        for path in (gh, g.letters):
+            for t in range(len(path) + 1):
+                w = list(path[:t])
+                while len(w) < depth:
+                    l = rng.choice(alphabet(d))
+                    if not w or l != -w[-1]:
+                        w.append(l)
+                out.append(Word(tuple(w), d))
+    return out
+
+
 def test_cocycle_exponents_match_the_product_oracle():
-    # every (g, h) with |g|, |h| <= 2 and every w of the least depth the
-    # check accepts, |g| + |h| + 1
+    # every (g, h) with |g|, |h| <= 2 at d = 2 (g up to relabelling) and
+    # every w of the least depth the check accepts, |g| + |h| + 1; then
+    # the same pairs with |g|, |h| <= 3, and 300 seeded pairs at d = 3 and
+    # 30 pairs (g, g^-1), each with the cylinders of depth |g| + |h| + 1
+    # and + 2 from `cylinders`.  Every branch of the scan is met at both ranks.
     d = 2
     spheres = [list(sphere(d, m)) for m in range(6)]
     hs = [h for n in range(3) for h in spheres[n]]
@@ -142,16 +167,42 @@ def test_cocycle_exponents_match_the_product_oracle():
             got = [_cocycle_exponents(d, g, h, w) for w in ws]
             assert got == [multiply_cocycle_exponents(d, g, h, w) for w in ws], (g, h)
             assert all(cocycle_check(d, g, h, w) for w in ws)
+    rng = random.Random(20261020)
+    pairs = [(2, g, h) for n in range(4) for g in relabelled_sphere(2, n)
+             for m in range(4) for h in sphere(2, m)]
+    drawn = [(3, random_word(rng, 3, rng.randrange(4)), random_word(rng, 3, rng.randrange(4)))
+             for _ in range(300)]
+    pairs += drawn + [(3, g, g.inverse()) for _, g, _ in drawn[:30]]
+    met = set()
+    for d, g, h in pairs:
+        n, gh = len(g), multiply(g, h)
+        j = (n + len(h) - len(gh)) // 2  # letters cancelled at the seam
+        for w in cylinders(rng, d, g, h):
+            assert _cocycle_exponents(d, g, h, w) == multiply_cocycle_exponents(d, g, h, w), (g, h, w)
+            assert cocycle_check(d, g, h, w)
+            k = lcp(g.letters, w.letters)
+            inverted = n - k  # g^-1 w starts with inv(g[k:])
+            branches = {
+                "gh cancelled": n > 0 and len(gh) == 0,
+                "k = |g|": n > 0 and k == n,
+                "lcp(gh, w) in h": lcp(gh.letters, w.letters) > n - j,
+                "inverted part ends inside h": 0 < inverted
+                and lcp(h.letters, multiply(g.inverse(), w).letters) > inverted,
+            }
+            met |= {(name, d) for name, hit in branches.items() if hit}
+    assert {(name, d) for name in branches for d in (2, 3)} == met
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_prefix_classes_match_the_word_oracle(d):
     for n in range(5):
         for g in sphere(d, n):
-            classes = [(m, _lcp(g.letters, w.letters)) for m, w in word_prefix_classes(d, g)]
-            assert list(_prefix_classes(d, g)) == classes
+            classes = [(m, lcp(g.letters, w.letters)) for m, w in word_prefix_classes(d, g)]
+            assert list(prefix_classes(d, g)) == classes
             assert rn_integral(d, g) == word_rn_integral(d, g) == 1
             assert kl_coefficient(d, g) == word_kl_coefficient(d, g)
+            # one Fraction per class: the sum the closed form replaces
+            assert kl_coefficient(d, g) == sum(m * (n - 2 * k) for m, k in prefix_classes(d, g))
 
 
 def error_of(fn, *args):

@@ -292,6 +292,21 @@ def test_resource_guard_exit_3(capsys):
     assert err.count("\n") == 1 and "--max-cosets" in err
 
 
+def test_perm_point_labels_are_charged_against_max_cosets(capsys):
+    # the largest point sets the width of every image and closure row, so
+    # rank x that point is charged before any image is built
+    start = time.perf_counter()
+    assert main(["cogrowth", "--quotient", "perm: a=(1 10000000)", "--steps", "2"]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err == ("error: perm: point 10000000 sets 2 generator images of 10000000 points, "
+                   "20000000 entries over max_cosets=1000000; raise --max-cosets\n")
+    argv = ["cogrowth", "--quotient", "perm: a=(1 1000000)", "--steps", "2"]
+    assert main([*argv, "--max-cosets", "2000000"]) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["quotient"] == "perm-quotient of size 2 (images on 1000000 points)"
+
+
 @pytest.mark.parametrize("spec", ["relators: aaa, bbb, ababab", "perm: a=(1 2 3); b=(1 2)"])
 def test_max_cosets_above_the_quotient_size_limit_exits_2(spec, capsys):
     # no verb can use a quotient above QUOTIENT_SIZE_LIMIT, so a larger cap
@@ -601,6 +616,35 @@ def test_bad_integer_literal_exits_2_with_one_line(line, digits, tmp_path, capsy
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+# a 5000-character token is quoted by its first 20 characters and its
+# length; ASCII digits past int()'s limit are named with that limit
+LONG_TOKENS = {
+    "chain 1,{digits}": f"line 3: chain point has 5000 digits, more than int() converts ({LIMIT})",
+    "points {digits}": f"line 1: points has 5000 digits, more than int() converts ({LIMIT})",
+    "weights random:{digits}": f"line 4: random seed has 5000 digits, more than int() converts ({LIMIT})",
+    "chain 1,{text}": "line 3: bad point 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters) in chain partition",
+    "weights 1,{text}": "line 4: bad weight 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)",
+    "{text} 1": "line 4: unknown directive 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)",
+}
+
+
+@pytest.mark.parametrize("line", list(LONG_TOKENS))
+def test_long_config_tokens_give_one_short_line(line, tmp_path, capsys):
+    text = line.format(digits="9" * 5000, text="x" * 5000)
+    lines = {"points": "points 2", "direction": "direction increasing", "chain": "chain 1,2"}
+    key = line.split()[0]
+    if key in lines:
+        lines[key] = text
+    else:
+        lines["extra"] = text
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("\n".join(lines.values()) + "\n", encoding="utf-8")
+    assert main(["lattice-experiment", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {LONG_TOKENS[line]}\n"
+    assert len(err.encode()) < 200
 
 
 @pytest.mark.parametrize("rank", ["0", "1", "-3"])

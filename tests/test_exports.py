@@ -4,6 +4,7 @@ import io
 import math
 import pkgutil
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -39,9 +40,28 @@ def test_readme_library_example_runs():
     assert float(printed[2]) == pytest.approx(math.log(3) / 2, abs=1e-15)
 
 
+_LAYOUT = {tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def _code(text: str) -> str:
+    """The tokens of Python source, one line per source line, without its
+    comments and without the strings that stand alone as a statement
+    (docstrings): a mention there is not a call."""
+    tokens = list(tokenize.generate_tokens(io.StringIO(text).readline))
+    lines: dict[int, list[str]] = {}
+    for before, tok, after in zip([None, *tokens], tokens, tokens[1:]):
+        if tok.type == tokenize.COMMENT or tok.type in _LAYOUT:
+            continue
+        alone = (before is None or before.type in _LAYOUT) and after.type in _LAYOUT
+        if tok.type == tokenize.STRING and alone:
+            continue
+        lines.setdefault(tok.start[0], []).append(tok.string)
+    return "\n".join(" ".join(line) for _, line in sorted(lines.items()))
+
+
 def _callers_text() -> str:
-    """src/gwel and bench/ without the export lists, and the README's
-    python block: the places a public name is called from."""
+    """The code of src/gwel and bench/ without the export lists, and of
+    the README's python block: the places a public name is called from."""
     root = Path(__file__).parents[1]
     readme = (root / "README.md").read_text(encoding="utf-8")
     texts = re.findall(r"```python\n(.*?)```", readme, re.S)
@@ -51,12 +71,14 @@ def _callers_text() -> str:
         if path.name == "__init__.py":  # the package's re-exports
             text = re.sub(r"^from \.\w+ import (\(.*?\)|.*?$)", "", text, flags=re.S | re.M)
         texts.append(text)
-    return "\n".join(texts)
+    return "\n".join(map(_code, texts))
 
 
 def test_every_exported_name_has_a_caller():
     # a public name the CLI, the benchmark and the README never name
-    # belongs with the oracles in tests/
+    # belongs with the oracles in tests/; a mention in a comment or a
+    # docstring is not a call
+    assert _code('def f():\n    """join"""\n    return g(1)  # join\n') == "def f ( ) :\nreturn g ( 1 )"
     text = _callers_text()
     uncalled = [
         name for name in gwel.__all__

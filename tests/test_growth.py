@@ -8,6 +8,7 @@ from oracles import (
     brute_kernel_sphere_counts,
     in_kernel,
     power_iteration_exponent,
+    sphere,
     sphere_counts,
 )
 
@@ -24,7 +25,7 @@ from gwel.quotients import (
     coset_enumerate,
     from_point_permutations,
 )
-from gwel.words import parse_word, sphere
+from gwel.words import parse_word
 
 KLEIN = ("aa", "bb", "abab")
 S3 = ("aa", "bb", "ababab")

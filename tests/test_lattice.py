@@ -20,6 +20,8 @@ from oracles import (
     chain_rule_check,
     cond_expect_matrix,
     dense_l2_distance,
+    discrete,
+    from_blocks,
     invariant_closure,
     solve_stationary,
 )
@@ -50,8 +52,8 @@ def test_partition_canonicalization():
     q = Partition([0, 0, 1, 2])
     assert p == q
     assert p.blocks() == [[0, 1], [2], [3]]
-    assert Partition.from_blocks([[3, 1], [0, 2]], 4) == Partition([0, 1, 0, 1])
-    assert Partition.discrete(3).n_blocks == 3
+    assert from_blocks([[3, 1], [0, 2]], 4) == Partition([0, 1, 0, 1])
+    assert discrete(3).n_blocks == 3
     assert Partition.trivial(3).n_blocks == 1
 
 
@@ -142,7 +144,7 @@ def test_l2_distance_matches_dense_oracle():
         assert l2_distance(space, p, p) == 0.0
         checked += 1
     with pytest.raises(ParameterError):
-        l2_distance(FiniteSpace.uniform(3), Partition.discrete(3), Partition.trivial(4))
+        l2_distance(FiniteSpace.uniform(3), discrete(3), Partition.trivial(4))
 
 
 def test_action_translate_and_invariance():
@@ -180,7 +182,7 @@ def test_invariant_closure_matches_exhaustive():
 def test_entropy_functional_swap_example():
     act = FiniteAction([(1, 0)])
     space = FiniteSpace((2 / 3, 1 / 3))
-    val = entropy_functional(act, space, Partition.discrete(2))
+    val = entropy_functional(act, space, discrete(2))
     assert val == pytest.approx(math.log(2) / 3, abs=1e-14)
     assert entropy_functional(act, space, Partition.trivial(2)) == 0.0
     with pytest.raises(ParameterError):
@@ -208,7 +210,7 @@ def test_chain_rule_check():
     act = FiniteAction([(1, 0, 3, 2)])  # (0 1)(2 3)
     space = FiniteSpace((0.4, 0.1, 0.3, 0.2))
     p = Partition([0, 0, 1, 1])
-    q = Partition.discrete(4)
+    q = discrete(4)
     assert act.is_invariant(p)
     assert chain_rule_check(act, space, p, q, 1)
     assert chain_rule_check(act, space, p, q, (1, 1, -1))
@@ -221,11 +223,11 @@ def test_monotone_chain_increasing():
     chain = [
         Partition.trivial(4),
         Partition([0, 0, 1, 1]),
-        Partition.discrete(4),
+        discrete(4),
     ]
     act = FiniteAction([(1, 0, 3, 2)])
     report = monotone_chain_limit(space, chain, "increasing", action=act)
-    assert report.limit == Partition.discrete(4)
+    assert report.limit == discrete(4)
     assert report.distances[-1] == 0.0
     assert report.distances_non_increasing
     assert report.stabilized_at == 2
@@ -236,7 +238,7 @@ def test_monotone_chain_increasing():
 def test_monotone_chain_decreasing():
     space = FiniteSpace.uniform(4)
     chain = [
-        Partition.discrete(4),
+        discrete(4),
         Partition([0, 0, 1, 1]),
         Partition.trivial(4),
         Partition.trivial(4),
