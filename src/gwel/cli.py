@@ -65,6 +65,7 @@ def _add_common(sub, steps_default=None, trials_default=None):
         "--format", choices=("json", "csv"), default="json",
         help="report format (default json)",
     )
+    return sub
 
 
 def _add_quotient(sub, required=False):
@@ -80,6 +81,28 @@ def _add_quotient(sub, required=False):
     )
 
 
+# verb -> (help, a function that adds the verb's arguments to its parser)
+_VERBS = {
+    "walk-entropy": ("exact H(mu^k) series", lambda p: _add_quotient(_add_common(p, 50))),
+    "drift": ("Monte Carlo escape rate", lambda p: _add_common(p, 10000, 1000)),
+    "growth": ("exact ball counts of F_d", lambda p: _add_common(p, 10)),
+    "cogrowth": ("kernel sphere counts and critical exponent",
+                 lambda p: _add_quotient(_add_common(p, 12), required=True)),
+    "gap-check": ("entropy gap vs critical exponent",
+                  lambda p: _add_quotient(_add_common(p, 6), required=True)),
+    "guivarch": ("h <= drift * growth cross-check", lambda p: _add_common(p, 10000, 1000)),
+    "theorem-a": ("boundary-family entropy bound value", _add_common),
+    "boundary-entropy": ("exact Furstenberg entropy of (srw, nu)", _add_common),
+    "proximality": ("pushed prefix-cylinder masses along walks",
+                    lambda p: _add_common(p, 50, 10).add_argument(
+                        "--prefix-depth", type=int, default=3,
+                        help="cylinder prefix depth k (default 3)")),
+    "lattice-experiment": ("partition chain limits on a finite space",
+                           lambda p: _add_common(p).add_argument(
+                               "--config", required=True, help="flat key-value config file")),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="gwel",
@@ -87,46 +110,22 @@ def build_parser() -> _Parser:
         "for free groups and their quotients.  All entropies in nats.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("walk-entropy", help="exact H(mu^k) series")
-    _add_common(p, steps_default=50)
-    _add_quotient(p)
-
-    p = sub.add_parser("drift", help="Monte Carlo escape rate")
-    _add_common(p, steps_default=10000, trials_default=1000)
-
-    p = sub.add_parser("growth", help="exact ball counts of F_d")
-    _add_common(p, steps_default=10)
-
-    p = sub.add_parser("cogrowth", help="kernel sphere counts and critical exponent")
-    _add_common(p, steps_default=12)
-    _add_quotient(p, required=True)
-
-    p = sub.add_parser("gap-check", help="entropy gap vs critical exponent")
-    _add_common(p, steps_default=6)
-    _add_quotient(p, required=True)
-
-    p = sub.add_parser("guivarch", help="h <= drift * growth cross-check")
-    _add_common(p, steps_default=10000, trials_default=1000)
-
-    p = sub.add_parser("theorem-a", help="boundary-family entropy bound value")
-    _add_common(p)
-
-    p = sub.add_parser("boundary-entropy", help="exact Furstenberg entropy of (srw, nu)")
-    _add_common(p)
-
-    p = sub.add_parser("proximality", help="pushed prefix-cylinder masses along walks")
-    _add_common(p, steps_default=50, trials_default=10)
-    p.add_argument(
-        "--prefix-depth", type=int, default=3,
-        help="cylinder prefix depth k (default 3)",
-    )
-
-    p = sub.add_parser("lattice-experiment", help="partition chain limits on a finite space")
-    _add_common(p)
-    p.add_argument("--config", required=True, help="flat key-value config file")
-
+    for verb, (summary, add_arguments) in _VERBS.items():
+        add_arguments(sub.add_parser(verb, help=summary))
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`; when argv[0] names a verb, only
+    that verb's parser is built, with the prog and arguments the full
+    parser gives it, so its namespace, help and errors are the same."""
+    if not argv or argv[0] not in _VERBS:
+        return build_parser().parse_args(argv)
+    parser = _Parser(prog=f"gwel {argv[0]}")
+    _VERBS[argv[0]][1](parser)
+    args = parser.parse_args(argv[1:])
+    args.verb = argv[0]
+    return args
 
 
 def _quotient_rep(args):
@@ -430,9 +429,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

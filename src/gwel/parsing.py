@@ -81,6 +81,15 @@ def _quote(token: str) -> str:
     return f"{token[:20]!r}... ({len(token)} characters)"
 
 
+def _number(n: int) -> str:
+    """`n` for a one-line message: whole up to 20 digits, else its first
+    20 digits and its digit count."""
+    digits = str(n)
+    if len(digits) <= 20:
+        return digits
+    return f"{digits[:20]}... ({len(digits)} digits)"
+
+
 def _too_long(what: str, token: str) -> str | None:
     """The message for a `what` of more ASCII digits than int() converts;
     None for any other token."""
@@ -138,7 +147,7 @@ def _parse_cycle_assignments(
                 if point < 1:
                     raise ParseError("cycle points are 1-based", position=pos)
                 if point in seen_points:
-                    raise ParseError(f"point {point} repeated in cycles", position=pos)
+                    raise ParseError(f"point {_number(point)} repeated in cycles", position=pos)
                 seen_points.add(point)
                 cycle.append(point)
                 tok, pos = next(tokens)
@@ -228,7 +237,7 @@ def _parse_partition_line(value: str, points: int, lineno: int) -> Partition:
                 why = _too_long("chain point", tok) or f"bad point {_quote(tok)} in chain partition"
                 raise ParseError(f"line {lineno}: {why}")
             if not 1 <= p <= points:
-                raise ParseError(f"line {lineno}: point {p} outside 1..{points}")
+                raise ParseError(f"line {lineno}: point {_number(p)} outside 1..{_number(points)}")
             if p in block_of:
                 raise ParseError(f"line {lineno}: point {p} appears in two blocks")
             block_of[p] = b

@@ -29,7 +29,8 @@ of length r by the element they reach are v_1 = A v_0, v_2 = A v_1 -
               relator list (a flat Python loop, numpy for the final
               relabelling), or by closing explicit point permutations into
               the group they generate (numpy, a BFS level at a time).
-              Entropy by a dense probability vector; A gathers the columns.
+              Entropy by a probability vector on one parity class; A
+              gathers the columns.
   TrivialRep  the one-element PermRep.
   AbelianRep  the abelianization Z^d; elements are exponent-sum vectors.
               Entropy (rank 2) from two independent +-1 walks; kernel
@@ -51,7 +52,23 @@ abelianization.  The scan of a relator u^k at a coset gamma u, where
 gamma's own scan already closed the loop, is skipped; no definition
 changes.  The closure numbers elements by first occurrence in
 breadth-first (element, letter) order, checked against the
-tuple-by-tuple `tests/oracles.py::tuple_closure_rows`.
+tuple-by-tuple `tests/oracles.py::tuple_closure_rows`.  It composes only
+the products that do not lead back: an edge joins breadth-first levels
+k-1, k or k+1, and x = y c with y one level below x gives x c^-1 = y, so
+those entries come from the rows of level k-1.
+
+When the Cayley graph of a PermRep is bipartite, every letter flips the
+parity of the breadth-first level, so mu'^k and v_k live on the class of
+elements whose level has k's parity, and the walks hold only that class
+(`_gathers`: for each element of a class, its neighbours' positions in
+the other class); the identity is even, so the kernel counts are 0 at
+odd radii.  The closure reads the parity from its levels (no product
+lands in its own level), coset enumeration from each coset's definition
+word when every relator has even length (letter -> 1 in Z/2 is then a
+homomorphism on Q), and any other PermRep from one breadth-first search
+of its table.  A graph with an odd cycle keeps one class of every
+element.  A class vector holds the dense vector's positive entries in
+index order, so no float changes (`tests/oracles.py::dense_perm_entropy`).
 
 Every quotient here has critical exponent log(2d-1): a finite quotient's
 kernel has finite index, and Z^d is amenable (Grigorchuk 1980; Cohen, J.
@@ -69,9 +86,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, count, groupby, permutations, product, takewhile
+from itertools import accumulate, count, cycle, groupby, permutations, product, takewhile
 from operator import eq
 
 import numpy as np
@@ -127,10 +143,28 @@ def _gap_counts(rep, n: int, work_budget: int) -> tuple[list[int], list[float]]:
     return spheres, bounds
 
 
+def _level_parity(table: np.ndarray) -> np.ndarray:
+    """`PermRep._odd` from one breadth-first search of the table: the
+    parity of each element's level if every edge joins levels of opposite
+    parity and the two classes are equal in size, else all False."""
+    level = np.full(len(table), -1, dtype=np.int64)
+    level[0] = 0
+    frontier, k = np.zeros(1, dtype=np.int64), 0
+    while len(frontier):
+        k += 1
+        reached = np.unique(table[frontier])
+        frontier = reached[level[reached] < 0]
+        level[frontier] = k
+    odd = (level & 1).astype(bool)
+    if (level >= 0).all() and 2 * odd.sum() == len(odd) and (odd[table] != odd[:, None]).all():
+        return odd
+    return np.zeros(len(table), dtype=bool)
+
+
 class PermRep:
     """Regular action of a finite quotient of F_d on its elements."""
 
-    __slots__ = ("rank", "size", "_table", "point_images")
+    __slots__ = ("rank", "size", "_table", "point_images", "_parity")
 
     def __init__(self, rank: int, rows, point_images=None):
         self.rank = rank
@@ -142,6 +176,7 @@ class PermRep:
         self._table = array("q")  # filled straight from the array's buffer: one copy, not two
         self._table.frombytes(memoryview(np.ascontiguousarray(table)).cast("B"))
         self.point_images = point_images
+        self._parity = None  # set by a builder, else derived by `_odd`
 
     @property
     def identity(self) -> int:
@@ -168,26 +203,44 @@ class PermRep:
     def describe(self) -> str:
         return f"perm-quotient of size {self.size}"
 
-    def _gathers(self) -> list[np.ndarray]:
-        """x * l^-1 for every x, one array per letter l (column col ^ 1)."""
+    def _odd(self) -> np.ndarray:
+        """True at the elements of odd level when the Cayley graph is
+        bipartite, all False when it has an odd cycle."""
+        if self._parity is None:
+            self._parity = _level_parity(self._array())
+        return self._parity
+
+    def _gathers(self) -> list[list[np.ndarray]]:
+        """One gather list per parity class c (a single class when the
+        graph is not bipartite): for every letter l, the position of
+        x * l^-1 in the class before c, for each x of c in index order."""
         if self.size > QUOTIENT_SIZE_LIMIT:
             raise ResourceGuardError(f"quotient size {self.size} exceeds {QUOTIENT_SIZE_LIMIT}")
-        return [np.ascontiguousarray(self._array()[:, c ^ 1]) for c in range(2 * self.rank)]
+        table, odd = self._array(), self._odd()
+        cols = range(2 * self.rank)
+        if not odd.any():
+            return [[np.ascontiguousarray(table[:, c ^ 1]) for c in cols]]
+        # an odd element's position among the odd ones, an even one's among the even
+        before = np.cumsum(odd)
+        position = np.where(odd, before - 1, np.arange(self.size) - before)
+        return [[position[table[mask, c ^ 1]] for c in cols] for mask in (~odd, odd)]
 
     def _laws(self):
-        """mu'^k, k = 1, 2, ..., as a dense probability vector over the elements."""
+        """mu'^k, k = 1, 2, ..., as a dense probability vector over the
+        parity class of k (every element when there is one class)."""
         gathers = self._gathers()  # mass at x comes from x * l^-1 for each letter l
-        vec = np.eye(1, self.size)[0]
-        while True:
-            vec = sum(vec[g] for g in gathers) / len(gathers)
+        vec = np.eye(1, len(gathers[0][0]))[0]
+        for step in cycle(gathers[1:] + gathers[:1]):
+            vec = sum(vec[g] for g in step) / len(step)
             yield vec
 
     def _vectors(self, n: int, work_budget: int):
-        """v_0..v_R, R <= n the largest radius whose steps, at size*2d
-        each, fit the budget; (Av)(x) = sum_l v(x l^-1)."""
+        """v_0..v_R over the parity class of r, R <= n the largest radius
+        whose steps, at size*2d each, fit the budget; (Av)(x) = sum_l v(x l^-1)."""
         gathers, nc = self._gathers(), 2 * self.rank
-        start = np.eye(1, self.size, dtype=np.int64)[0]
-        return _nonbacktracking(lambda v: sum(v[g] for g in gathers), start,
+        steps = cycle(gathers[1:] + gathers[:1])
+        start = np.eye(1, len(gathers[0][0]), dtype=np.int64)[0]
+        return _nonbacktracking(lambda v: sum(v[g] for g in next(steps)), start,
                                 min(n, work_budget // (self.size * nc)), nc)
 
     def entropy_values(self, n: int) -> tuple[float, ...]:
@@ -205,7 +258,9 @@ class PermRep:
         """|N cap S(k)| for k = 0..r <= n: the identity entries of `_vectors`."""
         if n < 0:
             raise ParameterError("radius must be >= 0")
-        return [int(v[0]) for v in self._vectors(n, work_budget)]
+        vectors = self._vectors(n, work_budget)
+        period = 2 if self._odd().any() else 1  # the identity is in the even class
+        return [int(v[0]) if r % period == 0 else 0 for r, v in enumerate(vectors)]
 
     gap_counts = _gap_counts
 
@@ -269,7 +324,10 @@ class AbelianRep:
         p = np.ones(1)
         values = []
         for _ in range(n):
-            p = 0.5 * (np.append(p, 0.0) + np.insert(p, 0, 0.0))
+            q = np.zeros(len(p) + 1)
+            q[:-1] = p
+            q[1:] += p
+            p = 0.5 * q
             nz = p[p > 0.0]
             values.append(-2.0 * float((nz * np.log(nz)).sum()))
         return tuple(values)
@@ -537,34 +595,51 @@ def coset_enumerate(d: int, relators, max_cosets: int = DEFAULT_MAX_COSETS) -> P
         return r
 
     def coincidence(a: int, b: int) -> None:
-        queue: deque[int] = deque()
-
-        def merge(u: int, v: int) -> None:
-            u, v = rep(u), rep(v)
-            if u != v:
-                if u > v:
-                    u, v = v, u
-                p[v] = u
-                queue.append(v)
-
-        merge(a, b)
-        while queue:
-            dead = queue.popleft()
+        """Merge a and b and every pair their merge forces, the smaller
+        coset surviving; dead cosets are processed in the order they die."""
+        if p[a] != a:
+            a = rep(a)
+        if p[b] != b:
+            b = rep(b)
+        if a == b:
+            return
+        if a > b:
+            a, b = b, a
+        p[b] = a
+        queue = [b]  # grows while it is read
+        for dead in queue:
             for col in range(ncols):
                 delta = table[col][dead]
                 if delta is None:
                     continue
+                column, mirror = table[col], table[col ^ 1]
                 # clear the mirror edge if it still points at the dead coset
-                if table[col ^ 1][delta] == dead:
-                    table[col ^ 1][delta] = None
-                mu, nu = rep(dead), rep(delta)
-                if table[col][mu] is not None:
-                    merge(nu, table[col][mu])
-                elif table[col ^ 1][nu] is not None:
-                    merge(mu, table[col ^ 1][nu])
+                if mirror[delta] == dead:
+                    mirror[delta] = None
+                mu = p[dead]
+                if p[mu] != mu:
+                    mu = rep(mu)
+                nu = delta if p[delta] == delta else rep(delta)
+                u = column[mu]
+                if u is not None:
+                    v = nu
                 else:
-                    table[col][mu] = nu
-                    table[col ^ 1][nu] = mu
+                    u = mirror[nu]
+                    if u is None:
+                        column[mu] = nu
+                        mirror[nu] = mu
+                        continue
+                    v = mu
+                # merge u and v
+                if p[u] != u:
+                    u = rep(u)
+                if p[v] != v:
+                    v = rep(v)
+                if u != v:
+                    if u > v:
+                        u, v = v, u
+                    p[v] = u
+                    queue.append(v)
 
     # each relator w as the columns w[i] and the inverse columns w[i] ^ 1,
     # which the backward half of a scan reads from the end; for w = u^k
@@ -574,6 +649,9 @@ def coset_enumerate(d: int, relators, max_cosets: int = DEFAULT_MAX_COSETS) -> P
              for w, root in zip(rels, map(_root_length, rels))]
     fills = [(table[c], table[c ^ 1]) for c in range(ncols)]
     n = 1  # rows ever defined, len(p)
+    # the parity of each coset's definition word: with relators of even
+    # length only, letter -> 1 in Z/2 is a homomorphism on the quotient
+    parity = [False]
     alpha = 0
     while alpha < n:
         if p[alpha] == alpha:  # alpha is live: p[i] <= i, so rep(alpha) == alpha
@@ -622,6 +700,7 @@ def coset_enumerate(d: int, relators, max_cosets: int = DEFAULT_MAX_COSETS) -> P
                     for column in table:
                         column.append(None)
                     p.append(n)
+                    parity.append(not parity[f])
                     fwd[i][f] = n
                     bwd[i][n] = f
                     n += 1
@@ -635,6 +714,7 @@ def coset_enumerate(d: int, relators, max_cosets: int = DEFAULT_MAX_COSETS) -> P
                         for col in table:
                             col.append(None)
                         p.append(n)
+                        parity.append(not parity[alpha])
                         column[alpha] = n
                         mirror[n] = alpha
                         n += 1
@@ -652,6 +732,8 @@ def coset_enumerate(d: int, relators, max_cosets: int = DEFAULT_MAX_COSETS) -> P
     index[live] = np.arange(len(live))
     out = PermRep(d, index[np.array(images)].T)
     _check_relators(out._array(), rels)
+    even = all(len(w) % 2 == 0 for w in rels)
+    out._parity = np.array(parity)[live] if even else np.zeros(len(live), dtype=bool)
     return out
 
 
@@ -683,6 +765,14 @@ def _row_keys(rows: np.ndarray, bits: int) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
+def _find(keys: np.ndarray, ids: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """The id of each wanted key among the sorted `keys`, -1 where it is absent."""
+    if not len(keys):
+        return np.full(len(wanted), -1, dtype=np.int64)
+    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    return np.where(keys[at] == wanted, ids[at], -1)
+
+
 def from_point_permutations(
     d: int, images: dict[int, tuple[int, ...]], max_elements: int = DEFAULT_MAX_COSETS
 ) -> PermRep:
@@ -692,11 +782,17 @@ def from_point_permutations(
     {0..m-1}; missing generators act as the identity.  The returned rep
     is the regular action of the generated group, so the kernel is the
     kernel of the point homomorphism even when the point action is not
-    regular.  The closure is a breadth-first search that composes the
-    frontier with every letter at once, `_CHUNK` frontier rows at a time;
-    new elements are numbered by first occurrence in (element, letter)
-    order, so the numbering depends neither on the chunks nor on how the
-    keys that tell elements apart sort.  An element is keyed by one
+    regular.  The closure is a breadth-first search, a level at a time.
+    An edge joins levels k-1, k or k+1 only, and x = y c with y in level
+    k-1 gives x c^-1 = y, so the finished rows of level k-1 fill every
+    entry of level k that leads back.  Only the entries left are composed,
+    `_CHUNK` frontier rows at a time, and looked up among level k's keys
+    and those of the elements the level's earlier chunks created; a
+    product inside its own level is an odd cycle, and with none the level
+    parities are the rep's parity classes.  New elements are numbered by
+    first occurrence in (element, letter) order, so the numbering depends
+    neither on the chunks nor on how the keys that tell elements apart
+    sort.  An element is keyed by one
     uint64, its point images packed at ceil(log2 m) bits each, when
     m ceil(log2 m) <= 64 (m <= 16 points), and by the bytes of its images
     otherwise.  The chunk whose new elements pass `max_elements` raises
@@ -720,53 +816,67 @@ def from_point_permutations(
     perms = np.zeros((2 * d, width), dtype=np.min_scalar_type(width - 1))
     perms[0::2, :m] = np.array(gens).reshape(d, m)
     perms[1::2] = np.argsort(perms[0::2], axis=1)
-    cols = np.arange(2 * d)[:, None]
+    nc = 2 * d
 
-    # an element of level k times a letter lies in level k-1, k or k+1, so
-    # the keys of those levels, as far as they are known, tell old elements
-    # from new ones; `keys` holds them sorted and `ids` their element ids
+    # level k: its elements' point images, their keys sorted with their
+    # ids, and its first id `low`; `done` holds the rows of level k-1
     frontier = np.arange(width, dtype=perms.dtype)[None, :]
     keys, ids = _row_keys(frontier, bits), np.zeros(1, dtype=np.int64)
-    top, low = 0, 0  # the newest id; the first id of the frontier's level
-    blocks = []
+    low, done = 0, np.empty((0, nc), dtype=np.int64)
+    blocks, bipartite = [], True
     while len(frontier):
-        born, fresh = [], top + 1  # fresh: the first id of the next level
-        for start in range(0, len(frontier), _CHUNK):
-            # row (j, c) is frontier element j followed by the letter of column c
-            prods = perms[cols, frontier[start : start + _CHUNK, None, :]].reshape(-1, width)
-            row_keys = _row_keys(prods, bits)
-            order = np.argsort(row_keys)
-            sorted_keys = row_keys[order]
-            at = np.searchsorted(keys, sorted_keys)
-            old = keys[np.minimum(at, len(keys) - 1)] == sorted_keys
-            row_ids = np.empty(len(prods), dtype=np.int64)
-            row_ids[order[old]] = ids[at[old]]
+        top = low + len(frontier) - 1  # the newest id
+        rows = np.full((len(frontier), nc), -1, dtype=np.int64)
+        flat_rows, flat_done = rows.reshape(-1), done.reshape(-1)
+        # the entries that lead back to level k-1, from its rows
+        e = np.flatnonzero(flat_done >= low)
+        flat_rows[(flat_done[e] - low) * nc + (e % nc ^ 1)] = e // nc + (low - len(done))
+        empty = rows < 0
+        born_keys, born_ids, born = keys[:0], ids[:0], []
+        for start in range(0, len(rows), _CHUNK):
+            # the products x c of the empty entries, a letter at a time, and
+            # their flat entries x nc + c, which sort in (element, letter) order
+            xs = [start + np.flatnonzero(empty[start : start + _CHUNK, c]) for c in range(nc)]
+            prods = np.concatenate([np.take(perms[c], np.take(frontier, x, axis=0))
+                                    for c, x in enumerate(xs)])
+            entry = np.concatenate([x * nc + c for c, x in enumerate(xs)])
+            wanted = _row_keys(prods, bits)
+            order = np.argsort(wanted)  # searches in key order run faster
+            wanted = wanted[order]
+            found = _find(keys, ids, wanted)
+            bipartite = bipartite and not (found >= 0).any()  # a product inside level k
+            miss = np.flatnonzero(found < 0)
+            found[miss] = _find(born_keys, born_ids, wanted[miss])  # born in earlier chunks
             # the new products, grouped by key: the groups take the next ids
-            # in the order of their first rows
-            rows, new_keys = order[~old], sorted_keys[~old]
-            head = np.ones(len(rows), dtype=bool)
-            head[1:] = new_keys[1:] != new_keys[:-1]
+            # in the order of their first entries
+            new = miss[found[miss] < 0]
+            head = np.ones(len(new), dtype=bool)
+            head[1:] = wanted[new[1:]] != wanted[new[:-1]]
             starts = np.flatnonzero(head)
-            first = np.minimum.reduceat(rows, starts)
+            first = np.minimum.reduceat(entry[order[new]], starts)
             by_first = np.argsort(first)
             new_ids = np.empty(len(first), dtype=np.int64)
             new_ids[by_first] = np.arange(top + 1, top + 1 + len(first))
-            row_ids[rows] = new_ids[np.cumsum(head) - 1]
+            found[new] = new_ids[np.cumsum(head) - 1]
             top += len(first)
             if top >= max_elements:
                 raise CosetLimitError(
                     f"generated permutation group exceeds {max_elements} elements; "
                     "raise --max-cosets"
                 )
-            blocks.append(row_ids.reshape(-1, 2 * d))
-            born.append(prods[first[by_first]])
-            at = np.searchsorted(keys, new_keys[starts])
-            keys, ids = np.insert(keys, at, new_keys[starts]), np.insert(ids, at, new_ids)
-        # the next level's products lie in this level and the two after it
-        keep = ids >= low
-        keys, ids, low = keys[keep], ids[keep], fresh
-        frontier = np.concatenate(born)
-    return PermRep(d, np.concatenate(blocks), point_images=tuple(gens))
+            flat_rows[entry[order]] = found
+            born.append(prods[order[new[starts[by_first]]]])  # equal keys, equal images
+            merged = np.concatenate([born_keys, wanted[new[starts]]])
+            by_key = np.argsort(merged, kind="stable")
+            born_keys, born_ids = merged[by_key], np.concatenate([born_ids, new_ids])[by_key]
+        blocks.append(rows)
+        low, done = low + len(frontier), rows
+        keys, ids, frontier = born_keys, born_ids, np.concatenate(born)
+    out = PermRep(d, np.concatenate(blocks), point_images=tuple(gens))
+    # with no product inside its own level, every letter flips the level's parity
+    levels = np.repeat(np.arange(len(blocks)), [len(block) for block in blocks])
+    out._parity = (levels % 2 == 1) & bipartite
+    return out
 
 
 __all__ = [

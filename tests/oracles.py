@@ -13,6 +13,10 @@ closed-walk counts); the HLT loop as first written with nested helpers,
 the tuple-by-tuple closure, the Python-int transfer loop, the (vector,
 last letter) dict DP on Z^d and the depth-first walk over every reduced
 word here must give the same tables, errors and counts.
+It steps a finite quotient's walk on one parity class of its Cayley
+graph and the Z^2 binomial masses by one shifted add; the dense vector
+over every element, the append-and-insert step and the 2-colouring
+from a queue here must give the same floats and the same classes.
 It runs the free-group radial entropy chain on arrays and cuts the
 negligible tail of each sum; the scalar loop here must give the same
 floats bit for bit.  It writes the indent-2 JSON layout itself a table
@@ -502,6 +506,55 @@ def grid_entropies(n):
         nz = grid[grid > 0.0]
         values.append(float(-(nz * np.log(nz)).sum()))
     return values
+
+
+def binomial_entropy_loop(n):
+    """`AbelianRep(2).entropy_values(n)` by its first loop: each step pads
+    the Bin(k, 1/2) masses with a zero at either end by `np.append` and
+    `np.insert` and halves their sum; 2 H(Bin(k, 1/2)) must come out bit
+    for bit the same."""
+    p = np.ones(1)
+    values = []
+    for _ in range(n):
+        p = 0.5 * (np.append(p, 0.0) + np.insert(p, 0, 0.0))
+        nz = p[p > 0.0]
+        values.append(-2.0 * float((nz * np.log(nz)).sum()))
+    return tuple(values)
+
+
+def dense_perm_entropy(rep, n):
+    """`PermRep.entropy_values(n)` by one probability vector over every
+    element, each step gathering x * l^-1 for all letters: the vectors the
+    parity classes hold are this one's positive entries in the same order,
+    so the floats must be the same bit for bit."""
+    cols = range(2 * rep.rank)
+    table = np.array([[rep.apply_col(q, c) for c in cols] for q in range(rep.size)])
+    gathers = [table[:, c ^ 1] for c in cols]
+    vec = np.eye(1, rep.size)[0]
+    values = []
+    for _ in range(n):
+        vec = sum(vec[g] for g in gathers) / len(gathers)
+        nz = vec[vec > 0.0]
+        values.append(0.0 - float((nz * np.log(nz)).sum()))
+    return tuple(values)
+
+
+def two_colouring(rows):
+    """True at the odd elements of a 2-colouring of the Cayley graph with
+    multiplication table `rows` (element 0 even), colour by colour from a
+    queue; all False when some edge joins two elements of one colour."""
+    colour = [None] * len(rows)
+    colour[0] = False
+    queue = deque([0])
+    while queue:
+        x = queue.popleft()
+        for y in rows[x]:
+            if colour[y] is None:
+                colour[y] = not colour[x]
+                queue.append(y)
+            elif colour[y] == colour[x]:
+                return [False] * len(rows)
+    return colour
 
 
 def identity(rank):
@@ -1070,8 +1123,11 @@ def charwise_cycle_assignments(
                         "cycle points are 1-based", position=base + i + 1
                     )
                 if point in seen_points:
+                    shown = chunk[i:j].lstrip("0")
+                    if len(shown) > 20:
+                        shown = f"{shown[:20]}... ({len(shown)} digits)"
                     raise ParseError(
-                        f"point {point} repeated in cycles", position=base + i + 1
+                        f"point {shown} repeated in cycles", position=base + i + 1
                     )
                 seen_points.add(point)
                 cycle.append(point)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from oracles import brute_kernel_sphere_counts
 
+from gwel import cli
 from gwel.cli import main
 from gwel.errors import ConvergenceError, ResourceGuardError
 from gwel.parsing import parse_quotient_spec
@@ -645,6 +646,54 @@ def test_long_config_tokens_give_one_short_line(line, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"error: {LONG_TOKENS[line]}\n"
     assert len(err.encode()) < 200
+
+
+# a number of 4000 digits is named by its first 20 digits and its count
+NINES = "9" * 4000
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["cogrowth", "--quotient", f"perm: a=(1 {NINES} {NINES})"], None,
+     "position 4013: point 99999999999999999999... (4000 digits) repeated in cycles"),
+    (["lattice-experiment"], f"points 3\ndirection increasing\nchain 1,{NINES}|2,3\n",
+     "line 3: point 99999999999999999999... (4000 digits) outside 1..3"),
+])
+def test_huge_points_give_one_short_line(argv, config, message, tmp_path, capsys):
+    if config is not None:
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(config, encoding="utf-8")
+        argv = [*argv, "--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert len(err.encode()) < 200
+
+
+def parse_outcome(parse, argv, capsys):
+    """The namespace or how parsing stopped, and what it printed."""
+    try:
+        outcome = vars(parse(argv))
+    except SystemExit as e:
+        outcome = ("exit", e.code)
+    except cli._UsageError as e:
+        outcome = ("usage error", str(e))
+    printed = capsys.readouterr()
+    return outcome, printed.out, printed.err
+
+
+@pytest.mark.parametrize("verb", list(cli._VERBS))
+def test_one_verb_parser_parses_like_the_full_parser(verb, capsys):
+    # valid flags, help, the verb alone (a missing required option for
+    # cogrowth, gap-check and lattice-experiment), an option without its
+    # value, a bad integer, an unknown option and a stray positional
+    cases = [EDGE_BASE[verb], ["-h"], [], ["--rank"], ["--rank", "x"], ["--bogus", "1"], ["extra"]]
+    outcomes = set()
+    for flags in cases:
+        argv = [verb, *flags]
+        want = parse_outcome(cli.build_parser().parse_args, argv, capsys)
+        assert parse_outcome(cli._parse, argv, capsys) == want, argv
+        outcomes.add(type(want[0]).__name__ if isinstance(want[0], dict) else want[0][0])
+    assert outcomes == {"dict", "exit", "usage error"}
 
 
 @pytest.mark.parametrize("rank", ["0", "1", "-3"])

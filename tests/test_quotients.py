@@ -15,13 +15,16 @@ from gwel.quotients import (
 from gwel.words import alphabet, letter_key, parse_word, reduce_letters
 from oracles import (
     all_tuples_low_index_degree,
+    binomial_entropy_loop,
     cycle_types,
+    dense_perm_entropy,
     hlt_coset_table,
     in_kernel,
     multiply,
     sphere,
     transfer_sphere_counts,
     tuple_closure_rows,
+    two_colouring,
 )
 
 
@@ -333,9 +336,12 @@ def cycles_images(m, *cycles):
 # (rank, point images): S_3..S_7 under seeded relabellings, an
 # intransitive action (Z/2 x Z/3 on 2 + 3 points), a missing generator
 # (b acts trivially), rank 3 (S_4 by three transpositions; Z/2 x Z/3
-# with b missing), and S_4 with a cyclic group on 12 + 4 points and on
+# with b missing), S_4 with a cyclic group on 12 + 4 points and on
 # 4 + 13 points: the widest action keyed by a packed uint64 and one
-# keyed by its bytes
+# keyed by its bytes, and A_5 from (1 2 3) and (1 2 3 4 5).  The Cayley
+# graphs of S_4, S_6 and the 12 + 4 and 4 + 13 point groups are
+# bipartite; S_3, S_5, S_7 (an odd m-cycle is an even permutation) and
+# A_5 have odd cycles
 CLOSURES = [(2, relabelled_sym_images(random.Random(60 + m), m)) for m in range(3, 8)] + [
     (2, {1: (1, 0, 2, 3, 4), 2: (0, 1, 3, 4, 2)}),
     (2, {2: (1, 2, 3, 4, 0)}),
@@ -343,6 +349,7 @@ CLOSURES = [(2, relabelled_sym_images(random.Random(60 + m), m)) for m in range(
     (3, {1: (1, 0, 2, 3, 4), 3: (0, 1, 3, 4, 2)}),
     (2, {1: cycles_images(16, [12, 13, 14, 15], list(range(12))), 2: cycles_images(16, [14, 15])}),
     (2, {1: cycles_images(17, [0, 1, 2, 3], list(range(4, 17))), 2: cycles_images(17, [0, 1])}),
+    (2, {1: cycles_images(5, [0, 1, 2]), 2: cycles_images(5, [0, 1, 2, 3, 4])}),
 ]
 
 
@@ -406,13 +413,62 @@ def test_closure_guard_trips_past_max_elements():
         from_point_permutations(2, images, max_elements=719)
 
 
-@pytest.mark.parametrize("d, images", [CLOSURES[3], CLOSURES[-1]])
+def level_widths(rows):
+    """The sizes of the breadth-first levels of a multiplication table."""
+    level = {0: 0}
+    queue = [0]
+    for x in queue:
+        for y in rows[x]:
+            if y not in level:
+                level[y] = level[x] + 1
+                queue.append(y)
+    return [list(level.values()).count(k) for k in range(max(level.values()) + 1)]
+
+
+# S_6 (bipartite), the 4 + 13 point group keyed by bytes (bipartite) and A_5
+@pytest.mark.parametrize("d, images", [CLOSURES[3], CLOSURES[-2], CLOSURES[-1]])
 def test_chunked_closure_numbers_like_the_tuple_oracle(d, images, monkeypatch):
-    # levels split into chunks of 5 frontier rows: the same numbering, and
-    # the guard trips at the chunk that passes the cap
+    # levels wider than 5 rows split into chunks of 5: the same numbering,
+    # at most 5 rows of 2d products keyed at once, and the guard trips at
+    # the chunk that passes the cap
     want = tuple_closure_rows(d, images)
+    assert max(level_widths(want)) > 5
+    keyed = []
+
+    def row_keys(rows, bits):
+        keyed.append(len(rows))
+        return row_keys_of_the_module(rows, bits)
+
+    row_keys_of_the_module = quotients._row_keys
     monkeypatch.setattr(quotients, "_CHUNK", 5)
+    monkeypatch.setattr(quotients, "_row_keys", row_keys)
     assert table_rows(from_point_permutations(d, images, max_elements=len(want))) == want
+    assert max(keyed) <= 5 * 2 * d
     msg = f"^generated permutation group exceeds {len(want) - 1} elements; raise --max-cosets$"
     with pytest.raises(CosetLimitError, match=msg):
         from_point_permutations(d, images, max_elements=len(want) - 1)
+
+
+def test_parity_classes_match_a_two_colouring():
+    # the builders' classes, and those one breadth-first search derives
+    # from a bare table, are the 2-colouring of the Cayley graph or, when
+    # the graph has an odd cycle, one class
+    kinds = set()
+    for rep in all_test_reps():
+        want = two_colouring(table_rows(rep))
+        assert rep._odd().tolist() == want, rep
+        bare = quotients.PermRep(rep.rank, table_rows(rep))
+        assert bare._odd().tolist() == want, rep
+        kinds.add(any(want))
+    assert kinds == {False, True}
+
+
+def test_perm_entropies_match_the_dense_vector_loop():
+    # the law on one parity class holds the dense law's positive entries
+    # in index order, so every float is the same
+    for rep in all_test_reps():
+        assert rep.entropy_values(40) == dense_perm_entropy(rep, 40), rep
+
+
+def test_abelian_entropies_match_the_append_insert_loop():
+    assert AbelianRep(2).entropy_values(400) == binomial_entropy_loop(400)
