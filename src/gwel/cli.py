@@ -149,19 +149,20 @@ def _cmd_walk_entropy(args) -> Report:
         rep = _quotient_rep(args)
         series = entropy.quotient_entropy_dp(rep, args.steps)
         label = parsing.describe_quotient_spec(rep)
+    h_over_n, increments = series.h_over_n(), series.increments()
     summary = {
         "walk_on": label,
         "h_rw_exact": entropy.exact_free_entropy(d),
-        "last_H_over_n": series.h_over_n()[-1] if series.values else None,
-        "last_increment": series.increments()[-1] if series.values else None,
-        "last_increments": series.last_increments(5),
+        "last_H_over_n": h_over_n[-1] if h_over_n else None,
+        "last_increment": increments[-1] if increments else None,
+        "last_increments": increments[-5:],
     }
     return Report(
         command="walk-entropy",
         params=params,
         seed=args.seed,
-        series=_table("n:int H:float H_over_n:float increment:float", zip(
-            series.steps(), series.values, series.h_over_n(), series.increments())),
+        series=_table("n:int H:float H_over_n:float increment:float",
+                      zip(series.steps(), series.values, h_over_n, increments)),
         summary=summary,
     )
 

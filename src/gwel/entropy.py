@@ -1,9 +1,17 @@
 """Avez entropy and drift for the simple random walk, exact and sampled.
 
-Free-group entropies H(mu^k) come from the radial birth-death chain on
-numpy arrays, using the fact that mu^k restricted to a sphere is uniform;
-each row is a correctly rounded sum that skips only a provably negligible
-tail.  Quotient entropies, entropy rates and critical exponents come from
+Free-group entropies H(mu^k) come from the radial birth-death chain,
+using the fact that mu^k restricted to a sphere is uniform; the chain
+steps each row's parity class, a block of rows at a time.  Each row is
+the correctly rounded sum of its terms m (L_r - log m) with `math.log`.
+A block takes all its window terms with `np.log` at once, and only each
+row's core, the terms that hold all but about 2^-21 of the row, again
+with `math.log`.  A row is read off the double-double sum of its core
+and band when a certified interval around that sum, which covers the
+band's `np.log` error, the sum's rounding and the tail of masses below
+2^-80, lies inside one rounding cell; any other row is the fsum of all
+its `math.log` terms, so the rows are the same floats either way.
+Quotient entropies, entropy rates and critical exponents come from
 the quotient rep's own exact algorithms (see `gwel.quotients`).  Drift is
 Monte Carlo with one counter-based Philox stream per trial, spawned from
 the seed; the spawned keys come from one array pass of SeedSequence's
@@ -28,10 +36,22 @@ from .errors import ParameterError, ResourceGuardError
 
 BALL_WORK_BUDGET = 2 * 10**7
 # radial updates n(n+1)/2 of the free-group entropy series: admits
-# --steps 19999, about 7 s on a 2-core x86 box
+# --steps 19999, about 3.6 s on a 2-core x86 box
 RADIAL_WORK_BUDGET = 2 * 10**8
 # radial masses below this are bounded as a block, not summed one by one
 _TAIL_MASS = 2.0**-80
+# rows of the radial chain stepped and summed together
+_BLOCK = 32
+# a block whose window is narrower fsums every row: its few logs cost less
+# than the certificate's fixed number of array passes
+_MIN_WINDOW = 12
+# a row's core holds all of its window terms but about this share
+_CORE_SHARE = 2.0**-21
+# a row's certificate allows this share of its band, this times sigma per
+# squared window column, and this per window term (`_block_entropies`)
+_LOG_SLACK = 2.0**-40
+_SUM_SLACK = 2.0**-105
+_TERM_SLACK = 2.0**-1073
 
 
 @dataclass(frozen=True)
@@ -60,9 +80,6 @@ class EntropySeries:
             prev = h
         return out
 
-    def last_increments(self, count: int = 5) -> list[float]:
-        return self.increments()[-count:]
-
 
 def radial_entropy_exact(d: int, n: int) -> EntropySeries:
     """Exact H(mu^k), k <= n, for the simple random walk on F_d.
@@ -70,15 +87,17 @@ def radial_entropy_exact(d: int, n: int) -> EntropySeries:
     mu^k restricted to a sphere is uniform, so H(mu^k) decomposes as
     entropy of the radial law plus the expected log sphere size.  The
     radial law follows the birth-death chain with up-probability
-    (2d-1)/(2d) from r >= 1 and reflection at 0.
+    (2d-1)/(2d) from r >= 1 and reflection at 0.  Row k has mass only at
+    radii of k's parity, so the chain steps that class alone, `_BLOCK`
+    rows into one reused matrix, each entry one sum of two products as in
+    a scalar update.
 
-    Row k is the fsum of m (L_r - log m) over the radial masses m > 0,
-    L_r = log|S(r)|, but only masses >= tau = 2^-80 enter one by one.
-    Each term is >= 0 and x (L - log x) increases for x < e^(L-1), so the
-    tail sums to at most B = #tail tau (L_k - log tau) (1 + 1e-9), the
-    factor covering rounding.  fsum rounds correctly and rounding is
-    monotone, so fsum(head) <= fsum(all) <= fsum(head + [B]): when the
-    outer two agree they are the row, else fsum(all) is taken.
+    Row k is the correctly rounded sum of the terms m (L_r - log m), with
+    `math.log`, over its radial masses m > 0, L_r = log|S(r)|: the float
+    that fsum of every term gives.  The terms are the same floats, so the
+    float is the same bit for bit however it is reached.  A block's rows
+    reach it by a certificate (`_block_entropies`), and any row whose
+    certificate fails by that fsum.
     """
     if d < 2:
         raise ParameterError(f"rank must be >= 2, got {d}")
@@ -89,24 +108,102 @@ def radial_entropy_exact(d: int, n: int) -> EntropySeries:
             f"an entropy series of {n} steps needs n(n+1)/2 radial updates, "
             f"over the budget of {RADIAL_WORK_BUDGET}; lower --steps"
         )
-    logs = np.append(0.0, math.log(2 * d) + np.arange(n) * math.log(2 * d - 1))
-    up = (2 * d - 1) / (2 * d)
-    down = 1.0 / (2 * d)
-    p = np.ones(1)
+    # column c of row k holds the mass at radius 2c + k % 2
+    width = n // 2 + 1
+    logs = np.zeros(2 * width)
+    logs[1 : n + 1] = math.log(2 * d) + np.arange(n) * math.log(2 * d - 1)
+    class_logs = logs.reshape(width, 2).T  # L_(2c + j) at [j, c]
+    # up and down factors from column c of an even or odd row: the mass
+    # at radius 0 moves up with probability 1
+    factors = np.empty((2, 2, width))
+    factors[:, 0] = (2 * d - 1) / (2 * d)
+    factors[:, 1] = 1.0 / (2 * d)
+    factors[0, 0, 0] = 1.0
+    moves = np.zeros((2, width + 2))  # the products from column c sit at c + 1
+    rows = np.zeros((min(_BLOCK, n), width))
+    src = np.ones(1)
     values = []
-    for k in range(1, n + 1):
-        # each entry is one sum of two products, as in a scalar update
-        new = np.concatenate(([0.0, p[0]], p[1:] * up))
-        new[: k - 1] += p[1:] * down
-        p = new
-        head = _entropy_terms(p, np.flatnonzero(p >= _TAIL_MASS), logs)
-        total = math.fsum(head)
-        if tail := np.count_nonzero(p) - len(head):
-            head.append(tail * _TAIL_MASS * (logs[k] - math.log(_TAIL_MASS)) * (1 + 1e-9))
-            if math.fsum(head) != total:
-                total = math.fsum(_entropy_terms(p, np.flatnonzero(p), logs))
-        values.append(total)
+    for k0 in range(0, n, _BLOCK):
+        block = rows[: min(_BLOCK, n - k0)]
+        for k, dst in enumerate(block, k0):
+            m, even = k // 2 + 1, 1 - k % 2
+            np.multiply(src[:m], factors[k % 2, :, :m], out=moves[:, 1 : m + 1])
+            # row k + 1 at column c: up from column c - even, down from c + 1 - even
+            np.add(moves[0, even : m + 1], moves[1, even + 1 : m + 2], out=dst[: m + 1 - even])
+            src = dst
+        values += _block_entropies(block[:, : (k0 + len(block)) // 2 + 1], k0 + 1, logs, class_logs)
     return EntropySeries(f"free:{d}", tuple(values))
+
+
+def _block_entropies(block, k1: int, logs, class_logs) -> list[float]:
+    """H(mu^k) for the rows k = k1, k1 + 1, ... of `block`, each row its
+    parity class's masses.
+
+    The window is the columns where some row has a mass >= tau =
+    `_TAIL_MASS`; a row's masses outside it are its tail.  Every window
+    term is taken once with `np.log`.  A row's core runs from the term at
+    which its running sum passes `_CORE_SHARE`/2 of the window sum to the
+    last term before the rest falls below that share; its other window
+    terms are the band.  Only the core terms are taken again, with
+    `math.log`.  With sigma = 2^E >= 2 (window sum), each term x splits
+    without error into x_hi = (sigma + x) - sigma, a multiple of
+    ulp(sigma), and x - x_hi, at most 2^-53 sigma (Rump, Ogita and Oishi,
+    SIAM J. Sci. Comput. 31, 2008).  The x_hi sum exactly, the rest to
+    within W^2 2^-106 sigma over W window columns, and one two-sum of the
+    two sums gives the double-double (H, L).
+
+    The row's true sum lies in [H + L - w, H + L + w + B].  w allows
+    `_LOG_SLACK` of the band: its `np.log` terms are within 2^-49 of the
+    `math.log` ones, since `np.log` agrees with `math.log` to 2^-50
+    relative and L_r - log m adds two nonnegatives.  It allows
+    W^2 `_SUM_SLACK` sigma for the sum, and `_TERM_SLACK` per term for
+    rounding near the subnormals.  Each tail term is >= 0 and
+    x (L - log x) increases for x < e^(L-1), so the tail sums to at most
+    B = (tail count) tau (L_k - log tau) (1 + 1e-9), the factor covering
+    rounding, with every column of the row outside the window counted.
+    When the interval lies strictly inside half the spacing below H on
+    either side of H (the smaller spacing, which differs only when H is a
+    power of two), the row rounds to H; any other row is the fsum of all
+    its terms.
+    """
+    ks = np.arange(k1, k1 + len(block))
+    cols = np.flatnonzero((block >= _TAIL_MASS).any(axis=0))
+    c0, c1 = int(cols[0]), int(cols[-1]) + 1
+    if c1 - c0 < _MIN_WINDOW:
+        return [_row_entropy(row, class_logs[k % 2]) for k, row in zip(ks.tolist(), block)]
+    m = block[:, c0:c1]
+    lg = class_logs[:, c0:c1][ks % 2]
+    least = math.ulp(0.0)  # a zero mass takes the log of this, and its term is 0
+    terms = m * (lg - np.log(np.maximum(m, least)))
+    run = np.cumsum(terms, axis=1)
+    total = run[:, -1:]
+    cut = total * (_CORE_SHARE / 2)
+    core = (run > cut) & (run - terms < total - cut)
+    x = np.where(core, 0.0, terms)
+    band = x.sum(axis=1)
+    picked = m[core]
+    logs_m = np.fromiter(map(math.log, np.maximum(picked, least).tolist()), float, len(picked))
+    x[core] = picked * (lg[core] - logs_m)
+    sigma = np.ldexp(2.0, np.frexp(total)[1])
+    high = (x + sigma) - sigma
+    s, r = high.sum(axis=1), (x - high).sum(axis=1)
+    h = s + r
+    low = r - (h - s)
+    size = ks // 2 + 1
+    outside = size - np.minimum(size, c1) + np.minimum(size, c0)
+    tail = outside * _TAIL_MASS * (logs[ks] - math.log(_TAIL_MASS))
+    w = _LOG_SLACK * band + _SUM_SLACK * (c1 - c0) ** 2 * sigma[:, 0] + _TERM_SLACK * (c1 - c0)
+    # the sum of three nonnegative floats rounds low by less than 2^-50
+    sure = np.abs(low) + w + tail * (1 + 1e-9) < (h - np.nextafter(h, 0.0)) / 2 * (1 - 2.0**-50)
+    values = h.tolist()
+    for i in np.flatnonzero(~sure).tolist():
+        values[i] = _row_entropy(block[i], class_logs[ks[i] % 2])
+    return values
+
+
+def _row_entropy(p, logs) -> float:
+    """The fsum of every term of the row p, logs[c] the L_r of its column c."""
+    return math.fsum(_entropy_terms(p, np.flatnonzero(p), logs))
 
 
 def _entropy_terms(p, radii, logs) -> list[float]:

@@ -127,13 +127,14 @@ def _afforded(n: int, work_budget: int, d: int, terms) -> int:
     return sum(1 for _ in takewhile(lambda w: w <= work_budget, spent))
 
 
-def _gap_counts(rep, n: int, work_budget: int) -> tuple[list[int], list[float]]:
+def _gap_counts(rep, n: int, work_budget: int, *shared) -> tuple[list[int], list[float]]:
     """`gap_counts` of every rep: kernel counts to radius 2n, then bounds for
     r <= n from `_vectors` v_r and `_laws` mu'^r, with c_r the sum of v_j
-    over j <= r of r's parity."""
-    spheres = rep.kernel_sphere_counts(2 * n, work_budget)
-    bounds, reach, laws = [], [None, None], rep._laws()
-    for r, v in enumerate(rep._vectors(min(n, len(spheres) - 1), work_budget)):
+    over j <= r of r's parity.  All three walks take `shared`: a PermRep's
+    gathers, built once, so that one set is held at a time."""
+    spheres = rep.kernel_sphere_counts(2 * n, work_budget, *shared)
+    bounds, reach, laws = [], [None, None], rep._laws(*shared)
+    for r, v in enumerate(rep._vectors(min(n, len(spheres) - 1), work_budget, *shared)):
         c = reach[r % 2] = v if r < 2 else _plus(v, reach[r % 2])
         if r:
             law = next(laws).ravel()
@@ -225,19 +226,20 @@ class PermRep:
         position = np.where(odd, before - 1, np.arange(self.size) - before)
         return [[position[table[mask, c ^ 1]] for c in cols] for mask in (~odd, odd)]
 
-    def _laws(self):
+    def _laws(self, gathers):
         """mu'^k, k = 1, 2, ..., as a dense probability vector over the
-        parity class of k (every element when there is one class)."""
-        gathers = self._gathers()  # mass at x comes from x * l^-1 for each letter l
+        parity class of k (every element when there is one class); mass at
+        x comes from x * l^-1 for each letter l, by the `_gathers`."""
         vec = np.eye(1, len(gathers[0][0]))[0]
         for step in cycle(gathers[1:] + gathers[:1]):
             vec = sum(vec[g] for g in step) / len(step)
             yield vec
 
-    def _vectors(self, n: int, work_budget: int):
+    def _vectors(self, n: int, work_budget: int, gathers):
         """v_0..v_R over the parity class of r, R <= n the largest radius
-        whose steps, at size*2d each, fit the budget; (Av)(x) = sum_l v(x l^-1)."""
-        gathers, nc = self._gathers(), 2 * self.rank
+        whose steps, at size*2d each, fit the budget; (Av)(x) = sum_l v(x l^-1),
+        by the `_gathers`."""
+        nc = 2 * self.rank
         steps = cycle(gathers[1:] + gathers[:1])
         start = np.eye(1, len(gathers[0][0]), dtype=np.int64)[0]
         return _nonbacktracking(lambda v: sum(v[g] for g in next(steps)), start,
@@ -248,21 +250,23 @@ class PermRep:
         if n < 0:
             raise ParameterError("steps must be >= 0")
         values = []
-        for _, vec in zip(range(n), self._laws()):
+        for _, vec in zip(range(n), self._laws(self._gathers())):
             nz = vec[vec > 0.0]
             # 0.0 - s, not -s: a zero entropy must come out as 0.0, not -0.0
             values.append(0.0 - float((nz * np.log(nz)).sum()))
         return tuple(values)
 
-    def kernel_sphere_counts(self, n: int, work_budget: int) -> list[int]:
-        """|N cap S(k)| for k = 0..r <= n: the identity entries of `_vectors`."""
+    def kernel_sphere_counts(self, n: int, work_budget: int, gathers=None) -> list[int]:
+        """|N cap S(k)| for k = 0..r <= n: the identity entries of `_vectors`,
+        over `gathers` when given, else over the `_gathers` built here."""
         if n < 0:
             raise ParameterError("radius must be >= 0")
-        vectors = self._vectors(n, work_budget)
+        vectors = self._vectors(n, work_budget, gathers or self._gathers())
         period = 2 if self._odd().any() else 1  # the identity is in the even class
         return [int(v[0]) if r % period == 0 else 0 for r, v in enumerate(vectors)]
 
-    gap_counts = _gap_counts
+    def gap_counts(self, n: int, work_budget: int) -> tuple[list[int], list[float]]:
+        return _gap_counts(self, n, work_budget, self._gathers())
 
     def entropy_rate(self) -> tuple[float, str]:
         return 0.0, f"finite quotient: H(mu'^k) <= log {self.size}, so H/k -> 0"

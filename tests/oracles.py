@@ -460,17 +460,13 @@ def power_iteration_exponent(d, rep, tol=1e-10, max_iter=200000):
     raise AssertionError(f"power iteration not stable within {max_iter} iterations")
 
 
-def radial_entropy_loop(d, n):
-    """H(mu^k), k = 1..n, for the simple random walk on F_d: the radial
-    birth-death chain stepped one Python float at a time, each row the
-    fsum of m (log|S(r)| - log m) over every positive radial mass m."""
-    logs = [0.0] + [
-        math.log(2 * d) + (r - 1) * math.log(2 * d - 1) for r in range(1, n + 1)
-    ]
+def radial_laws_loop(d, n):
+    """The radial law of mu^k, k = 1..n, for the simple random walk on
+    F_d: the birth-death chain stepped one Python float at a time, each
+    law a list over the radii 0..k."""
     up = (2 * d - 1) / (2 * d)
     down = 1.0 / (2 * d)
     p = [1.0]
-    values = []
     for k in range(1, n + 1):
         new = [0.0] * (k + 1)
         new[1] += p[0]
@@ -480,12 +476,20 @@ def radial_entropy_loop(d, n):
                 new[r + 1] += m * up
                 new[r - 1] += m * down
         p = new
-        values.append(
-            math.fsum(
-                m * (logs[r] - math.log(m)) for r, m in enumerate(p) if m > 0.0
-            )
-        )
-    return tuple(values)
+        yield p
+
+
+def radial_entropy_loop(d, n):
+    """H(mu^k), k = 1..n, for the simple random walk on F_d: each row the
+    fsum of m (log|S(r)| - log m) over every positive mass m of
+    `radial_laws_loop`."""
+    logs = [0.0] + [
+        math.log(2 * d) + (r - 1) * math.log(2 * d - 1) for r in range(1, n + 1)
+    ]
+    return tuple(
+        math.fsum(m * (logs[r] - math.log(m)) for r, m in enumerate(p) if m > 0.0)
+        for p in radial_laws_loop(d, n)
+    )
 
 
 def grid_entropies(n):

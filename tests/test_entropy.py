@@ -9,6 +9,7 @@ from oracles import (
     convolve_power,
     drift_loop,
     radial_entropy_loop,
+    radial_laws_loop,
     shannon_entropy,
 )
 
@@ -49,7 +50,7 @@ def test_radial_head_values():
     assert incs[1] == pytest.approx(series.values[1] - series.values[0], abs=1e-15)
 
 
-RADIAL_CASES = [(2, 0), (2, 1), (2, 2), (2, 1500), (3, 600), (5, 600), (26, 600)]
+RADIAL_CASES = [(2, 0), (2, 1), (2, 2), (2, 1500), (2, 3000), (3, 600), (5, 600), (26, 600)]
 
 
 @pytest.mark.parametrize("d,n", RADIAL_CASES)
@@ -65,6 +66,64 @@ def test_radial_tail_fallback_matches_scalar_loop(tail_mass, monkeypatch):
     monkeypatch.setattr(entropy, "_TAIL_MASS", tail_mass)
     for d, n in ((2, 400), (3, 200), (26, 200)):
         assert radial_entropy_exact(d, n).values == radial_entropy_loop(d, n)
+
+
+def _count_row_fsums(monkeypatch) -> list:
+    """One entry for each row that `radial_entropy_exact` sums by fsum."""
+    fsums = []
+    row_entropy = entropy._row_entropy
+
+    def counted(p, logs):
+        fsums.append(len(p))
+        return row_entropy(p, logs)
+
+    monkeypatch.setattr(entropy, "_row_entropy", counted)
+    return fsums
+
+
+def test_radial_rows_without_a_certificate_match_scalar_loop(monkeypatch):
+    # a sum allowance wider than any rounding cell certifies no row, so
+    # every row is the fsum of all its terms
+    monkeypatch.setattr(entropy, "_SUM_SLACK", 1.0)
+    fsums = _count_row_fsums(monkeypatch)
+    for d, n in ((2, 300), (3, 100), (26, 200)):
+        fsums.clear()
+        assert radial_entropy_exact(d, n).values == radial_entropy_loop(d, n)
+        assert len(fsums) == n
+
+
+def test_radial_certificate_serves_nearly_every_row(monkeypatch):
+    # a certificate that failed everywhere would still give the right
+    # rows, each by the fsum of all its terms
+    fsums = _count_row_fsums(monkeypatch)
+    assert len(radial_entropy_exact(2, 1500).values) == 1500
+    assert len(fsums) <= 15
+
+
+@pytest.mark.parametrize("block", [1, 5])
+def test_radial_rows_do_not_depend_on_the_block(block, monkeypatch):
+    monkeypatch.setattr(entropy, "_BLOCK", block)
+    for d, n in ((2, 200), (26, 100)):
+        assert radial_entropy_exact(d, n).values == radial_entropy_loop(d, n)
+
+
+def test_np_log_agrees_with_math_log_to_2_pow_minus_50():
+    # the certificate allows each band term's np.log 2^-40; this pins the
+    # agreement 2^10 below that, on every head mass and on doubles drawn
+    # evenly over the bit patterns of [2^-1074, 1], subnormals included
+    masses = [
+        m
+        for d in (2, 3, 26)
+        for p in radial_laws_loop(d, 600)
+        for m in p
+        if m >= entropy._TAIL_MASS
+    ]
+    bits = np.random.default_rng(2026).integers(
+        1, 0x3FF0000000000000, 10**5, dtype=np.uint64, endpoint=True
+    )
+    x = np.concatenate((masses, bits.view(np.float64)))
+    want = np.fromiter(map(math.log, x.tolist()), float, len(x))
+    assert (np.abs(np.log(x) - want) <= 2.0**-50 * np.abs(want)).all()
 
 
 def test_radial_terms_round_like_the_scalar_loop():

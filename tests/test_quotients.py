@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -472,3 +473,20 @@ def test_perm_entropies_match_the_dense_vector_loop():
 
 def test_abelian_entropies_match_the_append_insert_loop():
     assert AbelianRep(2).entropy_values(400) == binomial_entropy_loop(400)
+
+
+def test_gap_counts_hold_one_set_of_gathers():
+    # one S_8 set of gathers is the walks' largest array: gap_counts builds
+    # it once and hands it to all three walks, so no second set coexists
+    s8 = from_point_permutations(2, {1: (1, 2, 3, 4, 5, 6, 7, 0), 2: (1, 0, 2, 3, 4, 5, 6, 7)})
+    s8._odd()  # cached on the rep, outside the measurement
+    one = sum(g.nbytes for step in s8._gathers() for g in step)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        spheres, bounds = s8.gap_counts(6, 10**9)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert spheres == [1, 0, 2, 0, 6, 0, 42, 0, 200, 0, 1262, 0, 7794] and len(bounds) == 6
+    assert peak <= 2.2 * one, (peak, one)
