@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .entropy import _philox_streams
 from .errors import ParameterError, RankMismatchError, ResourceGuardError
 from .measures import Distribution
 from .words import FreeGroup, Word, alphabet
@@ -206,8 +207,8 @@ def proximality_sim(
     with |w_j| = k exactly are flagged shallow, since the cancellation
     cylinder then has depth 1 and no concentration is claimed.  Masses
     come from the cancellation-cylinder complement formula, exact per
-    query.  Trial i draws from a counter-based stream spawned from
-    (seed, i)."""
+    query.  Trial i draws from `Generator(Philox(child_i))`, child_i the
+    i-th spawn of SeedSequence(seed), set up by `entropy._philox_streams`."""
     if d < 2:
         raise ParameterError(f"rank must be >= 2, got {d}")
     if n < 1:
@@ -224,10 +225,9 @@ def proximality_sim(
             f"{PROXIMALITY_ROW_BUDGET}; lower --trials or --steps"
         )
     letters = alphabet(d)
-    children = np.random.SeedSequence(seed).spawn(trials)
     walks = np.empty((trials, n), dtype=np.int32)  # |w_j| for j = 1..n, per trial
-    for walk, child in zip(walks, children):
-        picks = np.random.Generator(np.random.Philox(child)).integers(0, 2 * d, size=n)
+    for walk, bitgen in zip(walks, _philox_streams(seed, trials)):
+        picks = np.random.Generator(bitgen).integers(0, 2 * d, size=n)
         stack: list[int] = []
         lengths = []
         for l in map(letters.__getitem__, picks.tolist()):

@@ -18,6 +18,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,28 +83,6 @@ def _add_quotient(sub, required=False):
     )
 
 
-# verb -> (help, a function that adds the verb's arguments to its parser)
-_VERBS = {
-    "walk-entropy": ("exact H(mu^k) series", lambda p: _add_quotient(_add_common(p, 50))),
-    "drift": ("Monte Carlo escape rate", lambda p: _add_common(p, 10000, 1000)),
-    "growth": ("exact ball counts of F_d", lambda p: _add_common(p, 10)),
-    "cogrowth": ("kernel sphere counts and critical exponent",
-                 lambda p: _add_quotient(_add_common(p, 12), required=True)),
-    "gap-check": ("entropy gap vs critical exponent",
-                  lambda p: _add_quotient(_add_common(p, 6), required=True)),
-    "guivarch": ("h <= drift * growth cross-check", lambda p: _add_common(p, 10000, 1000)),
-    "theorem-a": ("boundary-family entropy bound value", _add_common),
-    "boundary-entropy": ("exact Furstenberg entropy of (srw, nu)", _add_common),
-    "proximality": ("pushed prefix-cylinder masses along walks",
-                    lambda p: _add_common(p, 50, 10).add_argument(
-                        "--prefix-depth", type=int, default=3,
-                        help="cylinder prefix depth k (default 3)")),
-    "lattice-experiment": ("partition chain limits on a finite space",
-                           lambda p: _add_common(p).add_argument(
-                               "--config", required=True, help="flat key-value config file")),
-}
-
-
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="gwel",
@@ -110,8 +90,8 @@ def build_parser() -> _Parser:
         "for free groups and their quotients.  All entropies in nats.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, (summary, add_arguments) in _VERBS.items():
-        add_arguments(sub.add_parser(verb, help=summary))
+    for name, verb in _VERBS.items():
+        verb.add_arguments(sub.add_parser(name, help=verb.summary))
     return parser
 
 
@@ -122,7 +102,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     if not argv or argv[0] not in _VERBS:
         return build_parser().parse_args(argv)
     parser = _Parser(prog=f"gwel {argv[0]}")
-    _VERBS[argv[0]][1](parser)
+    _VERBS[argv[0]].add_arguments(parser)
     args = parser.parse_args(argv[1:])
     args.verb = argv[0]
     return args
@@ -229,7 +209,7 @@ def _cmd_cogrowth(args) -> Report:
             f"kernel sphere counts exceed the work budget beyond radius "
             f"{len(counts) - 1}; lower --steps"
         )
-    series = growth.GrowthSeries(d, "kernel", counts)
+    series = growth.GrowthSeries(counts)
     delta, delta_method = rep.critical_exponent()
     bound = growth.half_growth_bound(d)
     return Report(
@@ -415,17 +395,38 @@ def _cmd_lattice_experiment(args) -> Report:
     )
 
 
-_HANDLERS = {
-    "walk-entropy": _cmd_walk_entropy,
-    "drift": _cmd_drift,
-    "growth": _cmd_growth,
-    "cogrowth": _cmd_cogrowth,
-    "gap-check": _cmd_gap_check,
-    "guivarch": _cmd_guivarch,
-    "theorem-a": _cmd_theorem_a,
-    "boundary-entropy": _cmd_boundary_entropy,
-    "proximality": _cmd_proximality,
-    "lattice-experiment": _cmd_lattice_experiment,
+class _Verb(NamedTuple):
+    """A verb's help line, the function that adds its arguments to its
+    parser, and the function that runs it."""
+
+    summary: str
+    add_arguments: Callable[[argparse.ArgumentParser], object]
+    run: Callable[[argparse.Namespace], Report]
+
+
+_VERBS = {
+    "walk-entropy": _Verb("exact H(mu^k) series", lambda p: _add_quotient(_add_common(p, 50)),
+                          _cmd_walk_entropy),
+    "drift": _Verb("Monte Carlo escape rate", lambda p: _add_common(p, 10000, 1000), _cmd_drift),
+    "growth": _Verb("exact ball counts of F_d", lambda p: _add_common(p, 10), _cmd_growth),
+    "cogrowth": _Verb("kernel sphere counts and critical exponent",
+                      lambda p: _add_quotient(_add_common(p, 12), required=True), _cmd_cogrowth),
+    "gap-check": _Verb("entropy gap vs critical exponent",
+                       lambda p: _add_quotient(_add_common(p, 6), required=True), _cmd_gap_check),
+    "guivarch": _Verb("h <= drift * growth cross-check", lambda p: _add_common(p, 10000, 1000),
+                      _cmd_guivarch),
+    "theorem-a": _Verb("boundary-family entropy bound value", _add_common, _cmd_theorem_a),
+    "boundary-entropy": _Verb("exact Furstenberg entropy of (srw, nu)", _add_common,
+                              _cmd_boundary_entropy),
+    "proximality": _Verb("pushed prefix-cylinder masses along walks",
+                         lambda p: _add_common(p, 50, 10).add_argument(
+                             "--prefix-depth", type=int, default=3,
+                             help="cylinder prefix depth k (default 3)"),
+                         _cmd_proximality),
+    "lattice-experiment": _Verb("partition chain limits on a finite space",
+                                lambda p: _add_common(p).add_argument(
+                                    "--config", required=True, help="flat key-value config file"),
+                                _cmd_lattice_experiment),
 }
 
 
@@ -438,7 +439,7 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:  # validated but unused: every operation is serial
             raise ParameterError("thread count must be >= 1")
-        report = _HANDLERS[args.verb](args)
+        report = _VERBS[args.verb].run(args)
         emit_report(report, fmt=args.format, out=args.out)
     except GwelError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -63,7 +63,6 @@ class EntropySeries:
     estimate of the entropy rate (no curve fitting).
     """
 
-    label: str
     values: tuple[float, ...]
 
     def steps(self) -> list[int]:
@@ -132,7 +131,7 @@ def radial_entropy_exact(d: int, n: int) -> EntropySeries:
             np.add(moves[0, even : m + 1], moves[1, even + 1 : m + 2], out=dst[: m + 1 - even])
             src = dst
         values += _block_entropies(block[:, : (k0 + len(block)) // 2 + 1], k0 + 1, logs, class_logs)
-    return EntropySeries(f"free:{d}", tuple(values))
+    return EntropySeries(tuple(values))
 
 
 def _block_entropies(block, k1: int, logs, class_logs) -> list[float]:
@@ -217,7 +216,7 @@ def _entropy_terms(p, radii, logs) -> list[float]:
 def quotient_entropy_dp(rep, n: int) -> EntropySeries:
     """Exact H(mu'^k), k <= n, for the pushforward of the simple random
     walk to the quotient, by the rep's own algorithm."""
-    return EntropySeries(rep.describe(), rep.entropy_values(n))
+    return EntropySeries(rep.entropy_values(n))
 
 
 @dataclass(frozen=True)
@@ -272,7 +271,8 @@ def _philox_spawn_keys(seed: int, trials: int) -> np.ndarray:
     """Row i is the key of `Philox(SeedSequence(seed).spawn(trials)[i])`:
     SeedSequence's entropy mixing and state generation run once, on the
     spawn keys of all children as arrays.  Needs trials <= 2^32, so that
-    each spawn key is one uint32 word; DRIFT_WORK_BUDGET keeps it so."""
+    each spawn key is one uint32 word; DRIFT_WORK_BUDGET and
+    `boundary.PROXIMALITY_ROW_BUDGET` keep it so."""
     words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
     words += [0] * (_POOL_SIZE - len(words))  # a child pads its entropy to the pool
     entropy = [np.full(trials, w, dtype=np.uint64) for w in words]
@@ -289,6 +289,27 @@ def _philox_spawn_keys(seed: int, trials: int) -> np.ndarray:
     hashmix = _hashmix(_INIT_B, _MULT_B)
     lo0, hi0, lo1, hi1 = (hashmix(w) for w in pool)  # generate_state(2, uint64)
     return np.stack([lo0 | hi0 << 32, lo1 | hi1 << 32], axis=1)
+
+
+def _philox_streams(seed: int, trials: int):
+    """Yield, trial by trial, a Philox in the state of
+    `Philox(SeedSequence(seed).spawn(trials)[i])`: one generator, set to
+    each key of `_philox_spawn_keys` in turn with a zero counter and an
+    empty buffer, so trial i's draws must be taken before trial i+1's."""
+    bitgen = np.random.Philox(0)
+    zero = np.zeros(4, dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": zero, "key": zero},
+        "buffer": zero,
+        "buffer_pos": 4,  # empty
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for key in _philox_spawn_keys(seed, trials):
+        state["state"]["key"] = key
+        bitgen.state = state
+        yield bitgen
 
 
 def _raw_threshold(p: float) -> np.uint64:
@@ -308,27 +329,15 @@ _BYTE_LOW = np.array([min(i // 2 - bin(b >> 8 - i).count("1") for i in range(9))
 
 def _walk_lengths(d: int, n: int, trials: int, seed: int) -> np.ndarray:
     """|w_n| of every trial of `drift_mc(d, n, trials, seed)`, as int64."""
-    keys = _philox_spawn_keys(seed, trials)
+    streams = _philox_streams(seed, trials)
     threshold = _raw_threshold(1.0 / (2 * d))
-    bitgen = np.random.Philox(0)
-    zero = np.zeros(4, dtype=np.uint64)
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": zero, "key": keys[0]},
-        "buffer": zero,
-        "buffer_pos": 4,  # empty
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
     block = max(1, _DRIFT_CHUNK // n)  # trials per pass
     is_down = np.empty((min(block, trials), n), dtype=bool)
     quads = 4 * np.arange((n + 7) // 8, dtype=np.int32)  # floor(k/2) at byte m's start
     r = np.empty(trials, dtype=np.int64)
     for lo in range(0, trials, block):
         hi = min(lo + block, trials)
-        for i in range(lo, hi):
-            state["state"]["key"] = keys[i]
-            bitgen.state = state
+        for i, bitgen in zip(range(lo, hi), streams):
             np.less(bitgen.random_raw(n), threshold, out=is_down[i - lo])
         packed = np.packbits(is_down[: hi - lo], axis=1)
         downs = _BYTE_DOWNS[packed]
@@ -349,12 +358,10 @@ def drift_mc(d: int, n: int, trials: int, seed: int) -> DriftEstimate:
     projection is tracked: |w| goes up with probability (2d-1)/(2d) when
     |w| >= 1 and reflects at 0.
 
-    The keys of all children come from `_philox_spawn_keys`; one Philox
-    is set to each key in turn with a zero counter and an empty buffer,
-    and a raw draw is a down step when it is below
-    `_raw_threshold(1/(2d))`.  |w_j| has the parity of j, so the
-    reflection |w_(j+1)| = ||w_j| + s_j| for the step s_j = +-1 is
-    max(|w_j| + s_j, (j+1) mod 2).  Unrolled (Lindley's recursion), with
+    The trials' streams come from `_philox_streams`, and a raw draw is a
+    down step when it is below `_raw_threshold(1/(2d))`.  |w_j| has the
+    parity of j, so the reflection |w_(j+1)| = ||w_j| + s_j| for the step
+    s_j = +-1 is max(|w_j| + s_j, (j+1) mod 2).  Unrolled (Lindley's recursion), with
     C_k the down steps among the first k and W_k = floor(k/2) - C_k:
     |w_n| = n - 2 C_n - 2 min_{0<=k<=n} W_k.  The steps are packed 8 to a
     byte, and 256-entry tables give each byte's down count and its lowest

@@ -22,15 +22,11 @@ KERNEL_WORK_BUDGET = 5 * 10**7
 
 @dataclass(frozen=True)
 class GrowthSeries:
-    """Exact counts c_0..c_n with a tag saying what is being counted."""
+    """Exact counts c_0..c_n of a ball or of a kernel's spheres."""
 
-    rank: int
-    kind: str  # "ball" | "kernel"
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        if self.kind not in ("ball", "kernel"):
-            raise ParameterError(f"unknown series kind {self.kind!r}")
         if any(c < 0 for c in self.counts):
             raise ParameterError("counts must be nonnegative")
         if self.counts and self.counts[0] != 1:
@@ -57,7 +53,7 @@ def ball_counts(d: int, n: int) -> GrowthSeries:
         raise ParameterError(f"rank must be >= 2, got {d}")
     if n < 0:
         raise ParameterError("radius must be >= 0")
-    return GrowthSeries(d, "ball", tuple(ball_size(d, k) for k in range(n + 1)))
+    return GrowthSeries(tuple(ball_size(d, k) for k in range(n + 1)))
 
 
 def grigorchuk_delta(rho: float, d: int) -> float:

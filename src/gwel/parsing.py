@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import re
-import sys
 from dataclasses import dataclass
 
 from .errors import ParameterError, ParseError, ResourceGuardError
@@ -37,6 +36,7 @@ from .quotients import (
     coset_enumerate,
     from_point_permutations,
 )
+from .reports import _digit_limit
 from .words import LETTERS, Word, cyclically_reduce, parse_word
 
 
@@ -69,7 +69,7 @@ def _integer(token: str) -> int | None:
     """`token`'s value if it is ASCII digits that int() converts, else None."""
     try:
         return int(token) if token.isascii() and token.isdigit() else None
-    except ValueError:  # more digits than sys.get_int_max_str_digits()
+    except ValueError:  # more digits than the interpreter's limit, `_digit_limit`
         return None
 
 
@@ -93,7 +93,7 @@ def _number(n: int) -> str:
 def _too_long(what: str, token: str) -> str | None:
     """The message for a `what` of more ASCII digits than int() converts;
     None for any other token."""
-    limit = sys.get_int_max_str_digits()  # 0: no limit
+    limit = _digit_limit()  # 0: no limit
     if not (token.isascii() and token.isdigit() and 0 < limit < len(token)):
         return None
     return f"{what} has {len(token)} digits, more than int() converts ({limit})"

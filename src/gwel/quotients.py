@@ -59,16 +59,14 @@ those entries come from the rows of level k-1.
 
 When the Cayley graph of a PermRep is bipartite, every letter flips the
 parity of the breadth-first level, so mu'^k and v_k live on the class of
-elements whose level has k's parity, and the walks hold only that class
-(`_gathers`: for each element of a class, its neighbours' positions in
-the other class); the identity is even, so the kernel counts are 0 at
-odd radii.  The closure reads the parity from its levels (no product
-lands in its own level), coset enumeration from each coset's definition
-word when every relator has even length (letter -> 1 in Z/2 is then a
-homomorphism on Q), and any other PermRep from one breadth-first search
-of its table.  A graph with an odd cycle keeps one class of every
-element.  A class vector holds the dense vector's positive entries in
-index order, so no float changes (`tests/oracles.py::dense_perm_entropy`).
+elements whose level has k's parity, and the walks hold only that class;
+the identity is even, so the kernel counts are 0 at odd radii.  A graph
+with an odd cycle keeps one class of every element.  The classes have
+one source, a breadth-first search of the finished table
+(`_level_parity`), and `_gathers` builds and keeps the walk structure
+from them once per rep.  A class vector holds the dense vector's
+positive entries in index order, so no float changes
+(`tests/oracles.py::dense_perm_entropy`).
 
 Every quotient here has critical exponent log(2d-1): a finite quotient's
 kernel has finite index, and Z^d is amenable (Grigorchuk 1980; Cohen, J.
@@ -127,14 +125,13 @@ def _afforded(n: int, work_budget: int, d: int, terms) -> int:
     return sum(1 for _ in takewhile(lambda w: w <= work_budget, spent))
 
 
-def _gap_counts(rep, n: int, work_budget: int, *shared) -> tuple[list[int], list[float]]:
+def _gap_counts(rep, n: int, work_budget: int) -> tuple[list[int], list[float]]:
     """`gap_counts` of every rep: kernel counts to radius 2n, then bounds for
     r <= n from `_vectors` v_r and `_laws` mu'^r, with c_r the sum of v_j
-    over j <= r of r's parity.  All three walks take `shared`: a PermRep's
-    gathers, built once, so that one set is held at a time."""
-    spheres = rep.kernel_sphere_counts(2 * n, work_budget, *shared)
-    bounds, reach, laws = [], [None, None], rep._laws(*shared)
-    for r, v in enumerate(rep._vectors(min(n, len(spheres) - 1), work_budget, *shared)):
+    over j <= r of r's parity."""
+    spheres = rep.kernel_sphere_counts(2 * n, work_budget)
+    bounds, reach, laws = [], [None, None], rep._laws()
+    for r, v in enumerate(rep._vectors(min(n, len(spheres) - 1), work_budget)):
         c = reach[r % 2] = v if r < 2 else _plus(v, reach[r % 2])
         if r:
             law = next(laws).ravel()
@@ -145,27 +142,32 @@ def _gap_counts(rep, n: int, work_budget: int, *shared) -> tuple[list[int], list
 
 
 def _level_parity(table: np.ndarray) -> np.ndarray:
-    """`PermRep._odd` from one breadth-first search of the table: the
-    parity of each element's level if every edge joins levels of opposite
-    parity and the two classes are equal in size, else all False."""
-    level = np.full(len(table), -1, dtype=np.int64)
-    level[0] = 0
+    """True at the elements of odd breadth-first level of the table if
+    every edge joins levels of opposite parity and the two classes are
+    equal in size, else all False.  A level is found by marking the
+    frontier's neighbours in a mask and keeping the unseen ones."""
+    size = len(table)
+    odd, reached = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
+    unseen = np.ones(size, dtype=bool)
+    unseen[0] = False
     frontier, k = np.zeros(1, dtype=np.int64), 0
     while len(frontier):
         k += 1
-        reached = np.unique(table[frontier])
-        frontier = reached[level[reached] < 0]
-        level[frontier] = k
-    odd = (level & 1).astype(bool)
-    if (level >= 0).all() and 2 * odd.sum() == len(odd) and (odd[table] != odd[:, None]).all():
+        reached[table[frontier]] = True
+        reached &= unseen
+        unseen ^= reached
+        if k & 1:
+            odd |= reached
+        frontier = np.flatnonzero(reached)
+    if not unseen.any() and 2 * odd.sum() == size and (odd[table] != odd[:, None]).all():
         return odd
-    return np.zeros(len(table), dtype=bool)
+    return np.zeros(size, dtype=bool)
 
 
 class PermRep:
     """Regular action of a finite quotient of F_d on its elements."""
 
-    __slots__ = ("rank", "size", "_table", "point_images", "_parity")
+    __slots__ = ("rank", "size", "_table", "point_images", "_walk")
 
     def __init__(self, rank: int, rows, point_images=None):
         self.rank = rank
@@ -177,7 +179,7 @@ class PermRep:
         self._table = array("q")  # filled straight from the array's buffer: one copy, not two
         self._table.frombytes(memoryview(np.ascontiguousarray(table)).cast("B"))
         self.point_images = point_images
-        self._parity = None  # set by a builder, else derived by `_odd`
+        self._walk = None  # the gathers, built by `_gathers` on first use
 
     @property
     def identity(self) -> int:
@@ -204,42 +206,40 @@ class PermRep:
     def describe(self) -> str:
         return f"perm-quotient of size {self.size}"
 
-    def _odd(self) -> np.ndarray:
-        """True at the elements of odd level when the Cayley graph is
-        bipartite, all False when it has an odd cycle."""
-        if self._parity is None:
-            self._parity = _level_parity(self._array())
-        return self._parity
-
     def _gathers(self) -> list[list[np.ndarray]]:
-        """One gather list per parity class c (a single class when the
-        graph is not bipartite): for every letter l, the position of
-        x * l^-1 in the class before c, for each x of c in index order."""
-        if self.size > QUOTIENT_SIZE_LIMIT:
-            raise ResourceGuardError(f"quotient size {self.size} exceeds {QUOTIENT_SIZE_LIMIT}")
-        table, odd = self._array(), self._odd()
-        cols = range(2 * self.rank)
-        if not odd.any():
-            return [[np.ascontiguousarray(table[:, c ^ 1]) for c in cols]]
-        # an odd element's position among the odd ones, an even one's among the even
-        before = np.cumsum(odd)
-        position = np.where(odd, before - 1, np.arange(self.size) - before)
-        return [[position[table[mask, c ^ 1]] for c in cols] for mask in (~odd, odd)]
+        """The walk structure, built on first use from the parity classes
+        of `_level_parity` and kept: one gather list per class c (a single
+        class when the graph is not bipartite), holding for every letter l
+        the position of x * l^-1 in the class before c, for each x of c in
+        index order."""
+        if self._walk is None:
+            if self.size > QUOTIENT_SIZE_LIMIT:
+                raise ResourceGuardError(f"quotient size {self.size} exceeds {QUOTIENT_SIZE_LIMIT}")
+            table = self._array()
+            odd = _level_parity(table)
+            classes = (~odd, odd) if odd.any() else (np.ones(self.size, dtype=bool),)
+            position = np.empty(self.size, dtype=np.int64)  # an element's place in its class
+            for mask in classes:
+                position[mask] = np.arange(np.count_nonzero(mask))
+            cols = range(2 * self.rank)
+            self._walk = [[position[table[mask, c ^ 1]] for c in cols] for mask in classes]
+        return self._walk
 
-    def _laws(self, gathers):
+    def _laws(self):
         """mu'^k, k = 1, 2, ..., as a dense probability vector over the
         parity class of k (every element when there is one class); mass at
         x comes from x * l^-1 for each letter l, by the `_gathers`."""
+        gathers = self._gathers()
         vec = np.eye(1, len(gathers[0][0]))[0]
         for step in cycle(gathers[1:] + gathers[:1]):
             vec = sum(vec[g] for g in step) / len(step)
             yield vec
 
-    def _vectors(self, n: int, work_budget: int, gathers):
+    def _vectors(self, n: int, work_budget: int):
         """v_0..v_R over the parity class of r, R <= n the largest radius
         whose steps, at size*2d each, fit the budget; (Av)(x) = sum_l v(x l^-1),
         by the `_gathers`."""
-        nc = 2 * self.rank
+        nc, gathers = 2 * self.rank, self._gathers()
         steps = cycle(gathers[1:] + gathers[:1])
         start = np.eye(1, len(gathers[0][0]), dtype=np.int64)[0]
         return _nonbacktracking(lambda v: sum(v[g] for g in next(steps)), start,
@@ -250,23 +250,21 @@ class PermRep:
         if n < 0:
             raise ParameterError("steps must be >= 0")
         values = []
-        for _, vec in zip(range(n), self._laws(self._gathers())):
+        for _, vec in zip(range(n), self._laws()):
             nz = vec[vec > 0.0]
             # 0.0 - s, not -s: a zero entropy must come out as 0.0, not -0.0
             values.append(0.0 - float((nz * np.log(nz)).sum()))
         return tuple(values)
 
-    def kernel_sphere_counts(self, n: int, work_budget: int, gathers=None) -> list[int]:
-        """|N cap S(k)| for k = 0..r <= n: the identity entries of `_vectors`,
-        over `gathers` when given, else over the `_gathers` built here."""
+    def kernel_sphere_counts(self, n: int, work_budget: int) -> list[int]:
+        """|N cap S(k)| for k = 0..r <= n: the identity entries of `_vectors`."""
         if n < 0:
             raise ParameterError("radius must be >= 0")
-        vectors = self._vectors(n, work_budget, gathers or self._gathers())
-        period = 2 if self._odd().any() else 1  # the identity is in the even class
-        return [int(v[0]) if r % period == 0 else 0 for r, v in enumerate(vectors)]
+        period = len(self._gathers())  # two classes: the identity is even
+        return [int(v[0]) if r % period == 0 else 0
+                for r, v in enumerate(self._vectors(n, work_budget))]
 
-    def gap_counts(self, n: int, work_budget: int) -> tuple[list[int], list[float]]:
-        return _gap_counts(self, n, work_budget, self._gathers())
+    gap_counts = _gap_counts
 
     def entropy_rate(self) -> tuple[float, str]:
         return 0.0, f"finite quotient: H(mu'^k) <= log {self.size}, so H/k -> 0"
@@ -653,9 +651,6 @@ def coset_enumerate(d: int, relators, max_cosets: int = DEFAULT_MAX_COSETS) -> P
              for w, root in zip(rels, map(_root_length, rels))]
     fills = [(table[c], table[c ^ 1]) for c in range(ncols)]
     n = 1  # rows ever defined, len(p)
-    # the parity of each coset's definition word: with relators of even
-    # length only, letter -> 1 in Z/2 is a homomorphism on the quotient
-    parity = [False]
     alpha = 0
     while alpha < n:
         if p[alpha] == alpha:  # alpha is live: p[i] <= i, so rep(alpha) == alpha
@@ -704,7 +699,6 @@ def coset_enumerate(d: int, relators, max_cosets: int = DEFAULT_MAX_COSETS) -> P
                     for column in table:
                         column.append(None)
                     p.append(n)
-                    parity.append(not parity[f])
                     fwd[i][f] = n
                     bwd[i][n] = f
                     n += 1
@@ -718,7 +712,6 @@ def coset_enumerate(d: int, relators, max_cosets: int = DEFAULT_MAX_COSETS) -> P
                         for col in table:
                             col.append(None)
                         p.append(n)
-                        parity.append(not parity[alpha])
                         column[alpha] = n
                         mirror[n] = alpha
                         n += 1
@@ -736,8 +729,6 @@ def coset_enumerate(d: int, relators, max_cosets: int = DEFAULT_MAX_COSETS) -> P
     index[live] = np.arange(len(live))
     out = PermRep(d, index[np.array(images)].T)
     _check_relators(out._array(), rels)
-    even = all(len(w) % 2 == 0 for w in rels)
-    out._parity = np.array(parity)[live] if even else np.zeros(len(live), dtype=bool)
     return out
 
 
@@ -791,16 +782,14 @@ def from_point_permutations(
     k-1 gives x c^-1 = y, so the finished rows of level k-1 fill every
     entry of level k that leads back.  Only the entries left are composed,
     `_CHUNK` frontier rows at a time, and looked up among level k's keys
-    and those of the elements the level's earlier chunks created; a
-    product inside its own level is an odd cycle, and with none the level
-    parities are the rep's parity classes.  New elements are numbered by
-    first occurrence in (element, letter) order, so the numbering depends
-    neither on the chunks nor on how the keys that tell elements apart
-    sort.  An element is keyed by one
-    uint64, its point images packed at ceil(log2 m) bits each, when
-    m ceil(log2 m) <= 64 (m <= 16 points), and by the bytes of its images
-    otherwise.  The chunk whose new elements pass `max_elements` raises
-    before the rest of its level is built.
+    and those of the elements the level's earlier chunks created.  New
+    elements are numbered by first occurrence in (element, letter) order,
+    so the numbering depends neither on the chunks nor on how the keys
+    that tell elements apart sort.  An element is keyed by one uint64, its
+    point images packed at ceil(log2 m) bits each, when m ceil(log2 m) <=
+    64 (m <= 16 points), and by the bytes of its images otherwise.  The
+    chunk whose new elements pass `max_elements` raises before the rest of
+    its level is built.
     """
     if d < 1:
         raise ParameterError("rank must be >= 1")
@@ -827,7 +816,7 @@ def from_point_permutations(
     frontier = np.arange(width, dtype=perms.dtype)[None, :]
     keys, ids = _row_keys(frontier, bits), np.zeros(1, dtype=np.int64)
     low, done = 0, np.empty((0, nc), dtype=np.int64)
-    blocks, bipartite = [], True
+    blocks = []
     while len(frontier):
         top = low + len(frontier) - 1  # the newest id
         rows = np.full((len(frontier), nc), -1, dtype=np.int64)
@@ -848,7 +837,6 @@ def from_point_permutations(
             order = np.argsort(wanted)  # searches in key order run faster
             wanted = wanted[order]
             found = _find(keys, ids, wanted)
-            bipartite = bipartite and not (found >= 0).any()  # a product inside level k
             miss = np.flatnonzero(found < 0)
             found[miss] = _find(born_keys, born_ids, wanted[miss])  # born in earlier chunks
             # the new products, grouped by key: the groups take the next ids
@@ -876,11 +864,7 @@ def from_point_permutations(
         blocks.append(rows)
         low, done = low + len(frontier), rows
         keys, ids, frontier = born_keys, born_ids, np.concatenate(born)
-    out = PermRep(d, np.concatenate(blocks), point_images=tuple(gens))
-    # with no product inside its own level, every letter flips the level's parity
-    levels = np.repeat(np.arange(len(blocks)), [len(block) for block in blocks])
-    out._parity = (levels % 2 == 1) & bipartite
-    return out
+    return PermRep(d, np.concatenate(blocks), point_images=tuple(gens))
 
 
 __all__ = [

@@ -451,7 +451,7 @@ def test_convergence_maps_to_exit_4(capsys, monkeypatch):
     def boom(args):
         raise ConvergenceError("power iteration stalled")
 
-    monkeypatch.setitem(cli._HANDLERS, "growth", boom)
+    monkeypatch.setitem(cli._VERBS, "growth", cli._VERBS["growth"]._replace(run=boom))
     assert main(["growth"]) == 4
     assert "stalled" in capsys.readouterr().err
 
@@ -463,7 +463,7 @@ def test_nan_report_maps_to_exit_4(capsys, monkeypatch):
     def nan_report(args):
         return Report("growth", {}, None, Table({}), {"x": float("nan")})
 
-    monkeypatch.setitem(cli._HANDLERS, "growth", nan_report)
+    monkeypatch.setitem(cli._VERBS, "growth", cli._VERBS["growth"]._replace(run=nan_report))
     assert main(["growth"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -479,7 +479,7 @@ def test_non_finite_cell_maps_to_exit_4_in_every_format(fmt, capsys, monkeypatch
         series = cli._table("a:int b:float", [(1, float("nan")), (2, float("inf"))])
         return Report("growth", {}, None, series, {})
 
-    monkeypatch.setitem(cli._HANDLERS, "growth", inf_report)
+    monkeypatch.setitem(cli._VERBS, "growth", cli._VERBS["growth"]._replace(run=inf_report))
     assert main(["growth", "--format", fmt]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -569,7 +569,7 @@ def test_memory_error_maps_to_exit_3(capsys, monkeypatch):
     def oom(args):
         raise MemoryError
 
-    monkeypatch.setitem(cli._HANDLERS, "growth", oom)
+    monkeypatch.setitem(cli._VERBS, "growth", cli._VERBS["growth"]._replace(run=oom))
     assert main(["growth"]) == 3
     err = capsys.readouterr().err
     assert err == "error: out of memory\n"
@@ -581,7 +581,7 @@ def test_keyboard_interrupt_maps_to_exit_130(capsys, monkeypatch):
     def interrupted(args):
         raise KeyboardInterrupt
 
-    monkeypatch.setitem(cli._HANDLERS, "growth", interrupted)
+    monkeypatch.setitem(cli._VERBS, "growth", cli._VERBS["growth"]._replace(run=interrupted))
     assert main(["growth"]) == 130
     assert capsys.readouterr().err == "error: interrupted\n"
 

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 
 import numpy as np
@@ -198,3 +199,22 @@ def test_cycle_points_read_ascii_digits_only():
     with pytest.raises(ParseError) as e:
         parse_quotient_spec("perm: a=(1 " + "9" * 5000 + ")", 2)
     assert (e.value.raw, e.value.position) == ("cycle point too long: 5000 digits", 12)
+
+
+# Python 3.10.0-3.10.6 have no sys.get_int_max_str_digits: a bad integer
+# literal is still a ParseError there, not an AttributeError
+NO_DIGIT_LIMIT = {
+    "points abc": "line 1: points must be a positive integer",
+    "chain 1,x": "line 3: bad point 'x' in chain partition",
+    "weights random:x": "line 4: random weights need an integer seed",
+}
+
+
+@pytest.mark.parametrize("line", list(NO_DIGIT_LIMIT))
+def test_bad_integer_literal_without_a_digit_limit_is_a_parse_error(line, monkeypatch):
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    lines = {"points": "points 2", "direction": "direction increasing", "chain": "chain 1,2"}
+    lines[line.split()[0]] = line
+    with pytest.raises(ParseError) as e:
+        parse_lattice_config("\n".join(lines.values()) + "\n")
+    assert str(e.value) == NO_DIGIT_LIMIT[line]

@@ -1,9 +1,11 @@
+import inspect
 import random
 import tracemalloc
 
 import pytest
 
 from gwel import quotients
+from gwel.entropy import entropy_gap_check
 from gwel.errors import CosetLimitError, GwelError, ParameterError
 from gwel.quotients import (
     QUOTIENT_SIZE_LIMIT,
@@ -451,17 +453,51 @@ def test_chunked_closure_numbers_like_the_tuple_oracle(d, images, monkeypatch):
 
 
 def test_parity_classes_match_a_two_colouring():
-    # the builders' classes, and those one breadth-first search derives
-    # from a bare table, are the 2-colouring of the Cayley graph or, when
-    # the graph has an odd cycle, one class
-    kinds = set()
+    # every builder path takes its classes from one breadth-first search of
+    # the finished table: the 2-colouring of the Cayley graph or, when the
+    # graph has an odd cycle, one class
+    s6 = from_point_permutations(*CLOSURES[3])
+    paths = [  # (rep, whether its Cayley graph is bipartite)
+        (coset_enumerate(2, rels("aa", "bb", "ababab")), True),  # HLT, all relators even
+        (coset_enumerate(2, rels("aaa", "bb", "abab")), False),  # HLT, an odd relator
+        (s6, True),  # closure, bipartite
+        (from_point_permutations(*CLOSURES[-1]), False),  # closure, A_5 has odd cycles
+        (quotients.PermRep(s6.rank, table_rows(s6)), True),  # a bare table
+        (TrivialRep(2), False),
+    ]
+    for rep, bipartite in paths:
+        want = two_colouring(table_rows(rep))
+        assert any(want) == bipartite, rep
+        assert quotients._level_parity(rep._array()).tolist() == want, rep
+        assert len(rep._gathers()) == 1 + bipartite, rep
+        assert rep._gathers() is rep._gathers(), rep  # built once and kept
     for rep in all_test_reps():
         want = two_colouring(table_rows(rep))
-        assert rep._odd().tolist() == want, rep
-        bare = quotients.PermRep(rep.rank, table_rows(rep))
-        assert bare._odd().tolist() == want, rep
-        kinds.add(any(want))
-    assert kinds == {False, True}
+        assert quotients._level_parity(rep._array()).tolist() == want, rep
+        assert len(rep._gathers()) == 1 + any(want), rep
+
+
+def test_gap_check_derives_the_parity_classes_once(monkeypatch):
+    calls = []
+
+    def level_parity(table):
+        calls.append(len(table))
+        return level_parity_of_the_module(table)
+
+    level_parity_of_the_module = quotients._level_parity
+    monkeypatch.setattr(quotients, "_level_parity", level_parity)
+    s8 = from_point_permutations(2, {1: (1, 2, 3, 4, 5, 6, 7, 0), 2: (1, 0, 2, 3, 4, 5, 6, 7)})
+    assert calls == []  # the builder leaves the rep as it made it
+    entropy_gap_check(2, s8, 4)
+    assert calls == [40320]
+
+
+@pytest.mark.parametrize(
+    "method", ["entropy_values", "kernel_sphere_counts", "gap_counts", "_vectors", "_laws"]
+)
+def test_quotient_families_share_one_protocol_signature(method):
+    perm, abelian = getattr(quotients.PermRep, method), getattr(AbelianRep, method)
+    assert inspect.signature(perm) == inspect.signature(abelian)
 
 
 def test_perm_entropies_match_the_dense_vector_loop():
@@ -476,11 +512,10 @@ def test_abelian_entropies_match_the_append_insert_loop():
 
 
 def test_gap_counts_hold_one_set_of_gathers():
-    # one S_8 set of gathers is the walks' largest array: gap_counts builds
-    # it once and hands it to all three walks, so no second set coexists
+    # one S_8 set of gathers is the walks' largest array: a fresh rep builds
+    # it once, keeps it and hands it to all three walks, so no second set
+    # coexists
     s8 = from_point_permutations(2, {1: (1, 2, 3, 4, 5, 6, 7, 0), 2: (1, 0, 2, 3, 4, 5, 6, 7)})
-    s8._odd()  # cached on the rep, outside the measurement
-    one = sum(g.nbytes for step in s8._gathers() for g in step)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -488,5 +523,6 @@ def test_gap_counts_hold_one_set_of_gathers():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    one = sum(g.nbytes for step in s8._gathers() for g in step)
     assert spheres == [1, 0, 2, 0, 6, 0, 42, 0, 200, 0, 1262, 0, 7794] and len(bounds) == 6
     assert peak <= 2.2 * one, (peak, one)

@@ -104,7 +104,7 @@ def oracle_bytes(report):
 def test_writer_matches_indent2_oracle_on_golden_reports(name, monkeypatch):
     monkeypatch.chdir(Path(__file__).resolve().parent)
     args = cli.build_parser().parse_args(CASES[name])
-    report = cli._HANDLERS[args.verb](args)
+    report = cli._VERBS[args.verb].run(args)
     assert report_json_bytes(report) == oracle_bytes(report)
 
 
@@ -192,7 +192,7 @@ def test_chunked_writer_matches_the_oracle_at_every_seam(chunk, monkeypatch):
         report = seam_report(n)
         assert report_json_bytes(report) == oracle_bytes(report), n
     args = cli.build_parser().parse_args(["proximality", "--steps", "7", "--trials", "2"])
-    report = cli._HANDLERS["proximality"](args)
+    report = cli._VERBS["proximality"].run(args)
     assert report_json_bytes(report) == oracle_bytes(report)
 
 
@@ -215,7 +215,7 @@ def test_csv_columns_match_the_cell_by_cell_writer(chunk, monkeypatch):
     wide_table = cli._table("a:int b:float c:float d:int e:str f:bool g:float", wide)
     cases.append(Report("wide", {}, None, wide_table, {}))
     args = cli.build_parser().parse_args(["proximality", "--steps", "7", "--trials", "2"])
-    cases.append(cli._HANDLERS["proximality"](args))
+    cases.append(cli._VERBS["proximality"].run(args))
     for report in cases:
         assert report_csv_bytes(report) == cell_csv_bytes(report), report.command
 
@@ -225,7 +225,7 @@ def test_non_finite_cell_in_the_last_chunk_is_an_error(bad, monkeypatch, tmp_pat
     monkeypatch.setattr(reports, "_ROW_CHUNK", 2)
     rows = [(i, 0.5) for i in range(4)] + [(4, bad)]
     report = Report("growth", {}, None, cli._table("n:int x:float", rows), {})
-    monkeypatch.setitem(cli._HANDLERS, "growth", lambda args: report)
+    monkeypatch.setitem(cli._VERBS, "growth", cli._VERBS["growth"]._replace(run=lambda _: report))
     for fmt, write in (("json", report_json_bytes), ("csv", report_csv_bytes)):
         with pytest.raises(ConvergenceError, match="non-finite"):
             write(report)
@@ -303,7 +303,7 @@ def bad_tables():
 @pytest.mark.parametrize("code, columns", list(bad_tables()))
 def test_table_that_cannot_be_written_leaves_no_output(code, columns, monkeypatch, tmp_path, capsys):
     report = Report("growth", {}, None, reports.Table({"k": reports.Column("int", [1, 2, 3]), **columns}), {})
-    monkeypatch.setitem(cli._HANDLERS, "growth", lambda args: report)
+    monkeypatch.setitem(cli._VERBS, "growth", cli._VERBS["growth"]._replace(run=lambda _: report))
     for fmt in ("json", "csv"):
         out = tmp_path / f"report.{fmt}"
         assert cli.main(["growth", "--format", fmt, "--out", str(out)]) == code
