@@ -1,7 +1,9 @@
 import inspect
 import random
+import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from gwel import quotients
@@ -453,8 +455,8 @@ def test_chunked_closure_numbers_like_the_tuple_oracle(d, images, monkeypatch):
 
 
 def test_parity_classes_match_a_two_colouring():
-    # every builder path takes its classes from one breadth-first search of
-    # the finished table: the 2-colouring of the Cayley graph or, when the
+    # every builder path takes its classes from `_level_parity` over the
+    # finished table: the 2-colouring of the Cayley graph or, when the
     # graph has an odd cycle, one class
     s6 = from_point_permutations(*CLOSURES[3])
     paths = [  # (rep, whether its Cayley graph is bipartite)
@@ -475,6 +477,59 @@ def test_parity_classes_match_a_two_colouring():
         want = two_colouring(table_rows(rep))
         assert quotients._level_parity(rep._array()).tolist() == want, rep
         assert len(rep._gathers()) == 1 + any(want), rep
+
+
+def dihedral_rep(n):
+    """D_n, r^i at index i and s r^i at n + i, columns a, A, b, B: every
+    element but the identity has a neighbour of smaller index, and the
+    tree of smallest neighbours is about n deep."""
+    i = np.arange(n)
+    up, down, flip = (i + 1) % n, (i - 1) % n, -i % n
+    cols = [np.concatenate(pair) for pair in
+            [(up, n + up), (down, n + down), (n + flip, flip), (n + flip, flip)]]
+    return quotients.PermRep(2, np.stack(cols, axis=1))
+
+
+def profile_events(f):
+    """The number of calls and returns, Python and C, that f() makes."""
+    events, before = [], sys.getprofile()
+    sys.setprofile(lambda frame, event, arg: events.append(event))
+    try:
+        f()
+    finally:
+        sys.setprofile(before)
+    return len(events)
+
+
+def test_parity_classes_of_a_long_diameter_cost_less_than_a_short_walk():
+    # D_20000 has diameter 20000: a search by levels would make a call or
+    # more per level, 10^4 rounds of them; pointer doubling makes a few
+    # per pass over the elements, 15 passes, so building the gathers makes
+    # fewer calls than a 30-step walk (calls, not seconds, so that the
+    # bound holds on a loaded machine)
+    rep = dihedral_rep(20000)
+    build = profile_events(rep._gathers)
+    walk = profile_events(lambda: rep.kernel_sphere_counts(30, 10**9))
+    assert build < walk, (build, walk)
+    odd = quotients._level_parity(rep._array())
+    assert odd.tolist() == two_colouring(table_rows(rep))
+    assert odd[1] and odd[20000] and not odd[2] and not odd[20001]
+
+
+def test_a_table_without_smaller_neighbours_walks_one_class():
+    # numbered so that element 1 comes before all its neighbours, S_4's
+    # bipartite table keeps one class, with the same floats and counts
+    s4 = from_point_permutations(2, {1: (1, 2, 3, 0), 2: (1, 0, 2, 3)})
+    rows = table_rows(s4)
+    last = max(range(1, s4.size), key=lambda q: min(rows[q]))
+    swap = {1: last, last: 1}
+    relabel = [swap.get(q, q) for q in range(s4.size)]
+    bare = quotients.PermRep(2, [[relabel[x] for x in rows[relabel[q]]] for q in range(s4.size)])
+    assert min(table_rows(bare)[1]) > 1 and any(two_colouring(table_rows(bare)))
+    assert not quotients._level_parity(bare._array()).any()
+    assert len(bare._gathers()) == 1
+    assert bare.entropy_values(20) == dense_perm_entropy(bare, 20)
+    assert bare.kernel_sphere_counts(20, 10**9) == transfer_sphere_counts(bare, 20)
 
 
 def test_gap_check_derives_the_parity_classes_once(monkeypatch):
