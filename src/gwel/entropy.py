@@ -242,8 +242,11 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _M32 = 0xFFFFFFFF
-# drift draws held at once: bounds its step buffers at about 5 MB
-_DRIFT_CHUNK = 2**20
+# drift draws held at once, in whole trials or, for a walk longer than
+# this, in windows of its steps: a pass holds 128 KB of steps, 16 KB of
+# packed bytes, two int32 prefix arrays of 64 KB and 1 MB of raw draws at
+# most, whatever the trials and steps
+_DRIFT_CHUNK = 2**17
 # random draws trials x steps of drift: about 13 s on a 2-core x86 box
 DRIFT_WORK_BUDGET = 2 * 10**9
 
@@ -332,20 +335,36 @@ def _walk_lengths(d: int, n: int, trials: int, seed: int) -> np.ndarray:
     streams = _philox_streams(seed, trials)
     threshold = _raw_threshold(1.0 / (2 * d))
     block = max(1, _DRIFT_CHUNK // n)  # trials per pass
-    is_down = np.empty((min(block, trials), n), dtype=bool)
-    quads = 4 * np.arange((n + 7) // 8, dtype=np.int32)  # floor(k/2) at byte m's start
+    width = n if n <= _DRIFT_CHUNK else _DRIFT_CHUNK & ~7  # steps per pass, whole bytes
+    is_down = np.empty((min(block, trials), width), dtype=bool)
     r = np.empty(trials, dtype=np.int64)
     for lo in range(0, trials, block):
         hi = min(lo + block, trials)
-        for i, bitgen in zip(range(lo, hi), streams):
-            np.less(bitgen.random_raw(n), threshold, out=is_down[i - lo])
-        packed = np.packbits(is_down[: hi - lo], axis=1)
-        downs = _BYTE_DOWNS[packed]
-        c = np.cumsum(downs, axis=1, dtype=np.int32)  # C at each byte's end
-        # W at each byte's start, 4m - (c - downs), plus the byte's low
-        low = (quads + downs + _BYTE_LOW[packed] - c).min(axis=1)
-        r[lo:hi] = n - 2 * c[:, -1].astype(np.int64) - 2 * low
+        rows = is_down[: hi - lo]
+        for row, bitgen in zip(rows, streams):
+            np.less(bitgen.random_raw(width), threshold, out=row)
+        c, low = _fold_steps(rows, 0, 0, 0)
+        # a walk longer than width is the pass's one trial: its later windows
+        # come from the same stream and carry C and the lowest W
+        for start in range(width, n, width):
+            row = is_down[:, : min(width, n - start)]
+            np.less(bitgen.random_raw(row.shape[1]), threshold, out=row[0])
+            c, low = _fold_steps(row, start, c, low)
+        r[lo:hi] = n - 2 * c - 2 * low
     return r
+
+
+def _fold_steps(is_down: np.ndarray, start: int, c, low):
+    """C after the steps start.. of each row (start a multiple of 8) and the
+    lowest W up to them, from C before them and the lowest W before, as
+    int64.  W at byte m's start is (start + 8m)/2 - C there."""
+    packed = np.packbits(is_down, axis=1)
+    downs = _BYTE_DOWNS[packed]
+    cum = np.cumsum(downs, axis=1, dtype=np.int32)  # C at each byte's end, less c
+    quads = np.arange(start // 2, start // 2 + 4 * packed.shape[1], 4, dtype=np.int32)
+    # W at each byte's start, (start + 8m)/2 - (c + cum - downs), plus the byte's low
+    window = (quads + downs + _BYTE_LOW[packed] - cum).min(axis=1) - c
+    return c + cum[:, -1].astype(np.int64), np.minimum(low, window, dtype=np.int64)
 
 
 def drift_mc(d: int, n: int, trials: int, seed: int) -> DriftEstimate:
@@ -367,7 +386,10 @@ def drift_mc(d: int, n: int, trials: int, seed: int) -> DriftEstimate:
     byte, and 256-entry tables give each byte's down count and its lowest
     W less the W at its start, so C and the minimum need one cumulative
     sum over n/8 bytes.  The zero bits that pad a short last byte are up
-    steps past n, where W only rises: they change neither.
+    steps past n, where W only rises: they change neither.  A pass holds
+    `_DRIFT_CHUNK` draws: whole trials, or windows of one long trial's
+    steps that carry C and the lowest W from window to window.  Each
+    trial's recursion is its own, so the passes change no length.
     """
     if d < 2:
         raise ParameterError(f"rank must be >= 2, got {d}")

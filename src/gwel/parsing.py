@@ -239,7 +239,7 @@ def _parse_partition_line(value: str, points: int, lineno: int) -> Partition:
             if not 1 <= p <= points:
                 raise ParseError(f"line {lineno}: point {_number(p)} outside 1..{_number(points)}")
             if p in block_of:
-                raise ParseError(f"line {lineno}: point {p} appears in two blocks")
+                raise ParseError(f"line {lineno}: point {_number(p)} appears in two blocks")
             block_of[p] = b
     if len(block_of) < points:
         missing = next(p for p in range(1, points + 1) if p not in block_of)

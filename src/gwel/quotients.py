@@ -25,6 +25,8 @@ of length r by the element they reach are v_1 = A v_0, v_2 = A v_1 -
 
   PermRep     a finite quotient Q given by the regular action of Q on its
               own elements; elements are integer indices, identity is 0.
+              The table is one read-only (size, 2d) int64 array, the one
+              its builder made.
               Produced by HLT Todd-Coxeter coset enumeration over a
               relator list (a flat Python loop, numpy for the final
               relabelling), or by closing explicit point permutations into
@@ -86,7 +88,6 @@ letter is col ^ 1.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, count, cycle, groupby, permutations, product, takewhile
@@ -169,19 +170,24 @@ def _level_parity(table: np.ndarray) -> np.ndarray:
 
 
 class PermRep:
-    """Regular action of a finite quotient of F_d on its elements."""
+    """Regular action of a finite quotient of F_d on its elements.  Its
+    table is one read-only (size, 2d) int64 array: row x holds x * l for
+    each letter l, column `letter_key(l)`."""
 
     __slots__ = ("rank", "size", "_table", "point_images", "_walk")
 
-    def __init__(self, rank: int, rows, point_images=None):
+    def __init__(self, rank: int, rows, point_images=None, *, _owned: bool = False):
+        """The rep copies `rows` once into its table, unless `_owned`: a
+        builder hands over a C-ordered int64 array that nothing else holds."""
         self.rank = rank
         self.size = len(rows)
         try:
-            table = np.asarray(rows, dtype=np.int64).reshape(self.size, 2 * rank)
+            table = (np.asarray if _owned else np.array)(rows, dtype=np.int64, order="C")
+            table = table.reshape(self.size, 2 * rank)
         except ValueError:
             raise ParameterError("malformed coset table row") from None
-        self._table = array("q")  # filled straight from the array's buffer: one copy, not two
-        self._table.frombytes(memoryview(np.ascontiguousarray(table)).cast("B"))
+        table.flags.writeable = False
+        self._table = table
         self.point_images = point_images
         self._walk = None  # the gathers, built by `_gathers` on first use
 
@@ -190,14 +196,14 @@ class PermRep:
         return 0
 
     def _array(self) -> np.ndarray:
-        """The table as a (size, 2d) int64 view."""
-        return np.frombuffer(self._table, dtype=np.int64).reshape(self.size, 2 * self.rank)
+        """The table, a read-only (size, 2d) int64 array."""
+        return self._table
 
     def apply_col(self, q: int, col: int) -> int:
-        return self._table[q * 2 * self.rank + col]
+        return self._table.item(q, col)
 
     def apply_letter(self, q: int, letter: int) -> int:
-        return self._table[q * 2 * self.rank + letter_key(letter)]
+        return self._table.item(q, letter_key(letter))
 
     def project(self, w: Word) -> int:
         if w.rank != self.rank:
@@ -731,18 +737,31 @@ def coset_enumerate(d: int, relators, max_cosets: int = DEFAULT_MAX_COSETS) -> P
         raise ParameterError("incomplete coset table after enumeration")
     index = np.full(n, -1, dtype=np.int64)
     index[live] = np.arange(len(live))
-    out = PermRep(d, index[np.array(images)].T)
+    rows = np.empty((len(live), ncols), dtype=np.int64)
+    for col, image in enumerate(images):
+        rows[:, col] = index[image]
+    out = PermRep(d, rows, _owned=True)
     _check_relators(out._array(), rels)
     return out
 
 
 def _check_relators(table: np.ndarray, rels: list[list[int]]) -> None:
-    """Every relator (a list of columns) must act trivially on every row."""
+    """Every relator (a list of columns) must act trivially on every row.
+    A relator u^k acts as u's permutation of the rows raised to the k-th
+    power by squaring: |u| + 2 log2(k) gathers, not k|u|."""
     start = np.arange(len(table))
     for w in rels:
-        t = start
-        for col in w:
-            t = table[t, col]
+        root = _root_length(w)
+        u = start
+        for col in w[:root]:
+            u = table[u, col]
+        t, k = start, len(w) // root
+        while k:
+            if k & 1:
+                t = u[t]
+            k >>= 1
+            if k:
+                u = u[u]
         if not np.array_equal(t, start):
             raise ParameterError("relator fails to close on the final table")
 
@@ -868,7 +887,7 @@ def from_point_permutations(
         blocks.append(rows)
         low, done = low + len(frontier), rows
         keys, ids, frontier = born_keys, born_ids, np.concatenate(born)
-    return PermRep(d, np.concatenate(blocks), point_images=tuple(gens))
+    return PermRep(d, np.concatenate(blocks), point_images=tuple(gens), _owned=True)
 
 
 __all__ = [

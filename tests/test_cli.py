@@ -657,6 +657,10 @@ NINES = "9" * 4000
      "position 4013: point 99999999999999999999... (4000 digits) repeated in cycles"),
     (["lattice-experiment"], f"points 3\ndirection increasing\nchain 1,{NINES}|2,3\n",
      "line 3: point 99999999999999999999... (4000 digits) outside 1..3"),
+    pytest.param(["lattice-experiment"],
+                 f"points {NINES}\ndirection increasing\nchain {NINES},{NINES}\n",
+                 "line 3: point 99999999999999999999... (4000 digits) appears in two blocks",
+                 id="duplicate-point"),
 ])
 def test_huge_points_give_one_short_line(argv, config, message, tmp_path, capsys):
     if config is not None:

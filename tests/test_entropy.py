@@ -242,7 +242,7 @@ def test_raw_threshold_is_exactly_random_below_p(p):
         (2, 2000, 200, 7),
         (2, 1, 5000, 2**32),
         (3, 2, 2, 0),
-        # 2^20 // 1100 = 953 trials per block: the walks span two blocks
+        # 2^17 // 1100 = 119 trials per block: the walks span nine blocks
         (3, 1100, 1000, 2**64 + 5),
         (5, 333, 4000, 12345),
         (26, 17, 50, 2**130 + 3),
@@ -263,6 +263,29 @@ def test_drift_lengths_equal_the_step_loop(d, n, monkeypatch):
         lengths = entropy._walk_lengths(d, n, 12, seed)
         want = drift_loop(d, n, 12, seed)[2]
         assert lengths.dtype == np.int64 and np.array_equal(lengths, want), seed
+
+
+@pytest.mark.parametrize("d, n, trials", [(2, 2000, 300), (3, 10000, 40)])
+def test_blocking_never_changes_drift(d, n, trials, monkeypatch):
+    # each trial's Lindley recursion is its own: 2^11 draws at a time hold
+    # one trial of 2000 steps per pass, or 10000 steps in windows of 2048
+    seed = 2**40 + 9
+    want = drift_mc(d, n, trials, seed), entropy._walk_lengths(d, n, trials, seed)
+    monkeypatch.setattr(entropy, "_DRIFT_CHUNK", 2**11)
+    got = drift_mc(d, n, trials, seed), entropy._walk_lengths(d, n, trials, seed)
+    assert got[0] == want[0] and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("chunk", [64, 67])
+@pytest.mark.parametrize("n", [65, 72, 1001, 2000])
+def test_drift_step_windows_equal_the_step_loop(n, chunk, monkeypatch):
+    # a walk longer than the chunk is drawn in windows of whole bytes, 64
+    # steps here, that carry the down count and the lowest W; n = 65 and
+    # 1001 end in a short window, and 1001 in a short byte
+    monkeypatch.setattr(entropy, "_DRIFT_CHUNK", chunk)
+    for d, seed in ((2, 0), (3, 2**64 + 5)):
+        lengths = entropy._walk_lengths(d, n, 3, seed)
+        assert np.array_equal(lengths, drift_loop(d, n, 3, seed)[2]), (d, seed)
 
 
 def test_byte_tables_match_an_eight_step_scan():

@@ -401,13 +401,77 @@ def test_table_columns_are_mutually_inverse_permutations():
 
 
 def test_relator_check_rejects_a_tampered_table():
-    relators = rels("aa", "bb", "abab")
-    cols = [[letter_key(l) for l in r.letters] for r in relators]
-    table = coset_enumerate(2, relators)._array().copy()
-    _check_relators(table, cols)
-    table[0, 0] = 0  # a no longer moves the identity coset
-    with pytest.raises(ParameterError, match="^relator fails to close on the final table$"):
+    for texts in (("aa", "bb", "abab"), ("aaaa", "bb", "abAB")):  # a^4: checked by squaring
+        relators = rels(*texts)
+        cols = [[letter_key(l) for l in r.letters] for r in relators]
+        table = coset_enumerate(2, relators)._array().copy()
         _check_relators(table, cols)
+        table[0, 0] = 0  # a no longer moves the identity coset
+        for checked in (cols, cols[:1]):  # aa or aaaa alone fails too
+            with pytest.raises(ParameterError, match="^relator fails to close on the final table$"):
+                _check_relators(table, checked)
+
+
+def test_relator_check_by_powers_matches_the_letter_walk():
+    # random tables on 7 rows and relators u^k, k = 1..9: the check by
+    # powers of u's permutation passes exactly when every row walks the
+    # letters of u^k back to itself
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(300):
+        perms = [rng.sample(range(7), 7) for _ in range(2)]
+        table = np.empty((7, 4), dtype=np.int64)
+        for c, perm in enumerate(perms):
+            table[:, 2 * c] = perm
+            table[perm, 2 * c + 1] = np.arange(7)
+        u = [rng.randrange(4) for _ in range(rng.randrange(1, 4))]
+        w = u * rng.randrange(1, 10)
+        rows = list(range(7))
+        for col in w:
+            rows = [table[q, col] for q in rows]
+        closes = rows == list(range(7))
+        outcomes.add(closes)
+        if closes:
+            _check_relators(table, [w])
+        else:
+            with pytest.raises(ParameterError):
+                _check_relators(table, [w])
+    assert outcomes == {True, False}
+
+
+def test_a_rep_owns_its_table():
+    # a rep copies a list or an array its caller keeps, once, into its one
+    # read-only table, so writing into the input later changes nothing
+    want = coset_enumerate(2, rels("aaa", "bb", "abab"))._array()
+    rows = want.tolist()
+    array = want.copy()
+    transposed = np.asfortranarray(want)  # an array the rep must lay out in rows
+    reps = [quotients.PermRep(2, x) for x in (rows, array, transposed)]
+    rows[0][0] = array[0, 0] = transposed[0, 0] = 5
+    for rep in reps:
+        table = rep._array()
+        assert np.array_equal(table, want) and table.flags.c_contiguous
+        with pytest.raises(ValueError):
+            table[0, 0] = 5
+        assert rep.apply_col(0, 0) == want[0, 0] and type(rep.apply_col(0, 0)) is int
+
+
+def test_a_built_rep_keeps_the_builders_table():
+    # the closure's concatenated rows become the rep's table: building S_8
+    # holds the level blocks and their concatenation, two tables, not a
+    # third copy for the rep
+    images = {1: (1, 2, 3, 4, 5, 6, 7, 0), 2: (1, 0, 2, 3, 4, 5, 6, 7)}
+    from_point_permutations(2, images)  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        s8 = from_point_permutations(2, images)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = s8._array()
+    assert peak <= 2.2 * table.nbytes, (peak, table.nbytes)
+    with pytest.raises(ValueError):
+        table[0, 0] = 0
 
 
 def test_closure_guard_trips_past_max_elements():
